@@ -237,6 +237,8 @@ def read_sample_archive(path):
     samples = []
     for _ in range(count):
         label, name_len = struct.unpack("<BH", take(3))
+        if label not in LABELS:
+            raise CorruptArchive(f"{path}: label {label} is not one of {LABELS}")
         name = take(name_len).decode("utf-8")
         (start_ms,) = struct.unpack("<q", take(8))
         raw = take(w * 4 * 3 * 4)

@@ -7,6 +7,8 @@ common start and linearly interpolated onto a constant-rate grid so the four
 channels can be stacked into one session.
 """
 
+import io
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -130,21 +132,71 @@ def _infer_rate_hz(timestamps: np.ndarray) -> float:
     return 1000.0 / gap
 
 
+#: One CSV data row as numpy parses it: an int64 timestamp and three float64s.
+_CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: Whitespace to ``str.strip`` and numpy, but not around an ``int`` or ``float``.
+_SEPARATOR_CONTROLS = "\x1c\x1d\x1e\x1f"
+
+
 def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
     """Parse ``timestamp_ms,x,y,z`` CSV text (LF or CRLF) into a RawSensorLog.
 
     The nominal rate is inferred from the median timestamp gap. Blank lines are
-    skipped; anything else that does not parse raises MalformedLine with its
-    1-based line number.
+    skipped; anything else that does not parse, a timestamp outside int64 or a
+    non-finite value raises MalformedLine with its 1-based line number.
+
+    The rows are parsed in one numpy pass. numpy accepts a subset of what the
+    line loop accepts, with the same values, so the line loop only runs on text
+    that pass rejects: it decides whether the text is valid after all (for
+    example, it has whitespace-only lines) and names the first bad line.
     """
     if hasattr(text, "read"):
         text = text.read()
-    lines = text.split("\n")
-    if not lines or lines[0].rstrip("\r").strip() != CSV_HEADER:
+    header, _, body = text.partition("\n")
+    if header.strip() != CSV_HEADER:
         raise MalformedLine(1, f"expected header {CSV_HEADER!r}")
+    parsed = _parse_rows_vectorised(body)
+    timestamps, values = parsed if parsed is not None else _parse_rows_by_line(body)
+    return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
+
+
+def _parse_rows_vectorised(body: str):
+    """(timestamps, values) of the data rows, or None if numpy rejects the text.
+
+    Only ASCII text without the separator controls U+001C..U+001F is tried:
+    numpy strips those controls around a field where ``int`` and ``float`` do
+    not, and numpy 2.4.6 at times segfaults rejecting a field that holds a
+    character outside the Basic Multilingual Plane.
+    ``comments=None`` matters too: numpy's default would cut ``5,1,2,3 # c`` to
+    a valid row, which the line loop rejects.
+    """
+    if (
+        not body
+        or body.isspace()  # numpy warns on input without rows
+        or not body.isascii()
+        or any(c in body for c in _SEPARATOR_CONTROLS)
+    ):
+        return None
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    values = np.ascontiguousarray(rows["v"])
+    if not np.isfinite(values).all():
+        return None
+    return rows["t"].copy(), values
+
+
+def _parse_rows_by_line(body: str):
+    """Parse the data rows one line at a time; raise on the first bad line."""
     ts, vals = [], []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r").strip()
+    for line_no, raw in enumerate(body.split("\n"), start=2):
+        line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
@@ -155,16 +207,15 @@ def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
             xyz = [float(p) for p in parts[1:]]
         except ValueError:
             raise MalformedLine(line_no, f"unparseable record {line!r}") from None
-        if not all(np.isfinite(xyz)):
+        if not _INT64_MIN <= t <= _INT64_MAX:
+            raise MalformedLine(line_no, f"timestamp {t} outside int64")
+        if not all(map(math.isfinite, xyz)):
             raise MalformedLine(line_no, "non-finite sensor value")
         ts.append(t)
         vals.append(xyz)
     if not ts:
         raise EmptyLog("no data rows")
-    timestamps = np.array(ts, dtype=np.int64)
-    return RawSensorLog(
-        sensor_kind, mount, timestamps, np.array(vals), _infer_rate_hz(timestamps)
-    )
+    return np.array(ts, dtype=np.int64), np.array(vals)
 
 
 def write_sensor_csv(log: RawSensorLog) -> str:
@@ -197,7 +248,7 @@ def synchronize(logs):
                 log.sensor_kind,
                 log.mount,
                 log.timestamps[keep] - t0,
-                log.values[keep].copy(),
+                log.values[keep],
                 log.nominal_rate_hz,
             )
         )
@@ -227,21 +278,6 @@ def resample_linear(log: RawSensorLog, target_hz: float = TARGET_RATE_HZ) -> Sen
         out[:, axis] = np.interp(grid, t, log.values[:, axis])
     return SensorChannel(
         log.sensor_kind, log.mount, int(round(k0 * period)), float(target_hz), out
-    )
-
-
-def channel_to_log(channel: SensorChannel) -> RawSensorLog:
-    """View a resampled channel as a raw log again (for re-resampling checks)."""
-    period = 1000.0 / channel.rate_hz
-    timestamps = channel.start_time_ms + np.round(
-        np.arange(channel.length) * period
-    ).astype(np.int64)
-    return RawSensorLog(
-        channel.sensor_kind,
-        channel.mount,
-        timestamps,
-        channel.values.copy(),
-        channel.rate_hz,
     )
 
 
@@ -378,14 +414,31 @@ def parse_session_manifest(text) -> dict:
     return entries
 
 
+def _read_utf8(path, malformed) -> str:
+    """Read a file as UTF-8 with universal newlines, as ``Path.read_text`` does.
+
+    A byte that is not UTF-8 raises ``malformed(line_no, reason)`` for the
+    1-based line that holds it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise malformed(line_no, f"{path}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session."""
     manifest_path = Path(manifest_path)
-    entries = parse_session_manifest(manifest_path.read_text())
+    text = _read_utf8(manifest_path, lambda n, why: MalformedManifest(f"line {n}: {why}"))
+    entries = parse_session_manifest(text)
     logs = []
     for role in _MANIFEST_ROLES:
         mount, kind = _ROLE_TO_CHANNEL[role]
-        csv_text = (manifest_path.parent / entries[role]).read_text()
+        csv_text = _read_utf8(manifest_path.parent / entries[role], MalformedLine)
         logs.append(parse_sensor_csv(csv_text, kind, mount))
     channels = [resample_linear(log) for log in synchronize(logs)]
     return build_session(align_channel_starts(channels), name=entries["name"])

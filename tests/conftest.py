@@ -37,6 +37,19 @@ def full_track(session, label=1):
     return LabelTrack(((session.start_time_ms, end, label),))
 
 
+RIDE_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
+
+
+def write_ride(directory, name="ride1"):
+    """Four small 25 Hz sensor CSVs and their manifest; returns the manifest path."""
+    for i, role in enumerate(RIDE_ROLES):
+        rows = ["timestamp_ms,x,y,z"] + [f"{t},{i},{t / 1000},-1.5" for t in range(0, 4001, 40)]
+        (directory / f"{role}.csv").write_text("\n".join(rows) + "\n")
+    manifest = directory / "session.toml"
+    manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in RIDE_ROLES))
+    return manifest
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

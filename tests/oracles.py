@@ -1,10 +1,13 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
-linear scans, finite differences) and shares no code with the package.
+linear scans, finite differences) and shares no code with the package apart
+from its exception types.
 """
 
 import numpy as np
+
+from trailgrade.errors import EmptyLog, MalformedLine
 
 
 def conv2d_bruteforce(x, kernels, bias):
@@ -103,3 +106,40 @@ def accuracy_loop(probs, labels):
         if best == label:
             correct += 1
     return correct / len(labels)
+
+
+def parse_sensor_csv_lines(text):
+    """The original line-at-a-time sensor CSV parser: (timestamps, values, rate).
+
+    Kept as it was, including its one known fault: a timestamp outside int64
+    escapes as OverflowError from ``np.array`` after every line has parsed.
+    """
+    lines = text.split("\n")
+    if not lines or lines[0].rstrip("\r").strip() != "timestamp_ms,x,y,z":
+        raise MalformedLine(1, "expected header")
+    ts, vals = [], []
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\r").strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise MalformedLine(line_no, f"expected 4 fields, got {len(parts)}")
+        try:
+            t = int(parts[0])
+            xyz = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise MalformedLine(line_no, f"unparseable record {line!r}") from None
+        if not all(np.isfinite(xyz)):
+            raise MalformedLine(line_no, "non-finite sensor value")
+        ts.append(t)
+        vals.append(xyz)
+    if not ts:
+        raise EmptyLog("no data rows")
+    timestamps = np.array(ts, dtype=np.int64)
+    rate = float("nan")
+    if timestamps.size >= 2:
+        gap = float(np.median(np.diff(timestamps)))
+        if gap > 0:
+            rate = 1000.0 / gap
+    return timestamps, np.array(vals), rate

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import write_ride
 from trailgrade.cli import main
 from trailgrade.dataset import read_sample_archive
 from trailgrade.ingest import read_session_archive
@@ -222,6 +223,35 @@ class TestExitCodes:
         bad.write_bytes(b"XXXX" + bytes(30))
         code = run(
             "eval", "--model", str(bad), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
+    def test_data_error_timestamp_outside_int64(self, tmp_path):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_accel.csv"
+        path.write_text(path.read_text().replace("\n40,", "\n99999999999999999999,", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+
+    def test_data_error_undecodable_csv(self, tmp_path):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_gyro.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n40,", b"\n4\x800,", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+
+    def test_data_error_undecodable_manifest(self, tmp_path):
+        manifest = write_ride(tmp_path)
+        manifest.write_bytes(b"\xfe" + manifest.read_bytes())
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+
+    def test_data_error_bad_archive_label(self, trained, samples_path, tmp_path):
+        model_path, _ = trained
+        data = bytearray(samples_path.read_bytes())
+        data[13] = 7  # first record's label byte, after magic, version, count and width
+        bad = tmp_path / "bad.tgds"
+        bad.write_bytes(bytes(data))
+        code = run(
+            "eval", "--model", str(model_path), "--samples", str(bad),
             "--out-confusion", str(tmp_path / "c.csv"),
         )
         assert code == 2

@@ -315,6 +315,16 @@ class TestSampleArchive:
         with pytest.raises(CorruptArchive):
             read_sample_archive(path)
 
+    @pytest.mark.parametrize("label", [3, 7, 255])
+    def test_label_outside_labels_rejected(self, tmp_path, label):
+        path = tmp_path / "a.tgds"
+        write_sample_archive(make_samples([0, 1]), path)
+        data = bytearray(path.read_bytes())
+        data[13] = label  # first record's label byte, after magic, version, count and width
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArchive, match="label"):
+            read_sample_archive(path)
+
     def test_mixed_window_sizes_rejected(self, tmp_path):
         mixed = make_samples([0], window_points=4) + make_samples([1], window_points=8)
         with pytest.raises(ValueError):

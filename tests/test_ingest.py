@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import RIDE_ROLES, write_ride
+from oracles import parse_sensor_csv_lines
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +14,10 @@ from trailgrade.errors import (
     MismatchedStart,
     NonMonotonicTimestamp,
     TooFewSamples,
+    TrailgradeError,
     WrongChannelSet,
 )
+from trailgrade import ingest
 from trailgrade.ingest import (
     CHANNEL_ORDER,
     Mount,
@@ -21,7 +25,6 @@ from trailgrade.ingest import (
     SensorChannel,
     SensorKind,
     build_session,
-    channel_to_log,
     load_session,
     parse_sensor_csv,
     parse_session_manifest,
@@ -42,6 +45,17 @@ def log_from(timestamps, x_values, kind=ACC, mount=Mount.FRAME):
     values = np.column_stack([x, x * 0.5, -x])
     rate = 1000.0 / float(np.median(np.diff(t))) if len(t) > 1 else float("nan")
     return RawSensorLog(kind, mount, t, values, rate)
+
+
+def channel_to_log(channel):
+    """View a resampled channel as a raw log again (for re-resampling checks)."""
+    period = 1000.0 / channel.rate_hz
+    timestamps = channel.start_time_ms + np.round(
+        np.arange(channel.length) * period
+    ).astype(np.int64)
+    return RawSensorLog(
+        channel.sensor_kind, channel.mount, timestamps, channel.values.copy(), channel.rate_hz
+    )
 
 
 class TestParseSensorCsv:
@@ -113,6 +127,171 @@ class TestParseSensorCsv:
         again = parse_sensor_csv(write_sensor_csv(log), ACC, Mount.FRAME)
         assert np.array_equal(again.values, log.values)
         assert np.array_equal(again.timestamps, log.timestamps)
+
+    def test_int64_overflow_timestamp_names_line(self):
+        for t in ("99999999999999999999", "9223372036854775808", "-9223372036854775809"):
+            with pytest.raises(MalformedLine) as err:
+                parse_sensor_csv(f"timestamp_ms,x,y,z\n0,1,2,3\n{t},1,2,3\n", ACC, Mount.FRAME)
+            assert err.value.line_no == 3
+
+    def test_int64_bounds_accepted(self):
+        for t in (-(2**63), 2**63 - 41):
+            log = parse_sensor_csv(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n", ACC, Mount.FRAME)
+            assert log.timestamps.tolist() == [t, t + 40]
+
+    def test_trailing_comment_rejected(self):
+        # numpy's loadtxt would cut this to "0,1,2,3" with its default comments="#"
+        with pytest.raises(MalformedLine) as err:
+            parse_sensor_csv("timestamp_ms,x,y,z\n0,1,2,3 # c\n40,1,2,3\n", ACC, Mount.FRAME)
+        assert err.value.line_no == 2
+
+    def test_clean_file_skips_line_loop(self, monkeypatch):
+        def refuse(body):
+            raise AssertionError("the line loop ran on a clean file")
+
+        monkeypatch.setattr(ingest, "_parse_rows_by_line", refuse)
+        rows = [f"{t},{t * 1e-3!r},{-t * 0.5:.9f},1.0" for t in range(0, 4000, 10)]
+        log = parse_sensor_csv("timestamp_ms,x,y,z\r\n" + "\r\n".join(rows) + "\r\n", ACC, Mount.FRAME)
+        assert log.timestamps.size == 400
+
+
+#: Padding around fields and blank lines. numpy takes the plain kind. Unicode
+#: whitespace (stripped by ``str.strip``, ``int`` and ``float`` alike) and
+#: whitespace-only lines send a file to the line loop.
+_PLAIN_PADS = ["", "", " ", "\t", "  "]
+_ODD_PADS = ["\x0b", "\xa0", "\u2002"]
+_PLAIN_BLANKS = [""]
+_ODD_BLANKS = ["\r", " ", "\t", " \t ", "\x0c", "\u3000"]
+_MANGLES = ("extra field", "empty field", "nan", "inf", "timestamp 1.5",
+            "trailing comment", "quoted field", "int64 overflow")
+
+
+@st.composite
+def sensor_csv_files(draw):
+    """Valid sensor CSV text, plus its body lines and which of them are rows.
+
+    Returns (lines, row_indices, newlines, final_newline): ``lines[0]`` is the
+    header, and a row's 1-based line number is its index + 1.
+    """
+    odd = draw(st.booleans())
+    pads = st.sampled_from(_PLAIN_PADS + _ODD_PADS if odd else _PLAIN_PADS)
+    blanks = st.sampled_from(_PLAIN_BLANKS + _ODD_BLANKS if odd else _PLAIN_BLANKS)
+    n = draw(st.integers(1, 25))
+    t = draw(st.integers(-(2**40), 2**40))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    fmt = st.sampled_from(["{!r}", "{:.9f}"])
+    lines = ["timestamp_ms,x,y,z"]
+    rows = []
+    for _ in range(n):
+        for blank in draw(st.lists(blanks, max_size=1)):
+            lines.append(blank)
+        fields = [str(t)] + [draw(fmt).format(draw(values)) for _ in range(3)]
+        rows.append(len(lines))
+        lines.append([draw(pads) + f + draw(pads) for f in fields])
+        t += draw(st.integers(1, 1000))
+    newlines = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return lines, rows, newlines, draw(st.booleans())
+
+
+def render_csv(lines, newlines, final_newline):
+    text = "".join(
+        (line if isinstance(line, str) else ",".join(line)) + end
+        for line, end in zip(lines, newlines)
+    )
+    return text if final_newline else text.rstrip("\r\n")
+
+
+def mangle_row(fields, how, k):
+    """Break one row's fields the way ``how`` names; k picks a value field."""
+    fields = list(fields)
+    if how == "extra field":
+        fields.append("0")
+    elif how == "empty field":
+        fields[k % 4] = ""
+    elif how == "nan":
+        fields[k] = "nan"
+    elif how == "inf":
+        fields[k] = "-inf"
+    elif how == "timestamp 1.5":
+        fields[0] = "1.5"
+    elif how == "trailing comment":
+        fields[3] += " # c"
+    elif how == "quoted field":
+        fields[k] = f'"{fields[k].strip()}"'
+    elif how == "int64 overflow":
+        fields[0] = "99999999999999999999"
+    return fields
+
+
+def assert_matches_line_loop(text):
+    """parse_sensor_csv gives what the original line loop gives, bit for bit."""
+    try:
+        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(text))
+    except TrailgradeError as want_err:
+        with pytest.raises(TrailgradeError) as got_err:
+            parse_sensor_csv(text, ACC, Mount.FRAME)
+        assert type(got_err.value) is type(want_err)
+        assert getattr(got_err.value, "line_no", None) == getattr(want_err, "line_no", None)
+        return
+    log = parse_sensor_csv(text, ACC, Mount.FRAME)
+    assert log.timestamps.dtype == np.int64
+    assert log.timestamps.tolist() == want.timestamps.tolist()
+    assert log.values.shape == want.values.shape
+    assert log.values.tobytes() == want.values.tobytes()  # -0.0 and every last bit
+    assert np.float64(log.nominal_rate_hz).tobytes() == np.float64(want.nominal_rate_hz).tobytes()
+
+
+class TestParseMatchesLineLoop:
+    """The vectorised parse against the original line loop in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sensor_csv_files())
+    def test_valid_files_identical(self, case):
+        lines, _, newlines, final_newline = case
+        assert_matches_line_loop(render_csv(lines, newlines, final_newline))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sensor_csv_files(), st.sampled_from(_MANGLES), st.data())
+    def test_mangled_line_same_error(self, case, how, data):
+        lines, rows, newlines, final_newline = case
+        row = data.draw(st.sampled_from(rows))
+        lines[row] = mangle_row(lines[row], how, data.draw(st.integers(1, 3)))
+        text = render_csv(lines, newlines, final_newline)
+        if how == "int64 overflow":
+            # the line loop lets this escape as OverflowError; it is now a MalformedLine
+            with pytest.raises(OverflowError):
+                parse_sensor_csv_lines(text)
+            with pytest.raises(MalformedLine) as err:
+                parse_sensor_csv(text, ACC, Mount.FRAME)
+            assert err.value.line_no == row + 1
+        else:
+            with pytest.raises(MalformedLine) as err:
+                parse_sensor_csv_lines(text)
+            assert err.value.line_no == row + 1
+            assert_matches_line_loop(text)
+
+    @pytest.mark.parametrize(
+        "char",
+        ["\x00", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x85", "\xa0", "\u2002",
+         "\u2028", "\u3000", "\ufeff", "\u0663", "\U0002c6ca", "_", "#", '"'],
+    )
+    def test_odd_characters(self, char):
+        rows = ["0,1,2,3", "40,4,5,6"]
+        for i, row in enumerate(rows):
+            for pos in range(len(row) + 1):
+                edited = rows[:i] + [row[:pos] + char + row[pos:]] + rows[i + 1:]
+                assert_matches_line_loop("timestamp_ms,x,y,z\n" + "\n".join(edited) + "\n")
+        assert_matches_line_loop(f"timestamp_ms,x,y,z\n0,1,2,3\n{char}\n40,4,5,6\n")
+        assert_matches_line_loop(f"timestamp_ms,x,y,z{char}\n0,1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "body", ["", "\n", "\r\n", " \n\t\n", "\n\n0,1,2,3", "1_0,1,2,3", "10,1_5,2,3",
+                 "+5,+1,.5,5.", "007,1e5,-0,1E-5", "5,infinity,2,3", "5,1e400,2,3",
+                 "5,1e-400,2,3", "1e3,1,2,3", "0x10,1,2,3", "5,0x1p3,2,3", "5,1 2,3,4",
+                 "5,1,2\r,3", "5,1,2,3\r6,1,2,3", "5,1,2,3\n\r6,1,2,3"],
+    )
+    def test_edge_bodies(self, body):
+        assert_matches_line_loop("timestamp_ms,x,y,z\n" + body)
 
 
 class TestSynchronize:
@@ -377,3 +556,35 @@ class TestManifest:
         assert session.name == "ride1"
         assert session.length_points == 101  # 0..4000 ms inclusive at 25 Hz
         assert session.rate_hz == 25.0
+
+
+class TestLoadSessionBytes:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_ends_as_read_text(self, tmp_path, newline):
+        manifest = write_ride(tmp_path)
+        want = load_session(manifest)
+        for role in RIDE_ROLES:
+            path = tmp_path / f"{role}.csv"
+            path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        manifest.write_bytes(manifest.read_bytes().replace(b"\n", newline))
+        got = load_session(manifest)
+        assert got.name == want.name
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_csv_byte_names_its_line(self, tmp_path, newline):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "helmet_gyro.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        path.write_bytes(newline.join(lines))
+        with pytest.raises(MalformedLine) as err:
+            load_session(manifest)
+        assert err.value.line_no == 4
+        assert "helmet_gyro.csv" in str(err.value)
+
+    def test_undecodable_manifest_byte(self, tmp_path):
+        manifest = write_ride(tmp_path)
+        manifest.write_bytes(manifest.read_bytes().replace(b"frame_gyro=", b"frame_gyro\xe9="))
+        with pytest.raises(MalformedManifest, match="line 3"):
+            load_session(manifest)
