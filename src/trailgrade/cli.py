@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import dataset, experiments, ingest, labeling, training
-from .errors import NumericFailure, TrailgradeError
+from .errors import MalformedLine, MalformedXml, NumericFailure, TrailgradeError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
 
@@ -96,17 +96,19 @@ def _cmd_label(args):
     if args.osm is not None:
         if args.way is None:
             raise _UsageError("--osm needs --way")
-        entries = labeling.parse_osm_difficulties(Path(args.osm).read_text())
+        entries = labeling.parse_osm_difficulties(
+            ingest.read_utf8(args.osm, lambda n, why: MalformedXml(f"line {n}: {why}"))
+        )
         if args.way not in entries:
             raise TrailgradeError(f"way {args.way} carries no {labeling.OSM_GRADE_KEY} tag")
         print(labeling.map_grade(entries[args.way]))
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
-    track = labeling.read_label_track_csv(Path(args.track).read_text())
+    track = labeling.read_label_track_csv(ingest.read_utf8(args.track, MalformedLine))
     overrides = []
     if args.overrides:
-        overrides = labeling.read_overrides_csv(Path(args.overrides).read_text())
+        overrides = labeling.read_overrides_csv(ingest.read_utf8(args.overrides, MalformedLine))
     merged = labeling.apply_overrides(track, overrides)
     Path(args.out).write_text(labeling.write_label_track_csv(merged))
     print(f"{len(merged.segments)} segments -> {args.out}")
@@ -120,7 +122,7 @@ def _session_track_pairs(directory: Path):
         if not track_path.exists():
             raise TrailgradeError(f"no label track next to {session_path.name}")
         session = ingest.read_session_archive(session_path)
-        track = labeling.read_label_track_csv(track_path.read_text())
+        track = labeling.read_label_track_csv(ingest.read_utf8(track_path, MalformedLine))
         pairs.append((session, track))
     if not pairs:
         raise TrailgradeError(f"no *.session archives in {directory}")
@@ -136,7 +138,7 @@ def _cmd_window(args):
         if args.track is None:
             raise _UsageError("--track is required when --session is a single archive")
         session = ingest.read_session_archive(source)
-        track = labeling.read_label_track_csv(Path(args.track).read_text())
+        track = labeling.read_label_track_csv(ingest.read_utf8(args.track, MalformedLine))
         pairs = [(session, track)]
     samples = []
     for session, track in pairs:

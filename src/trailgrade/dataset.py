@@ -239,7 +239,10 @@ def read_sample_archive(path):
         label, name_len = struct.unpack("<BH", take(3))
         if label not in LABELS:
             raise CorruptArchive(f"{path}: label {label} is not one of {LABELS}")
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptArchive(f"{path}: sample name is not UTF-8") from None
         (start_ms,) = struct.unpack("<q", take(8))
         raw = take(w * 4 * 3 * 4)
         tensor = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(w, 4, 3)

@@ -70,7 +70,8 @@ class RawSensorLog:
             raise EmptyLog("sensor log has no samples")
         if self.timestamps.size != self.values.shape[0]:
             raise ValueError("timestamps and values disagree in length")
-        if self.timestamps.size > 1 and np.any(np.diff(self.timestamps) <= 0):
+        # compare neighbours, not np.diff: an int64 difference can wrap around
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
             raise NonMonotonicTimestamp("timestamps must be strictly increasing")
 
     @property
@@ -367,7 +368,10 @@ def read_session_archive(path) -> SyncedSession:
     if take(1)[0] != _SESSION_VERSION:
         raise CorruptArchive(f"{path}: unsupported session archive version")
     (name_len,) = struct.unpack("<H", take(2))
-    name = take(name_len).decode("utf-8")
+    try:
+        name = take(name_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptArchive(f"{path}: session name is not UTF-8") from None
     start, rate, length = struct.unpack("<qdI", take(20))
     raw = take(length * 4 * 3 * 8)
     if pos != len(data):
@@ -414,7 +418,7 @@ def parse_session_manifest(text) -> dict:
     return entries
 
 
-def _read_utf8(path, malformed) -> str:
+def read_utf8(path, malformed) -> str:
     """Read a file as UTF-8 with universal newlines, as ``Path.read_text`` does.
 
     A byte that is not UTF-8 raises ``malformed(line_no, reason)`` for the
@@ -433,12 +437,12 @@ def _read_utf8(path, malformed) -> str:
 def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session."""
     manifest_path = Path(manifest_path)
-    text = _read_utf8(manifest_path, lambda n, why: MalformedManifest(f"line {n}: {why}"))
+    text = read_utf8(manifest_path, lambda n, why: MalformedManifest(f"line {n}: {why}"))
     entries = parse_session_manifest(text)
     logs = []
     for role in _MANIFEST_ROLES:
         mount, kind = _ROLE_TO_CHANNEL[role]
-        csv_text = _read_utf8(manifest_path.parent / entries[role], MalformedLine)
+        csv_text = read_utf8(manifest_path.parent / entries[role], MalformedLine)
         logs.append(parse_sensor_csv(csv_text, kind, mount))
     channels = [resample_linear(log) for log in synchronize(logs)]
     return build_session(align_channel_starts(channels), name=entries["name"])

@@ -1,9 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from conftest import write_ride
 from trailgrade.cli import main
-from trailgrade.dataset import read_sample_archive
+from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import read_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint
@@ -254,6 +256,46 @@ class TestExitCodes:
             "eval", "--model", str(model_path), "--samples", str(bad),
             "--out-confusion", str(tmp_path / "c.csv"),
         )
+        assert code == 2
+
+    def test_data_error_undecodable_sample_name(self, tmp_path):
+        bad = tmp_path / "one.tgds"
+        write_sample_archive([WindowSample(np.zeros((25, 4, 3)), 1, ("ride", 0))], bad)
+        data = bytearray(bad.read_bytes())
+        data[16] = 0xFF  # first byte of the sample's name
+        bad.write_bytes(bytes(data))
+        code = run(
+            "train", "--samples", str(bad), "--kernel-len", "5", "--seed", "1",
+            "--out-model", str(tmp_path / "m"), "--out-history", str(tmp_path / "h"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--track", "--overrides"])
+    def test_data_error_undecodable_label_csv(self, tmp_path, flag):
+        files = {"--track": tmp_path / "base.csv", "--overrides": tmp_path / "ovr.csv"}
+        files["--track"].write_text("start_ms,end_ms,label\n0,1000,1\n")
+        files["--overrides"].write_text("start_ms,end_ms,label\n400,600,0\n")
+        files[flag].write_bytes(files[flag].read_bytes().replace(b"0,", b"0\xff,", 1))
+        argv = ["label", "--out", str(tmp_path / "merged.csv")]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert run(*argv) == 2
+
+    def test_data_error_undecodable_osm(self, tmp_path):
+        osm = tmp_path / "area.osm"
+        osm.write_bytes(b'<osm><way id="12"><tag k="mtb:scale" v="\xff"/></way></osm>')
+        assert run("label", "--osm", str(osm), "--way", "12") == 2
+
+    @pytest.mark.parametrize("directory_mode", [False, True])
+    def test_data_error_undecodable_window_track(self, synth_dir, tmp_path, directory_mode):
+        session = sorted(synth_dir.glob("*.session"))[0]
+        shutil.copy(session, tmp_path / session.name)
+        track = tmp_path / session.with_suffix(".labels.csv").name
+        track.write_bytes(b"\xff" + session.with_suffix(".labels.csv").read_bytes())
+        source = ["--session", str(tmp_path)]
+        if not directory_mode:
+            source = ["--session", str(tmp_path / session.name), "--track", str(track)]
+        code = run("window", *source, "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"))
         assert code == 2
 
     def test_help_exits_zero(self):

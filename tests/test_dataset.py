@@ -325,6 +325,15 @@ class TestSampleArchive:
         with pytest.raises(CorruptArchive, match="label"):
             read_sample_archive(path)
 
+    def test_name_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "a.tgds"
+        write_sample_archive(make_samples([0]), path)
+        data = bytearray(path.read_bytes())
+        data[16] = 0xFF  # first record's first name byte, after its label and name length
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArchive, match="UTF-8"):
+            read_sample_archive(path)
+
     def test_mixed_window_sizes_rejected(self, tmp_path):
         mixed = make_samples([0], window_points=4) + make_samples([1], window_points=8)
         with pytest.raises(ValueError):

@@ -139,6 +139,12 @@ class TestParseSensorCsv:
             log = parse_sensor_csv(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n", ACC, Mount.FRAME)
             assert log.timestamps.tolist() == [t, t + 40]
 
+    def test_int64_wrapping_step_rejected(self):
+        # the int64 difference of these two timestamps wraps around to +1
+        text = "timestamp_ms,x,y,z\n9223372036854775807,1,2,3\n-9223372036854775808,1,2,3\n"
+        with pytest.raises(NonMonotonicTimestamp):
+            parse_sensor_csv(text, ACC, Mount.FRAME)
+
     def test_trailing_comment_rejected(self):
         # numpy's loadtxt would cut this to "0,1,2,3" with its default comments="#"
         with pytest.raises(MalformedLine) as err:
@@ -518,6 +524,19 @@ class TestSessionArchive:
         write_session_archive(session, path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(CorruptArchive):
+            read_session_archive(path)
+
+    def test_name_not_utf8_rejected(self, tmp_path):
+        session = build_session(
+            [SensorChannel(kind, mount, 0, 25.0, np.ones((5, 3))) for mount, kind in CHANNEL_ORDER],
+            name="ride",
+        )
+        path = tmp_path / "a.session"
+        write_session_archive(session, path)
+        data = bytearray(path.read_bytes())
+        data[7] = 0xFF  # first name byte, after magic, version and name length
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArchive, match="UTF-8"):
             read_session_archive(path)
 
     def test_bad_magic_rejected(self, tmp_path):

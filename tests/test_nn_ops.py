@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,68 @@ class TestConvBackward:
         assert max_relative_error(gx, finite_difference_gradient(loss, x)) < FD_TOL
         assert max_relative_error(gk, finite_difference_gradient(loss, kernels)) < FD_TOL
         assert max_relative_error(gb, finite_difference_gradient(loss, bias)) < FD_TOL
+
+
+class TestConvFFT:
+    """Kernels of FFT_MIN_KERNEL taps and more take the FFT path."""
+
+    # (kh, h): odd and even kh on either side of the crossover, a kernel as
+    # long as the window, and kernels longer than a pooled layer's height
+    SHAPES = [
+        (ops.FFT_MIN_KERNEL - 1, 14),
+        (ops.FFT_MIN_KERNEL, 14),
+        (ops.FFT_MIN_KERNEL + 1, 14),
+        (20, 25),
+        (20, 20),
+        (21, 7),
+    ]
+
+    @pytest.mark.parametrize("kh,h", SHAPES)
+    @pytest.mark.parametrize("kw", [1, 2, 3])
+    def test_matches_bruteforce(self, kh, h, kw, rng):
+        x = rng.normal(size=(2, h, 4, 3))
+        kernels = rng.normal(size=(kh, kw, 3, 2))
+        bias = rng.normal(size=2)
+        out, cache = ops.conv2d_forward(x, kernels, bias)
+        assert isinstance(cache[0], tuple) == (kh >= ops.FFT_MIN_KERNEL)  # spectra, not taps
+        assert np.max(np.abs(out - conv2d_bruteforce(x, kernels, bias))) < 1e-10
+
+    @pytest.mark.parametrize("kh,h", SHAPES)
+    def test_finite_differences(self, kh, h):
+        rng = np.random.default_rng(kh * 100 + h)
+        x = rng.normal(size=(2, h, 3, 2))
+        kernels = rng.normal(size=(kh, 2, 2, 3))
+        bias = rng.normal(size=3)
+        proj = rng.normal(size=(2, h, 3, 3))
+
+        def loss():
+            out, _ = ops.conv2d_forward(x, kernels, bias)
+            return float(np.sum(out * proj))
+
+        _, cache = ops.conv2d_forward(x, kernels, bias)
+        gx, gk, gb = ops.conv2d_backward(cache, proj)
+        assert max_relative_error(gx, finite_difference_gradient(loss, x)) < FD_TOL
+        assert max_relative_error(gk, finite_difference_gradient(loss, kernels)) < FD_TOL
+        assert max_relative_error(gb, finite_difference_gradient(loss, bias)) < FD_TOL
+
+    # the paper cell's three layers (125-point windows, 20 taps) and the first
+    # layer of the longest cell (500 points, 60 taps), at batch 32
+    PAPER_LAYERS = [(125, 3, 4, 20), (63, 4, 8, 20), (32, 8, 16, 20), (500, 3, 4, 60)]
+
+    @pytest.mark.parametrize("h,cin,cout,kh", PAPER_LAYERS)
+    def test_agrees_with_per_tap_path(self, h, cin, cout, kh, rng, monkeypatch):
+        x = rng.normal(size=(32, h, 4, cin))
+        kernels = rng.normal(size=(kh, 2, cin, cout))
+        bias = rng.normal(size=cout)
+        grad_out = rng.normal(size=(32, h, 4, cout))
+        results = []
+        for threshold in (kh, kh + 1):  # FFT path, then per-tap path
+            monkeypatch.setattr(ops, "FFT_MIN_KERNEL", threshold)
+            out, cache = ops.conv2d_forward(x, kernels, bias)
+            results.append((out, *ops.conv2d_backward(cache, grad_out)))
+        # both paths round differently; compare against each array's own scale
+        for fft, taps in zip(*results):
+            assert np.max(np.abs(fft - taps)) <= 1e-12 * np.max(np.abs(taps))
 
 
 class TestBatchNorm:
@@ -229,6 +292,15 @@ class TestMaxPool:
         grad_out = rng.normal(size=(2, 4, 3, 2))
         grad = ops.maxpool_backward(cache, grad_out)
         assert np.isclose(grad.sum(), grad_out.sum())
+
+    def test_nan_and_signed_zero_pairs_match_argmax_and_max(self):
+        values = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]
+        pairs = np.array(list(itertools.product(values, values)))
+        x = pairs.reshape(1, 2 * len(pairs), 1, 1)
+        out, (mask, _) = ops.maxpool_forward(x)
+        xr = x.reshape(1, len(pairs), 2, 1, 1)
+        assert np.array_equal(mask, xr.argmax(axis=2))
+        assert np.array_equal(out.view(np.int64), xr.max(axis=2).view(np.int64))
 
     def test_finite_differences_distinct_values(self, rng):
         x = rng.permutation(np.linspace(-1.0, 1.0, 2 * 7 * 3 * 2)).reshape(2, 7, 3, 2)
