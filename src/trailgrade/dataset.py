@@ -234,7 +234,9 @@ def read_sample_archive(path):
     if take(1)[0] != _ARCHIVE_VERSION:
         raise CorruptArchive(f"{path}: unsupported sample archive version")
     count, w = struct.unpack("<II", take(8))
-    samples = []
+    if count and not w:
+        raise CorruptArchive(f"{path}: {count} samples of 0 points")
+    records, payloads = [], []
     for _ in range(count):
         label, name_len = struct.unpack("<BH", take(3))
         if label not in LABELS:
@@ -244,9 +246,12 @@ def read_sample_archive(path):
         except UnicodeDecodeError:
             raise CorruptArchive(f"{path}: sample name is not UTF-8") from None
         (start_ms,) = struct.unpack("<q", take(8))
-        raw = take(w * 4 * 3 * 4)
-        tensor = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(w, 4, 3)
-        samples.append(WindowSample(tensor, int(label), (name, start_ms)))
+        records.append((int(label), (name, start_ms)))
+        payloads.append(take(w * 4 * 3 * 4))
     if pos != len(data):
         raise CorruptArchive(f"{path}: trailing bytes")
-    return samples
+    raw = np.frombuffer(b"".join(payloads), dtype="<f4")
+    tensors = raw.astype(np.float64).reshape(count, w, 4, 3)
+    if not np.isfinite(tensors).all():
+        raise CorruptArchive(f"{path}: non-finite sample values")
+    return [WindowSample(t, label, origin) for t, (label, origin) in zip(tensors, records)]

@@ -127,8 +127,10 @@ class SyncedSession:
 def _infer_rate_hz(timestamps: np.ndarray) -> float:
     if timestamps.size < 2:
         return float("nan")
-    gap = float(np.median(np.diff(timestamps)))
-    if gap <= 0:  # non-monotonic input; the log constructor rejects it
+    # Modulo 2**64, the uint64 difference of increasing int64 stamps is exact,
+    # where the int64 difference wraps once a gap exceeds int64.
+    gap = float(np.median(np.diff(timestamps.view(np.uint64))))
+    if gap == 0:  # repeated stamp; the log constructor rejects it
         return float("nan")
     return 1000.0 / gap
 
@@ -373,10 +375,14 @@ def read_session_archive(path) -> SyncedSession:
     except UnicodeDecodeError:
         raise CorruptArchive(f"{path}: session name is not UTF-8") from None
     start, rate, length = struct.unpack("<qdI", take(20))
+    if not (math.isfinite(rate) and rate > 0):
+        raise CorruptArchive(f"{path}: sample rate {rate} Hz is not positive")
     raw = take(length * 4 * 3 * 8)
     if pos != len(data):
         raise CorruptArchive(f"{path}: trailing bytes")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(length, 4, 3)
+    if not np.isfinite(values).all():
+        raise CorruptArchive(f"{path}: non-finite sample values")
     channels = tuple(
         SensorChannel(kind, mount, start, rate, values[:, i, :].copy())
         for i, (mount, kind) in enumerate(CHANNEL_ORDER)

@@ -11,18 +11,6 @@ import numpy as np
 from ..errors import DegenerateBatch, EmptyBatch, LabelOutOfRange, ShapeMismatch
 
 
-#: Kernel length from which the convolution runs through real FFTs along the
-#: height axis instead of one GEMM per kernel tap. The per-tap cost grows with
-#: kh; the FFT cost grows only with the padded height. Timed as forward plus
-#: backward of the model's three conv layers on a 32-window batch (1 BLAS
-#: thread, numpy 2.4, 2-vCPU x86 host), the FFT path is already level at
-#: kh = 5 on 125- to 500-point windows, but on 50-point windows it only draws
-#: level at kh = 10-11. From kh = 12 it is faster at every window length of the
-#: paper (1.07x at 50 points to 1.8x at 500), and at kh = 60 it is 4.8-6.8x
-#: faster on 125 to 500 points.
-FFT_MIN_KERNEL = 12
-
-
 def _pad_amounts(k: int):
     """Same-padding split of k-1 zeros; the odd zero goes after (bottom/right)."""
     before = (k - 1) // 2
@@ -80,88 +68,17 @@ def _conv_fft_len(h, kh):
     return _fft_len(max(kh, h + kh // 2))
 
 
-def _conv_taps_forward(x, k2, kw):
-    """Per-tap path: pad x and lay it out height-major as taps (Hp, B*W, kw*Cin).
-
-    Kernel height offset u then reads the contiguous block taps[u : u + H], so
-    the correlation is kh plain GEMMs with no gather copies.
-    """
-    b, h, w, _ = x.shape
-    kh, kwc, cout = k2.shape
-    pt, pb = _pad_amounts(kh)
-    xp = np.pad(x.transpose(1, 0, 2, 3), ((pt, pb), (0, 0), (0, 0), (0, 0)))
-    taps = _unfold_width(xp, kw).reshape(h + kh - 1, b * w, kwc)
-    acc = np.zeros((h * b * w, cout))
-    tmp = np.empty((h * b * w, cout))
-    for u in range(kh):
-        np.matmul(taps[u : u + h].reshape(h * b * w, kwc), k2[u], out=tmp)
-        acc += tmp
-    return acc, taps
-
-
-def _conv_taps_backward(taps, k2, kw, x_shape, grad_out):
-    b, h, w, cin = x_shape
-    kh, kwc, cout = k2.shape
-    hp, m = taps.shape[:2]
-    g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(h * m, cout)
-    grad_k2 = np.empty((kh, kwc, cout))
-    grad_taps = np.zeros((hp, m, kwc))
-    tmp = np.empty((h * m, kwc))
-    for u in range(kh):
-        np.matmul(taps[u : u + h].reshape(h * m, kwc).T, g2, out=grad_k2[u])
-        np.matmul(g2, k2[u].T, out=tmp)
-        grad_taps[u : u + h] += tmp.reshape(h, m, kwc)
-    pt, _ = _pad_amounts(kh)
-    grad_x = _fold_width(grad_taps.reshape(hp, b, w, kwc), kw, cin)[pt : pt + h]
-    return grad_x, grad_k2
-
-
-def _conv_fft_forward(x, k2, kw):
-    """FFT path: out[i] = sum_u taps[i + u] @ k2[u] is a correlation along the height.
-
-    Per frequency f it is one product X[f] @ conj(K[f]) of the (B*W, kw*Cin)
-    input spectrum and the (kw*Cin, Cout) kernel spectrum. Returns the output
-    rows and both spectra, which the backward reuses.
-    """
-    b, h, w, _ = x.shape
-    kh, kwc, cout = k2.shape
-    n = _conv_fft_len(h, kh)
-    pt, _ = _pad_amounts(kh)
-    # the width unfold commutes with the height FFT, so transform the narrower input
-    spectrum = np.fft.rfft(x, n, axis=1).transpose(1, 0, 2, 3)
-    xf = _unfold_width(spectrum, kw).reshape(n // 2 + 1, b * w, kwc)
-    kc = np.zeros((n, kwc, cout))
-    kc[:kh] = k2
-    kf = np.fft.rfft(np.roll(kc, -pt, axis=0), axis=0)
-    y = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h]
-    return y, (xf, kf)
-
-
-def _conv_fft_backward(spectra, k2, kw, x_shape, grad_out):
-    """Grad-input is the convolution irfft(G @ K^T); grad-kernel is the
-    correlation irfft(X^T @ conj(G)), rolled back down by pt rows."""
-    xf, kf = spectra
-    b, h, w, cin = x_shape
-    kh, kwc, cout = k2.shape
-    n = _conv_fft_len(h, kh)
-    pt, _ = _pad_amounts(kh)
-    g3 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3))
-    gf = np.fft.rfft(g3, n, axis=0).reshape(n // 2 + 1, b * w, cout)
-    grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf.conj(), n, axis=0)
-    grad_k2 = np.roll(grad_kc, pt, axis=0)[:kh]
-    gxf = _fold_width((gf @ kf.transpose(0, 2, 1)).reshape(n // 2 + 1, b, w, kwc), kw, cin)
-    grad_x = np.fft.irfft(gxf, n, axis=0)[:h]
-    return grad_x, grad_k2
-
-
 def conv2d_forward(x, kernels, bias):
     """Same-padded stride-1 correlation.
 
     x: (B, H, W, Cin), kernels: (kh, kw, Cin, Cout), bias: (Cout,).
     Output spatial dims equal the input's; the odd padding zero goes to the
-    bottom/right edge. The width taps are folded into the channel axis, and the
-    height correlation runs as one GEMM per tap for kh < FFT_MIN_KERNEL and
-    through real FFTs from there on.
+    bottom/right edge. Folding the width taps into the channel axis leaves a
+    correlation along the height, out[i] = sum_u xp[i + u] @ k[u] over the
+    height-padded input xp, which runs through real FFTs: per frequency it is
+    one product X[f] @ conj(K[f]) of the (B*W, kw*Cin) input spectrum and the
+    (kw*Cin, Cout) kernel spectrum. The cache keeps both spectra for the
+    backward.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch("conv2d expects a 4-d input and 4-d kernels")
@@ -171,25 +88,40 @@ def conv2d_forward(x, kernels, bias):
             f"channel mismatch: input {x.shape}, kernels {kernels.shape}, bias {bias.shape}"
         )
     b, h, w, _ = x.shape
-    k2 = kernels.reshape(kh, kw * cin, cout)
-    path = _conv_fft_forward if kh >= FFT_MIN_KERNEL else _conv_taps_forward
-    y, saved = path(x, k2, kw)  # both paths return the output rows height-major
+    kwc = kw * cin
+    n = _conv_fft_len(h, kh)
+    pt, _ = _pad_amounts(kh)
+    # the width unfold commutes with the height FFT, so transform the narrower input
+    spectrum = np.fft.rfft(x, n, axis=1).transpose(1, 0, 2, 3)
+    xf = _unfold_width(spectrum, kw).reshape(n // 2 + 1, b * w, kwc)
+    kc = np.zeros((n, kwc, cout))
+    kc[:kh] = kernels.reshape(kh, kwc, cout)
+    kf = np.fft.rfft(np.roll(kc, -pt, axis=0), axis=0)
+    y = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h]
     out = y.reshape(h, b, w, cout).transpose(1, 0, 2, 3) + bias
-    return out, (saved, x.shape, kernels)
+    return out, ((xf, kf), x.shape, kernels)
 
 
 def conv2d_backward(cache, grad_out):
-    """Gradients of conv2d_forward w.r.t. input, kernels and bias."""
-    saved, x_shape, kernels = cache
+    """Gradients of conv2d_forward w.r.t. input, kernels and bias.
+
+    Grad-input is the convolution irfft(G @ K^T); grad-kernel is the
+    correlation irfft(X^T @ conj(G)), rolled back down by pt rows.
+    """
+    (xf, kf), x_shape, kernels = cache
     kh, kw, cin, cout = kernels.shape
     b, h, w, _ = x_shape
     if grad_out.shape != (b, h, w, cout):
         raise ShapeMismatch(f"grad_out {grad_out.shape} does not match output {(b, h, w, cout)}")
-    k2 = kernels.reshape(kh, kw * cin, cout)
-    path = _conv_fft_backward if kh >= FFT_MIN_KERNEL else _conv_taps_backward
-    grad_x, grad_k2 = path(saved, k2, kw, x_shape, grad_out)  # grad_x is (H, B, W, Cin)
-    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3))
-    return grad_x, grad_k2.reshape(kh, kw, cin, cout), grad_out.sum(axis=(0, 1, 2))
+    n = _conv_fft_len(h, kh)
+    pt, _ = _pad_amounts(kh)
+    g3 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3))
+    gf = np.fft.rfft(g3, n, axis=0).reshape(n // 2 + 1, b * w, cout)
+    grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf.conj(), n, axis=0)
+    grad_k = np.roll(grad_kc, pt, axis=0)[:kh].reshape(kh, kw, cin, cout)
+    gxf = _fold_width((gf @ kf.transpose(0, 2, 1)).reshape(n // 2 + 1, b, w, kw * cin), kw, cin)
+    grad_x = np.ascontiguousarray(np.fft.irfft(gxf, n, axis=0)[:h].transpose(1, 0, 2, 3))
+    return grad_x, grad_k, grad_out.sum(axis=(0, 1, 2))
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum=0.99, eps=1e-3, train=True):

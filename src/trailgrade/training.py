@@ -104,15 +104,11 @@ def _stack(samples):
     return data, labels
 
 
-def _evaluate_arrays(params, data, labels, batch_size=64):
-    preds = np.empty(len(data), dtype=np.int64)
+def _evaluate_arrays(params, data, labels, batch_size):
+    probs = np.empty((len(data), params.config.classes))
     for lo in range(0, len(data), batch_size):
-        probs, _ = forward(params, data[lo : lo + batch_size])
-        preds[lo : lo + batch_size] = probs.argmax(axis=1)
-    k = params.config.classes
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (labels, preds), 1)
-    cm = ConfusionMatrix(counts)
+        probs[lo : lo + batch_size] = forward(params, data[lo : lo + batch_size])[0]
+    cm = confusion_matrix(probs, labels, params.config.classes)
     return cm.accuracy, cm
 
 

@@ -1,4 +1,5 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -269,6 +270,53 @@ class TestExitCodes:
             "--out-model", str(tmp_path / "m"), "--out-history", str(tmp_path / "h"),
         )
         assert code == 2
+
+    def test_data_error_non_finite_sample(self, trained, samples_path, tmp_path):
+        model_path, _ = trained
+        w = read_sample_archive(samples_path)[0].data.shape[0]
+        bad = tmp_path / "nan.tgds"
+        write_sample_archive([WindowSample(np.full((w, 4, 3), np.nan), 0, ("ride", 0))], bad)
+        code = run(
+            "eval", "--model", str(model_path), "--samples", str(bad),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
+    def test_data_error_zero_width_samples(self, tmp_path):
+        bad = tmp_path / "empty.tgds"
+        samples = [WindowSample(np.zeros((0, 4, 3)), i % 3, ("ride", 1000 * i)) for i in range(6)]
+        write_sample_archive(samples, bad)
+        code = run(
+            "train", "--samples", str(bad), "--kernel-len", "5", "--seed", "1",
+            "--out-model", str(tmp_path / "m"), "--out-history", str(tmp_path / "h"),
+        )
+        assert code == 2
+
+    @staticmethod
+    def _window_one_session(synth_dir, tmp_path, edit):
+        session = sorted(synth_dir.glob("*.session"))[0]
+        data = bytearray(session.read_bytes())
+        edit(data, 15 + int.from_bytes(data[5:7], "little"))  # offset of the rate field
+        bad = tmp_path / session.name
+        bad.write_bytes(bytes(data))
+        track = session.with_suffix(".labels.csv")
+        return run(
+            "window", "--session", str(bad), "--track", str(track),
+            "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"),
+        )
+
+    def test_data_error_non_finite_session(self, synth_dir, tmp_path):
+        def last_value_nan(data, _):
+            data[-8:] = struct.pack("<d", np.nan)
+
+        assert self._window_one_session(synth_dir, tmp_path, last_value_nan) == 2
+
+    @pytest.mark.parametrize("rate", [np.nan, 0.0, -25.0])
+    def test_data_error_bad_session_rate(self, synth_dir, tmp_path, rate):
+        def set_rate(data, offset):
+            struct.pack_into("<d", data, offset, rate)
+
+        assert self._window_one_session(synth_dir, tmp_path, set_rate) == 2
 
     @pytest.mark.parametrize("flag", ["--track", "--overrides"])
     def test_data_error_undecodable_label_csv(self, tmp_path, flag):

@@ -145,6 +145,12 @@ class TestParseSensorCsv:
         with pytest.raises(NonMonotonicTimestamp):
             parse_sensor_csv(text, ACC, Mount.FRAME)
 
+    def test_gap_beyond_int64_gets_its_rate(self):
+        # the gap of 1.8e19 ms exceeds int64, so an int64 difference wraps negative
+        text = "timestamp_ms,x,y,z\n-9000000000000000000,1,2,3\n9000000000000000000,1,2,3\n"
+        log = parse_sensor_csv(text, ACC, Mount.FRAME)
+        assert log.nominal_rate_hz == pytest.approx(1000.0 / 18e18)
+
     def test_trailing_comment_rejected(self):
         # numpy's loadtxt would cut this to "0,1,2,3" with its default comments="#"
         with pytest.raises(MalformedLine) as err:

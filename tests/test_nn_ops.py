@@ -90,14 +90,18 @@ class TestConvBackward:
 
 
 class TestConvFFT:
-    """Kernels of FFT_MIN_KERNEL taps and more take the FFT path."""
+    """The height correlation runs through real FFTs at every kernel length."""
 
-    # (kh, h): odd and even kh on either side of the crossover, a kernel as
-    # long as the window, and kernels longer than a pooled layer's height
+    # (kh, h): odd and even kh from a single tap up, a kernel as long as the
+    # window, and kernels longer than a pooled layer's height
     SHAPES = [
-        (ops.FFT_MIN_KERNEL - 1, 14),
-        (ops.FFT_MIN_KERNEL, 14),
-        (ops.FFT_MIN_KERNEL + 1, 14),
+        (1, 14),
+        (2, 14),
+        (5, 14),
+        (10, 14),
+        (11, 14),
+        (12, 14),
+        (13, 14),
         (20, 25),
         (20, 20),
         (21, 7),
@@ -109,8 +113,7 @@ class TestConvFFT:
         x = rng.normal(size=(2, h, 4, 3))
         kernels = rng.normal(size=(kh, kw, 3, 2))
         bias = rng.normal(size=2)
-        out, cache = ops.conv2d_forward(x, kernels, bias)
-        assert isinstance(cache[0], tuple) == (kh >= ops.FFT_MIN_KERNEL)  # spectra, not taps
+        out, _ = ops.conv2d_forward(x, kernels, bias)
         assert np.max(np.abs(out - conv2d_bruteforce(x, kernels, bias))) < 1e-10
 
     @pytest.mark.parametrize("kh,h", SHAPES)
@@ -131,24 +134,29 @@ class TestConvFFT:
         assert max_relative_error(gk, finite_difference_gradient(loss, kernels)) < FD_TOL
         assert max_relative_error(gb, finite_difference_gradient(loss, bias)) < FD_TOL
 
-    # the paper cell's three layers (125-point windows, 20 taps) and the first
-    # layer of the longest cell (500 points, 60 taps), at batch 32
-    PAPER_LAYERS = [(125, 3, 4, 20), (63, 4, 8, 20), (32, 8, 16, 20), (500, 3, 4, 60)]
+    # the paper cell's three layers (125-point windows, 20 taps), the first
+    # layer of the longest cell (500 points, 60 taps) and first layers with the
+    # grid's two shortest kernels, at batch 32
+    LAYERS = [
+        (125, 3, 4, 20),
+        (63, 4, 8, 20),
+        (32, 8, 16, 20),
+        (500, 3, 4, 60),
+        (125, 3, 4, 5),
+        (50, 3, 4, 10),
+    ]
 
-    @pytest.mark.parametrize("h,cin,cout,kh", PAPER_LAYERS)
-    def test_agrees_with_per_tap_path(self, h, cin, cout, kh, rng, monkeypatch):
+    @pytest.mark.parametrize("h,cin,cout,kh", LAYERS)
+    def test_adjoint_identities(self, h, cin, cout, kh, rng):
+        # conv is bilinear in (x, kernels), so <conv(x, k, 0), g> = <x, dx> = <k, dk>
         x = rng.normal(size=(32, h, 4, cin))
         kernels = rng.normal(size=(kh, 2, cin, cout))
-        bias = rng.normal(size=cout)
         grad_out = rng.normal(size=(32, h, 4, cout))
-        results = []
-        for threshold in (kh, kh + 1):  # FFT path, then per-tap path
-            monkeypatch.setattr(ops, "FFT_MIN_KERNEL", threshold)
-            out, cache = ops.conv2d_forward(x, kernels, bias)
-            results.append((out, *ops.conv2d_backward(cache, grad_out)))
-        # both paths round differently; compare against each array's own scale
-        for fft, taps in zip(*results):
-            assert np.max(np.abs(fft - taps)) <= 1e-12 * np.max(np.abs(taps))
+        out, cache = ops.conv2d_forward(x, kernels, np.zeros(cout))
+        gx, gk, _ = ops.conv2d_backward(cache, grad_out)
+        expected = np.vdot(out, grad_out)
+        assert abs(np.vdot(x, gx) - expected) <= 1e-12 * abs(expected)
+        assert abs(np.vdot(kernels, gk) - expected) <= 1e-12 * abs(expected)
 
 
 class TestBatchNorm:
