@@ -23,6 +23,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _from_flags(config_type, *args, **kwargs):
+    """Build a config from flag values; a value the config rejects is a usage error."""
+    try:
+        return config_type(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trailgrade", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,7 +96,7 @@ def _build_parser() -> _Parser:
 def _cmd_ingest(args):
     session = ingest.load_session(args.session)
     ingest.write_session_archive(session, args.out)
-    print(f"{session.name}: {session.length_points} points at {session.rate_hz:g} Hz -> {args.out}")
+    print(f"{session.name}: {session.length_points} points at {ingest.TARGET_RATE_HZ:g} Hz -> {args.out}")
     return 0
 
 
@@ -130,7 +138,7 @@ def _session_track_pairs(directory: Path):
 
 
 def _cmd_window(args):
-    config = dataset.WindowConfig(args.window_ms, args.overlap)
+    config = _from_flags(dataset.WindowConfig, args.window_ms, args.overlap)
     source = Path(args.session)
     if source.is_dir():
         pairs = _session_track_pairs(source)
@@ -154,10 +162,14 @@ def _cmd_train(args):
     if not samples:
         raise TrailgradeError(f"{args.samples} holds no samples")
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
-    model_config = ModelConfig(
-        window_points=samples[0].data.shape[0], kernel_len=args.kernel_len, l2_coeff=args.l2
+    model_config = _from_flags(
+        ModelConfig,
+        window_points=samples[0].data.shape[0],
+        kernel_len=args.kernel_len,
+        l2_coeff=args.l2,
     )
-    train_config = training.TrainConfig(
+    train_config = _from_flags(
+        training.TrainConfig,
         seed=args.seed + 3,
         batch_size=args.batch,
         max_epochs=args.max_epochs,
@@ -184,12 +196,13 @@ def _cmd_eval(args):
 
 def _cmd_grid(args):
     pairs = _session_track_pairs(Path(args.data))
-    spec = experiments.GridSpec(
-        train_config=training.TrainConfig(
-            seed=args.seed, max_epochs=args.max_epochs, patience=min(args.patience, args.max_epochs)
-        ),
+    train_config = _from_flags(
+        training.TrainConfig,
         seed=args.seed,
+        max_epochs=args.max_epochs,
+        patience=min(args.patience, args.max_epochs),
     )
+    spec = experiments.GridSpec(train_config=train_config, seed=args.seed)
     results = experiments.run_grid(pairs, spec, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from .errors import (
     SessionTooShort,
     TooFewSamples,
 )
-from .ingest import SyncedSession
+from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
 
 @dataclass(frozen=True)
@@ -32,20 +32,19 @@ class WindowConfig:
 
     window_ms: int
     overlap_fraction: float = 0.75
-    rate_hz: float = 25.0
 
     def __post_init__(self):
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must be in [0, 1)")
-        points = self.window_ms * self.rate_hz / 1000.0
+        points = self.window_ms / PERIOD_MS
         if points < 1.0 or abs(points - round(points)) > 1e-9:
             raise ValueError(
-                f"window_ms={self.window_ms} is not a whole number of samples at {self.rate_hz} Hz"
+                f"window_ms={self.window_ms} is not a whole number of samples at {TARGET_RATE_HZ:g} Hz"
             )
 
     @property
     def window_points(self) -> int:
-        return int(round(self.window_ms * self.rate_hz / 1000.0))
+        return int(round(self.window_ms / PERIOD_MS))
 
     @property
     def stride(self) -> int:
@@ -76,8 +75,7 @@ def stack_sample(session: SyncedSession, start_index: int, window_points: int, l
             f"of {session.length_points} points"
         )
     data = session.data[start_index : start_index + window_points].copy()
-    period = 1000.0 / session.rate_hz
-    start_ms = session.start_time_ms + int(round(start_index * period))
+    start_ms = session.start_time_ms + int(round(start_index * PERIOD_MS))
     return WindowSample(data, int(label), (session.name, start_ms))
 
 
@@ -93,10 +91,9 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
         raise SessionTooShort(
             f"session has {session.length_points} points, window needs {w}"
         )
-    period = 1000.0 / config.rate_hz
     out = []
     for p in range(0, session.length_points - w + 1, config.stride):
-        start_ms = session.start_time_ms + int(round(p * period))
+        start_ms = session.start_time_ms + int(round(p * PERIOD_MS))
         label = uniform_label(track, start_ms, start_ms + config.window_ms)
         if label is None:
             continue

@@ -20,7 +20,7 @@ from .dataset import (
     split_train_test,
 )
 from .errors import EmptyHistory, InvalidSpec, NoUsableSessions
-from .ingest import CHANNEL_ORDER, Mount, SensorChannel, SensorKind, build_session
+from .ingest import CHANNEL_ORDER, TARGET_RATE_HZ, Mount, SensorChannel, SensorKind, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
 from .training import TrainConfig, history_to_csv, train
@@ -65,13 +65,12 @@ class SyntheticSpec:
     seed: int
     signatures: tuple = DEFAULT_SIGNATURES
     noise_std: float = 0.05
-    rate_hz: float = 25.0
 
     def __post_init__(self):
         if self.sessions_per_class < 1 or self.session_seconds < 1:
             raise InvalidSpec("sessions_per_class and session_seconds must be positive")
-        if self.noise_std < 0 or self.rate_hz <= 0:
-            raise InvalidSpec("noise_std must be >= 0 and rate_hz > 0")
+        if self.noise_std < 0:
+            raise InvalidSpec("noise_std must be >= 0")
         if len(set(self.signatures)) != len(self.signatures):
             raise InvalidSpec("class signatures must be pairwise distinct")
         for sig in self.signatures:
@@ -79,9 +78,9 @@ class SyntheticSpec:
                 raise InvalidSpec(f"non-positive magnitude in {sig}")
 
 
-def _impulse_train(rng, n, rate_hz, per_second, amplitude):
+def _impulse_train(rng, n, per_second, amplitude):
     out = np.zeros(n)
-    count = rng.poisson(per_second * n / rate_hz)
+    count = rng.poisson(per_second * n / TARGET_RATE_HZ)
     if count:
         pos = rng.integers(0, n, size=count)
         signs = rng.choice((-1.0, 1.0), size=count)
@@ -90,7 +89,7 @@ def _impulse_train(rng, n, rate_hz, per_second, amplitude):
 
 
 def _synthetic_channel(rng, kind, mount, n, sig, spec):
-    t = np.arange(n) / spec.rate_hz
+    t = np.arange(n) / TARGET_RATE_HZ
     scale = 1.0 if mount is Mount.FRAME else _HELMET_ATTENUATION
     values = np.empty((n, 3))
     for axis in range(3):
@@ -98,7 +97,7 @@ def _synthetic_channel(rng, kind, mount, n, sig, spec):
         if kind is SensorKind.ACCELEROMETER:
             amp = sig.vibration_g * scale
             signal = amp * np.sin(2.0 * np.pi * sig.frequency_hz * t + phase)
-            signal += _impulse_train(rng, n, spec.rate_hz, sig.impulses_per_s, _IMPULSE_FACTOR * amp)
+            signal += _impulse_train(rng, n, sig.impulses_per_s, _IMPULSE_FACTOR * amp)
             if axis == 2:
                 signal += _GRAVITY_G
         else:
@@ -107,13 +106,13 @@ def _synthetic_channel(rng, kind, mount, n, sig, spec):
         if spec.noise_std > 0:
             signal = signal + rng.normal(0.0, spec.noise_std, n)
         values[:, axis] = signal
-    return SensorChannel(kind, mount, 0, spec.rate_hz, values)
+    return SensorChannel(kind, mount, 0, values)
 
 
 def generate_synthetic(spec: SyntheticSpec):
     """Labeled (SyncedSession, LabelTrack) pairs, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    n = int(round(spec.session_seconds * spec.rate_hz))
+    n = int(round(spec.session_seconds * TARGET_RATE_HZ))
     out = []
     for label, sig in enumerate(spec.signatures):
         for s in range(spec.sessions_per_class):
@@ -135,7 +134,6 @@ class GridSpec:
     seed: int
     window_ms_list: tuple = WINDOW_MS_GRID
     kernel_len_list: tuple = KERNEL_LEN_GRID
-    overlap_fraction: float = 0.75
 
     def __post_init__(self):
         if not self.window_ms_list or not self.kernel_len_list:
@@ -160,11 +158,11 @@ def cell_seed(seed: int, window_ms: int, kernel_len: int) -> int:
     return (seed ^ (window_ms * 0x9E3779B1 + kernel_len * 0x85EBCA6B)) % 2**32
 
 
-def skipped_cells(window_ms_list, kernel_len_list, overlap_fraction=0.75, rate_hz=25.0):
+def skipped_cells(window_ms_list, kernel_len_list):
     """Cells where the kernel cannot fit: kernel_len > window_points."""
     skipped = set()
     for window_ms in window_ms_list:
-        points = WindowConfig(window_ms, overlap_fraction, rate_hz).window_points
+        points = WindowConfig(window_ms).window_points
         for kernel_len in kernel_len_list:
             if kernel_len > points:
                 skipped.add((window_ms, kernel_len))
@@ -180,7 +178,7 @@ def prepare_splits(samples, seed: int):
 
 def _run_cell(args):
     data, spec, window_ms, kernel_len = args
-    config = WindowConfig(window_ms, spec.overlap_fraction)
+    config = WindowConfig(window_ms)
     points = config.window_points
     if kernel_len > points:
         return ExperimentResult(window_ms, kernel_len, SKIPPED_KERNEL_TOO_LONG)
@@ -213,9 +211,7 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     data = list(data)
     if not data:
         raise NoUsableSessions("no sessions provided")
-    largest = max(
-        WindowConfig(w, spec.overlap_fraction).window_points for w in spec.window_ms_list
-    )
+    largest = max(WindowConfig(w).window_points for w in spec.window_ms_list)
     if not any(session.length_points >= largest for session, _ in data):
         raise NoUsableSessions(f"no session reaches the largest window of {largest} points")
     cells = [

@@ -28,7 +28,9 @@ from .errors import (
     WrongChannelSet,
 )
 
+#: Every session, window and archive lives on this one lattice.
 TARGET_RATE_HZ = 25.0
+PERIOD_MS = 1000.0 / TARGET_RATE_HZ
 
 CSV_HEADER = "timestamp_ms,x,y,z"
 
@@ -81,12 +83,11 @@ class RawSensorLog:
 
 @dataclass
 class SensorChannel:
-    """A resampled channel: sample i sits at start_time_ms + i * 1000 / rate_hz."""
+    """A resampled channel: sample i sits at start_time_ms + i * PERIOD_MS."""
 
     sensor_kind: SensorKind
     mount: Mount
     start_time_ms: int
-    rate_hz: float
     values: np.ndarray  # (length, 3) float64
 
     def __post_init__(self):
@@ -118,10 +119,6 @@ class SyncedSession:
             self.data = np.stack(
                 [ch.values[: self.length_points] for ch in self.channels], axis=1
             )
-
-    @property
-    def rate_hz(self) -> float:
-        return self.channels[0].rate_hz
 
 
 def _infer_rate_hz(timestamps: np.ndarray) -> float:
@@ -258,8 +255,8 @@ def synchronize(logs):
     return out
 
 
-def resample_linear(log: RawSensorLog, target_hz: float = TARGET_RATE_HZ) -> SensorChannel:
-    """Interpolate a log onto the regular lattice k * (1000 / target_hz).
+def resample_linear(log: RawSensorLog) -> SensorChannel:
+    """Interpolate a log onto the regular lattice k * PERIOD_MS.
 
     Each axis is interpolated independently between its bracketing samples.
     Lattice points outside [first, last] timestamp are not produced: no data is
@@ -267,21 +264,16 @@ def resample_linear(log: RawSensorLog, target_hz: float = TARGET_RATE_HZ) -> Sen
     """
     if log.timestamps.size < 2:
         raise TooFewSamples("need at least 2 samples to interpolate")
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
-    period = 1000.0 / target_hz
     t = log.timestamps.astype(np.float64)
-    k0 = int(np.ceil(t[0] / period - 1e-9))
-    k1 = int(np.floor(t[-1] / period + 1e-9))
+    k0 = int(np.ceil(t[0] / PERIOD_MS - 1e-9))
+    k1 = int(np.floor(t[-1] / PERIOD_MS + 1e-9))
     if k1 < k0:
         raise TooFewSamples("no lattice point falls inside the log's time span")
-    grid = np.arange(k0, k1 + 1, dtype=np.float64) * period
+    grid = np.arange(k0, k1 + 1, dtype=np.float64) * PERIOD_MS
     out = np.empty((grid.size, 3))
     for axis in range(3):
         out[:, axis] = np.interp(grid, t, log.values[:, axis])
-    return SensorChannel(
-        log.sensor_kind, log.mount, int(round(k0 * period)), float(target_hz), out
-    )
+    return SensorChannel(log.sensor_kind, log.mount, int(round(k0 * PERIOD_MS)), out)
 
 
 def align_channel_starts(channels):
@@ -295,8 +287,7 @@ def align_channel_starts(channels):
     latest = max(ch.start_time_ms for ch in channels)
     out = []
     for ch in channels:
-        period = 1000.0 / ch.rate_hz
-        shift_exact = (latest - ch.start_time_ms) / period
+        shift_exact = (latest - ch.start_time_ms) / PERIOD_MS
         shift = int(round(shift_exact))
         if abs(shift_exact - shift) > 1e-6:
             raise MismatchedStart(
@@ -310,7 +301,7 @@ def align_channel_starts(channels):
             out.append(ch)
         else:
             out.append(
-                SensorChannel(ch.sensor_kind, ch.mount, latest, ch.rate_hz, ch.values[shift:].copy())
+                SensorChannel(ch.sensor_kind, ch.mount, latest, ch.values[shift:].copy())
             )
     return out
 
@@ -329,8 +320,6 @@ def build_session(channels, name: str = "") -> SyncedSession:
     starts = {ch.start_time_ms for ch in ordered}
     if len(starts) != 1:
         raise MismatchedStart(f"channel start times differ: {sorted(starts)}")
-    if len({ch.rate_hz for ch in ordered}) != 1:
-        raise ValueError("channels disagree on sample rate")
     length = min(ch.length for ch in ordered)
     data = np.stack([ch.values[:length] for ch in ordered], axis=1).copy()
     return SyncedSession(tuple(ordered), length, ordered[0].start_time_ms, name, data)
@@ -348,7 +337,7 @@ def write_session_archive(session: SyncedSession, path):
     buf.append(_SESSION_VERSION)
     name = session.name.encode("utf-8")
     buf += struct.pack("<H", len(name)) + name
-    buf += struct.pack("<qdI", session.start_time_ms, session.rate_hz, session.length_points)
+    buf += struct.pack("<qdI", session.start_time_ms, TARGET_RATE_HZ, session.length_points)
     buf += session.data.astype("<f8").tobytes()
     Path(path).write_bytes(bytes(buf))
 
@@ -375,8 +364,8 @@ def read_session_archive(path) -> SyncedSession:
     except UnicodeDecodeError:
         raise CorruptArchive(f"{path}: session name is not UTF-8") from None
     start, rate, length = struct.unpack("<qdI", take(20))
-    if not (math.isfinite(rate) and rate > 0):
-        raise CorruptArchive(f"{path}: sample rate {rate} Hz is not positive")
+    if rate != TARGET_RATE_HZ:
+        raise CorruptArchive(f"{path}: sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
     raw = take(length * 4 * 3 * 8)
     if pos != len(data):
         raise CorruptArchive(f"{path}: trailing bytes")
@@ -384,7 +373,7 @@ def read_session_archive(path) -> SyncedSession:
     if not np.isfinite(values).all():
         raise CorruptArchive(f"{path}: non-finite sample values")
     channels = tuple(
-        SensorChannel(kind, mount, start, rate, values[:, i, :].copy())
+        SensorChannel(kind, mount, start, values[:, i, :].copy())
         for i, (mount, kind) in enumerate(CHANNEL_ORDER)
     )
     return SyncedSession(channels, length, start, name, values)

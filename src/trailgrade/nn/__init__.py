@@ -10,7 +10,6 @@ from .model import (
     build_model,
     conv_kernels,
     forward,
-    param_keys,
     param_shapes,
     parameter_count,
     trainable_keys,
@@ -29,7 +28,6 @@ __all__ = [
     "build_model",
     "conv_kernels",
     "forward",
-    "param_keys",
     "param_shapes",
     "parameter_count",
     "trainable_keys",

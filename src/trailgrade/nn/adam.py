@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .model import ModelParams
+from .model import ModelParams, is_trainable
 
 
 @dataclass
@@ -20,7 +20,7 @@ class AdamState:
 
 def init_adam(params: ModelParams) -> AdamState:
     """Zeroed moment tensors for every trainable parameter."""
-    trainable = [k for k in params.tensors if not k.endswith(("/mean", "/var"))]
+    trainable = [k for k in params.tensors if is_trainable(k)]
     return AdamState(
         m={k: np.zeros_like(params.tensors[k]) for k in trainable},
         v={k: np.zeros_like(params.tensors[k]) for k in trainable},

@@ -63,7 +63,8 @@ def load_checkpoint(path):
     """Read a checkpoint back as (params, config).
 
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
-    or a structurally invalid body raise CorruptCheckpoint.
+    an invalid configuration, a non-finite tensor value or a structurally
+    invalid body raise CorruptCheckpoint.
     """
     data = Path(path).read_bytes()
     pos = 0
@@ -115,6 +116,8 @@ def load_checkpoint(path):
         size = int(np.prod(shape)) if shape else 1
         raw = take(4 * size)
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise CorruptCheckpoint(f"{path}: {name} holds non-finite values")
     if pos != len(data):
         raise CorruptCheckpoint(f"{path}: trailing bytes")
     return ModelParams(config, tensors), config

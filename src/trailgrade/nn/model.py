@@ -6,6 +6,7 @@ with stride (1, 1) and same padding; pools are (2, 1) with ceil semantics, so
 a 250-point window shrinks 250 -> 125 -> 63 -> 32 before flattening.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ class ModelConfig:
             raise ValueError("all sizes must be positive; exactly three conv blocks")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0.0):
+            raise ValueError("l2_coeff must be finite and >= 0")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError("bn_momentum must be in [0, 1]")
+        if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon > 0.0):
+            raise ValueError("bn_epsilon must be finite and > 0")
         if self.kernel_len > self.window_points:
             raise KernelTooLong(
                 f"kernel length {self.kernel_len} exceeds the {self.window_points}-point window"
@@ -72,13 +79,14 @@ def param_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def param_keys(config: ModelConfig):
-    return list(param_shapes(config))
+def is_trainable(name: str) -> bool:
+    """Everything except the batchnorm running statistics is trained."""
+    return not name.endswith(("/mean", "/var"))
 
 
 def trainable_keys(config: ModelConfig):
-    """Everything except the batchnorm running statistics."""
-    return [k for k in param_shapes(config) if not k.endswith(("/mean", "/var"))]
+    """Names of the trained tensors, in canonical order."""
+    return [k for k in param_shapes(config) if is_trainable(k)]
 
 
 def parameter_count(config: ModelConfig) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trailgrade.ingest import CHANNEL_ORDER, SensorChannel, build_session
+from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session
 from trailgrade.labeling import LabelTrack
 
 
@@ -19,11 +19,11 @@ def pytest_runtest_logreport(report):
     )
 
 
-def make_session(length, name="sess", start_ms=0, rate_hz=25.0, seed=0):
+def make_session(length, name="sess", start_ms=0, seed=0):
     """A session of `length` points with distinct, reproducible values."""
     rng = np.random.default_rng(seed)
     channels = [
-        SensorChannel(kind, mount, start_ms, rate_hz, rng.normal(size=(length, 3)))
+        SensorChannel(kind, mount, start_ms, rng.normal(size=(length, 3)))
         for mount, kind in CHANNEL_ORDER
     ]
     session = build_session(channels, name=name)
@@ -32,8 +32,7 @@ def make_session(length, name="sess", start_ms=0, rate_hz=25.0, seed=0):
 
 def full_track(session, label=1):
     """A track labeling the session's whole time span with one label."""
-    period = 1000.0 / session.rate_hz
-    end = session.start_time_ms + int(round(session.length_points * period))
+    end = session.start_time_ms + int(round(session.length_points * PERIOD_MS))
     return LabelTrack(((session.start_time_ms, end, label),))
 
 

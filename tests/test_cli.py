@@ -9,7 +9,7 @@ from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import read_session_archive
 from trailgrade.labeling import read_label_track_csv
-from trailgrade.nn.checkpoint import load_checkpoint
+from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.training import history_from_csv
 
 
@@ -311,7 +311,7 @@ class TestExitCodes:
 
         assert self._window_one_session(synth_dir, tmp_path, last_value_nan) == 2
 
-    @pytest.mark.parametrize("rate", [np.nan, 0.0, -25.0])
+    @pytest.mark.parametrize("rate", [np.nan, 0.0, -25.0, 50.0])
     def test_data_error_bad_session_rate(self, synth_dir, tmp_path, rate):
         def set_rate(data, offset):
             struct.pack_into("<d", data, offset, rate)
@@ -345,6 +345,72 @@ class TestExitCodes:
             source = ["--session", str(tmp_path / session.name), "--track", str(track)]
         code = run("window", *source, "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"))
         assert code == 2
+
+    def test_data_error_non_finite_checkpoint(self, trained, samples_path, tmp_path):
+        model_path, _ = trained
+        params, _ = load_checkpoint(model_path)
+        params.tensors["dense2/bias"][0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(params, bad)
+        code = run(
+            "eval", "--model", str(bad), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
+    #: Offsets of the stored float config fields: after magic, version and 7 ints.
+    CONFIG_FLOAT_OFFSET = {"l2_coeff": 41, "bn_momentum": 49, "bn_epsilon": 57}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("l2_coeff", -1.0),
+            ("l2_coeff", np.inf),
+            ("bn_momentum", 1.5),
+            ("bn_momentum", np.nan),
+            ("bn_epsilon", -5.0),
+            ("bn_epsilon", 0.0),
+            ("bn_epsilon", np.inf),
+        ],
+    )
+    def test_data_error_bad_checkpoint_config(self, trained, samples_path, tmp_path, field, value):
+        model_path, _ = trained
+        data = bytearray(model_path.read_bytes())
+        offset = self.CONFIG_FLOAT_OFFSET[field]
+        assert struct.unpack_from("<d", data, offset)[0] == getattr(load_checkpoint(model_path)[1], field)
+        struct.pack_into("<d", data, offset, value)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(data))
+        code = run(
+            "eval", "--model", str(bad), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            pytest.param("window", ["--window-ms", "3"], id="window-ms-3"),
+            pytest.param("window", ["--window-ms", "2000", "--overlap", "1.5"], id="overlap-1.5"),
+            pytest.param("train", ["--kernel-len", "0"], id="kernel-len-0"),
+            pytest.param("train", ["--kernel-len", "5", "--batch", "0"], id="batch-0"),
+            pytest.param("train", ["--kernel-len", "5", "--l2", "-1"], id="l2-minus-1"),
+            pytest.param("grid", ["--max-epochs", "0"], id="grid-max-epochs-0"),
+        ],
+    )
+    def test_usage_error_bad_flag_value(self, synth_dir, samples_path, tmp_path, capsys, command, flags):
+        base = {
+            "window": ["--session", str(synth_dir), "--out", str(tmp_path / "w.tgds")],
+            "train": [
+                "--samples", str(samples_path), "--seed", "1", "--max-epochs", "1",
+                "--patience", "1", "--out-model", str(tmp_path / "m"),
+                "--out-history", str(tmp_path / "h"),
+            ],
+            "grid": ["--data", str(synth_dir), "--seed", "1", "--out", str(tmp_path / "g")],
+        }[command]
+        assert run(command, *base, *flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ")
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

@@ -20,6 +20,8 @@ from trailgrade.errors import (
 from trailgrade import ingest
 from trailgrade.ingest import (
     CHANNEL_ORDER,
+    PERIOD_MS,
+    TARGET_RATE_HZ,
     Mount,
     RawSensorLog,
     SensorChannel,
@@ -49,12 +51,11 @@ def log_from(timestamps, x_values, kind=ACC, mount=Mount.FRAME):
 
 def channel_to_log(channel):
     """View a resampled channel as a raw log again (for re-resampling checks)."""
-    period = 1000.0 / channel.rate_hz
     timestamps = channel.start_time_ms + np.round(
-        np.arange(channel.length) * period
+        np.arange(channel.length) * PERIOD_MS
     ).astype(np.int64)
     return RawSensorLog(
-        channel.sensor_kind, channel.mount, timestamps, channel.values.copy(), channel.rate_hz
+        channel.sensor_kind, channel.mount, timestamps, channel.values.copy(), TARGET_RATE_HZ
     )
 
 
@@ -356,7 +357,6 @@ class TestResampleLinear:
         channel = resample_linear(log_from([0, 80], [0.0, 1.0]))
         assert channel.values[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert channel.start_time_ms == 0
-        assert channel.rate_hz == 25.0
 
     def test_identity_on_grid(self):
         log = log_from([0, 40, 80, 120], [1.0, -2.0, 3.0, 0.25])
@@ -404,7 +404,7 @@ class TestBuildSession:
     def make_channels(self, lengths, start=0):
         rng = np.random.default_rng(7)
         return [
-            SensorChannel(kind, mount, start, 25.0, rng.normal(size=(n, 3)))
+            SensorChannel(kind, mount, start, rng.normal(size=(n, 3)))
             for (mount, kind), n in zip(CHANNEL_ORDER, lengths)
         ]
 
@@ -415,7 +415,7 @@ class TestBuildSession:
 
     def test_duplicate_channel_rejected(self):
         channels = self.make_channels([10, 10, 10, 10])
-        channels[1] = SensorChannel(ACC, Mount.FRAME, 0, 25.0, channels[1].values)
+        channels[1] = SensorChannel(ACC, Mount.FRAME, 0, channels[1].values)
         with pytest.raises(WrongChannelSet):
             build_session(channels)
 
@@ -425,7 +425,7 @@ class TestBuildSession:
 
     def test_mismatched_start_rejected(self):
         channels = self.make_channels([10, 10, 10, 10])
-        bad = SensorChannel(GYRO, Mount.HELMET, 40, 25.0, channels[3].values)
+        bad = SensorChannel(GYRO, Mount.HELMET, 40, channels[3].values)
         with pytest.raises(MismatchedStart):
             build_session(channels[:3] + [bad])
 
@@ -456,7 +456,7 @@ class TestAlignChannelStarts:
         from trailgrade.ingest import align_channel_starts  # noqa: F401
 
         rng = np.random.default_rng(start + length)
-        return SensorChannel(kind, mount, start, 25.0, rng.normal(size=(length, 3)))
+        return SensorChannel(kind, mount, start, rng.normal(size=(length, 3)))
 
     def test_trims_to_latest_start(self):
         from trailgrade.ingest import align_channel_starts
@@ -503,7 +503,7 @@ class TestSessionArchive:
     def test_roundtrip_bit_exact(self, tmp_path):
         session = build_session(
             [
-                SensorChannel(kind, mount, 0, 25.0, np.random.default_rng(5).normal(size=(37, 3)))
+                SensorChannel(kind, mount, 0, np.random.default_rng(5).normal(size=(37, 3)))
                 for mount, kind in CHANNEL_ORDER
             ],
             name="ride-α",
@@ -522,7 +522,7 @@ class TestSessionArchive:
     def test_truncated_rejected(self, tmp_path):
         session = build_session(
             [
-                SensorChannel(kind, mount, 0, 25.0, np.ones((5, 3)))
+                SensorChannel(kind, mount, 0, np.ones((5, 3)))
                 for mount, kind in CHANNEL_ORDER
             ]
         )
@@ -534,7 +534,7 @@ class TestSessionArchive:
 
     def test_name_not_utf8_rejected(self, tmp_path):
         session = build_session(
-            [SensorChannel(kind, mount, 0, 25.0, np.ones((5, 3))) for mount, kind in CHANNEL_ORDER],
+            [SensorChannel(kind, mount, 0, np.ones((5, 3))) for mount, kind in CHANNEL_ORDER],
             name="ride",
         )
         path = tmp_path / "a.session"
@@ -580,7 +580,6 @@ class TestManifest:
         session = load_session(tmp_path / "session.toml")
         assert session.name == "ride1"
         assert session.length_points == 101  # 0..4000 ms inclusive at 25 Hz
-        assert session.rate_hz == 25.0
 
 
 class TestLoadSessionBytes:
