@@ -2,8 +2,10 @@
 
 A short run (5000 ms windows, kernel length 20, 15 epochs) on a small
 synthetic corpus: the classes are separable by construction, so accuracy
-should climb towards 1.0 within a handful of epochs. Artifacts land in
-demos/out/.
+should climb towards 1.0 within a handful of epochs. The train column is the
+running train-mode accuracy over each epoch's batches (dropout on), as Keras
+reports it; the test column scores the held-out split in infer mode.
+Artifacts land in demos/out/.
 """
 
 from pathlib import Path
@@ -31,7 +33,7 @@ result = train(train_set, test_set, model_config, TrainConfig(seed=42, max_epoch
 for record in result.history:
     print(
         f"  epoch {record.epoch:>2d}  loss {record.train_loss:.4f}  "
-        f"train sca {record.train_sca:.3f}  test sca {record.test_sca:.3f}"
+        f"running train sca {record.train_sca:.3f}  test sca {record.test_sca:.3f}"
     )
 print(f"best test sca {result.best_test_sca:.4f} at epoch {result.best_epoch}")
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import dataset, experiments, ingest, labeling, training
-from .errors import MalformedLine, MalformedXml, NumericFailure, TrailgradeError
+from .errors import InvalidSpec, MalformedLine, MalformedXml, NumericFailure, TrailgradeError
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
 
@@ -27,7 +27,7 @@ def _from_flags(config_type, *args, **kwargs):
     """Build a config from flag values; a value the config rejects is a usage error."""
     try:
         return config_type(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, InvalidSpec) as exc:
         raise _UsageError(str(exc)) from None
 
 
@@ -195,6 +195,8 @@ def _cmd_eval(args):
 
 
 def _cmd_grid(args):
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     pairs = _session_track_pairs(Path(args.data))
     train_config = _from_flags(
         training.TrainConfig,
@@ -214,8 +216,11 @@ def _cmd_grid(args):
 
 
 def _cmd_synth(args):
-    spec = experiments.SyntheticSpec(
-        sessions_per_class=args.sessions_per_class, session_seconds=args.seconds, seed=args.seed
+    spec = _from_flags(
+        experiments.SyntheticSpec,
+        sessions_per_class=args.sessions_per_class,
+        session_seconds=args.seconds,
+        seed=args.seed,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

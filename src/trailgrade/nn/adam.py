@@ -44,12 +44,21 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 0.
                 f"{key}: gradient shape {g.shape} does not match parameter {params.tensors[key].shape}"
             )
         m, v = state.m[key], state.v[key]
+        # every product and quotient below is the one the textbook formula
+        # makes, in its order; only the temporaries are reused
+        scratch = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        params.tensors[key] -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        step = m / bc1
+        step *= lr
+        step /= scratch
+        params.tensors[key] -= step
     params.step += 1
     return params, state

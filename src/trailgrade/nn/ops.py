@@ -138,11 +138,17 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum=0.9
             n_red *= x.shape[a]
         if n_red < 2:
             raise DegenerateBatch("batch statistics need at least 2 values per channel")
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        # the same reductions np.mean and np.var make, over x as laid out: the
+        # conv output is height-major, and a reshape(-1, C) copy would sum in
+        # another order
+        mean = x.sum(axis=axes) / n_red
+        xhat = x - mean
+        out = np.square(xhat)
+        var = out.sum(axis=axes) / n_red
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean) * inv_std
-        out = gamma * xhat + beta
+        xhat *= inv_std
+        np.multiply(xhat, gamma, out=out)
+        out += beta
         new_mean = momentum * running_mean + (1.0 - momentum) * mean
         new_var = momentum * running_var + (1.0 - momentum) * var
         return out, (xhat, gamma, inv_std, n_red, axes), new_mean, new_var
@@ -153,8 +159,14 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum=0.9
 def batchnorm_backward(cache, grad_out):
     xhat, gamma, inv_std, n_red, axes = cache
     grad_beta = grad_out.sum(axis=axes)
-    grad_gamma = (grad_out * xhat).sum(axis=axes)
-    grad_x = (gamma * inv_std) * (grad_out - grad_beta / n_red - xhat * grad_gamma / n_red)
+    scratch = grad_out * xhat
+    grad_gamma = scratch.sum(axis=axes)
+    # (gamma * inv_std) * (grad_out - grad_beta / n - xhat * grad_gamma / n), in place
+    np.multiply(xhat, grad_gamma, out=scratch)
+    scratch /= n_red
+    grad_x = grad_out - grad_beta / n_red
+    grad_x -= scratch
+    grad_x *= gamma * inv_std
     return grad_x, grad_gamma, grad_beta
 
 
@@ -183,15 +195,14 @@ def maxpool_forward(x):
     # argmax of each pair without a reduction: NaN counts as the maximum, so the
     # second row wins where it is larger, or NaN while the first is not
     mask = ~((second <= first) | np.isnan(first))
-    return np.maximum(first, second), (mask.astype(np.intp), h)
+    return np.maximum(first, second), (mask, h)
 
 
 def maxpool_backward(cache, grad_out):
     """Route each output gradient to its argmax position; zeros elsewhere."""
     mask, h = cache
     b, ho, w, c = grad_out.shape
-    grad_x = np.zeros((b, ho, 2, w, c))
-    np.put_along_axis(grad_x, mask[:, :, None], grad_out[:, :, None], axis=2)
+    grad_x = np.stack((np.where(mask, 0.0, grad_out), np.where(mask, grad_out, 0.0)), axis=2)
     return grad_x.reshape(b, 2 * ho, w, c)[:, :h]
 
 
@@ -203,13 +214,17 @@ def dropout_forward(x, rate, rng, train=True):
     if not train or rate == 0.0:
         return x, None
     keep = rng.random(x.shape) >= rate
-    return x * keep / (1.0 - rate), keep
+    out = x * keep
+    out /= 1.0 - rate
+    return out, keep
 
 
 def dropout_backward(cache, grad_out, rate):
     if cache is None:
         return grad_out
-    return grad_out * cache / (1.0 - rate)
+    grad = grad_out * cache
+    grad /= 1.0 - rate
+    return grad
 
 
 def dense_forward(x, weights, bias):

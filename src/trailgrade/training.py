@@ -1,10 +1,12 @@
 """Mini-batch Adam training with early stopping on held-out accuracy.
 
-Each epoch shuffles the training set, runs batches of 32 through train-mode
-forward / backward / Adam, then measures sparse categorical accuracy on both
-splits in infer mode. The weights of the best test epoch are snapshotted and
-returned; training stops after `patience` epochs without strict improvement
-or at `max_epochs`.
+Each epoch shuffles the training set and runs batches of 32 through train-mode
+forward / backward / Adam. Its train accuracy is the running train-mode
+accuracy over those batches, as Keras reports it: dropout is on and the
+weights change from batch to batch, and the training set is not re-scored.
+The test split is then scored in infer mode. The weights and confusion matrix
+of the best test epoch are snapshotted and returned; training stops after
+`patience` epochs without strict improvement or at `max_epochs`.
 """
 
 from dataclasses import dataclass
@@ -143,33 +145,35 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
     # No degenerate-batch merging is needed here: batchnorm reduces over
     # B * n * 4 values per channel, which is >= 8 even for a 1-sample batch.
     history = []
-    best_sca, best_epoch, best_params = -1.0, 0, None
+    best_sca, best_epoch, best_params, confusion = -1.0, 0, None, None
     stopped_early = False
     for epoch in range(1, train_config.max_epochs + 1):
         perm = rng.permutation(n)
         loss_sum = 0.0
+        hits = 0
         for lo in range(0, n, train_config.batch_size):
             idx = perm[lo : lo + train_config.batch_size]
+            labels = train_labels[idx]
             probs, cache = forward(params, train_data[idx], train=True, rng=rng)
-            ce_loss, _ = sparse_categorical_crossentropy(probs, train_labels[idx])
+            ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
             penalty, _ = l2_penalty(conv_kernels(params), model_config.l2_coeff)
             loss = ce_loss + penalty
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
-            grads = backward(cache, train_labels[idx])
+            hits += int(np.count_nonzero(probs.argmax(axis=1) == labels))
+            grads = backward(cache, labels)
             adam_step(params, grads, state, lr=train_config.learning_rate)
             loss_sum += loss * len(idx)
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
-        train_sca, _ = _evaluate_arrays(params, train_data, train_labels, train_config.batch_size)
-        test_sca, _ = _evaluate_arrays(params, test_data, test_labels, train_config.batch_size)
-        history.append(EpochRecord(epoch, train_sca, test_sca, loss_sum / n))
+        test_sca, test_confusion = _evaluate_arrays(params, test_data, test_labels, train_config.batch_size)
+        history.append(EpochRecord(epoch, hits / n, test_sca, loss_sum / n))
         if test_sca > best_sca:
-            best_sca, best_epoch, best_params = test_sca, epoch, params.copy()
+            best_sca, best_epoch = test_sca, epoch
+            best_params, confusion = params.copy(), test_confusion
         if epoch - best_epoch >= train_config.patience:
             stopped_early = True
             break
-    _, confusion = _evaluate_arrays(best_params, test_data, test_labels, train_config.batch_size)
     return TrainResult(best_params, best_epoch, best_sca, history, confusion, stopped_early)
 
 

@@ -33,6 +33,35 @@ def conv2d_bruteforce(x, kernels, bias):
     return out
 
 
+def batchnorm_two_pass(x, gamma, beta, running_mean, running_var, momentum, eps):
+    """Train-mode batchnorm through np.mean and np.var, each a separate pass.
+
+    Returns (out, running_mean, running_var, backward) where backward(grad_out)
+    gives (grad_x, grad_gamma, grad_beta). The arithmetic is that of the
+    package's batchnorm before it was fused, kept so the fused one can be held
+    to it bit for bit.
+    """
+    axes = tuple(range(x.ndim - 1))
+    n_red = 1
+    for a in axes:
+        n_red *= x.shape[a]
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    out = gamma * xhat + beta
+    new_mean = momentum * running_mean + (1.0 - momentum) * mean
+    new_var = momentum * running_var + (1.0 - momentum) * var
+
+    def backward(grad_out):
+        grad_beta = grad_out.sum(axis=axes)
+        grad_gamma = (grad_out * xhat).sum(axis=axes)
+        grad_x = (gamma * inv_std) * (grad_out - grad_beta / n_red - xhat * grad_gamma / n_red)
+        return grad_x, grad_gamma, grad_beta
+
+    return out, new_mean, new_var, backward
+
+
 def finite_difference_gradient(loss_fn, x, h=1e-5):
     """Central differences of a scalar function w.r.t. an array, in place.
 

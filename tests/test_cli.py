@@ -396,6 +396,10 @@ class TestExitCodes:
             pytest.param("train", ["--kernel-len", "5", "--batch", "0"], id="batch-0"),
             pytest.param("train", ["--kernel-len", "5", "--l2", "-1"], id="l2-minus-1"),
             pytest.param("grid", ["--max-epochs", "0"], id="grid-max-epochs-0"),
+            pytest.param("grid", ["--jobs", "0"], id="grid-jobs-0"),
+            pytest.param("grid", ["--jobs", "-4"], id="grid-jobs-minus-4"),
+            pytest.param("synth", ["--seconds", "0"], id="synth-seconds-0"),
+            pytest.param("synth", ["--sessions-per-class", "0"], id="synth-sessions-0"),
         ],
     )
     def test_usage_error_bad_flag_value(self, synth_dir, samples_path, tmp_path, capsys, command, flags):
@@ -406,7 +410,14 @@ class TestExitCodes:
                 "--patience", "1", "--out-model", str(tmp_path / "m"),
                 "--out-history", str(tmp_path / "h"),
             ],
-            "grid": ["--data", str(synth_dir), "--seed", "1", "--out", str(tmp_path / "g")],
+            "grid": [
+                "--data", str(synth_dir), "--seed", "1", "--max-epochs", "1",
+                "--out", str(tmp_path / "g"),
+            ],
+            "synth": [
+                "--out", str(tmp_path / "s"), "--sessions-per-class", "1", "--seconds", "2",
+                "--seed", "1",
+            ],
         }[command]
         assert run(command, *base, *flags) == 1
         err = capsys.readouterr().err.splitlines()

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import conv2d_bruteforce, finite_difference_gradient, max_relative_error
+from oracles import (
+    batchnorm_two_pass,
+    conv2d_bruteforce,
+    finite_difference_gradient,
+    max_relative_error,
+)
 from trailgrade.errors import DegenerateBatch, EmptyBatch, LabelOutOfRange, ShapeMismatch
 from trailgrade.nn import ops
 
@@ -232,6 +237,41 @@ class TestBatchNorm:
         assert max_relative_error(gx, finite_difference_gradient(loss, x)) < FD_TOL
         assert max_relative_error(gg, finite_difference_gradient(loss, gamma)) < FD_TOL
         assert max_relative_error(gb, finite_difference_gradient(loss, beta)) < FD_TOL
+
+    @pytest.mark.parametrize(
+        "b, h, w, c, layout",
+        [
+            pytest.param(32, 125, 4, 4, "contiguous", id="contiguous"),
+            pytest.param(32, 125, 4, 4, "conv", id="conv-layout-block1"),
+            pytest.param(32, 63, 4, 8, "conv", id="conv-layout-block2"),
+            pytest.param(32, 32, 4, 16, "conv", id="conv-layout-block3"),
+            pytest.param(20, 125, 4, 4, "conv", id="last-batch-20-of-660"),
+        ],
+    )
+    def test_bit_identical_to_two_pass(self, b, h, w, c, layout, rng):
+        # the conv output is a height-major array seen through a transpose;
+        # summing it in any other order than np.mean/np.var do changes bits
+        if layout == "conv":
+            x = rng.normal(1.5, 2.0, size=(h, b * w, c)).reshape(h, b, w, c).transpose(1, 0, 2, 3)
+        else:
+            x = rng.normal(1.5, 2.0, size=(b, h, w, c))
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        running_mean, running_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        # the model's grad_out comes from a ceil-mode pool: a row slice when h is odd
+        grad_out = rng.normal(size=(b, h + h % 2, w, c))[:, :h]
+
+        out, cache, new_mean, new_var = ops.batchnorm_forward(
+            x, gamma, beta, running_mean, running_var, momentum=0.99, eps=1e-3
+        )
+        ref_out, ref_mean, ref_var, ref_backward = batchnorm_two_pass(
+            x, gamma, beta, running_mean, running_var, 0.99, 1e-3
+        )
+        got = (out, new_mean, new_var, *ops.batchnorm_backward(cache, grad_out))
+        want = (ref_out, ref_mean, ref_var, *ref_backward(grad_out))
+        for name, a, e in zip(("out", "mean", "var", "grad_x", "grad_gamma", "grad_beta"), got, want):
+            # same strides too: the next op's sums run in memory order
+            assert (a.shape, a.strides) == (e.shape, e.strides), name
+            assert a.tobytes() == e.tobytes(), name
 
 
 class TestRelu:

@@ -10,6 +10,9 @@ from trailgrade.errors import (
     ShapeMismatch,
 )
 from trailgrade.nn import ModelConfig, build_model
+from trailgrade.nn.adam import adam_step, init_adam
+from trailgrade.nn.model import backward, conv_kernels, forward
+from trailgrade.nn.ops import l2_penalty, sparse_categorical_crossentropy
 from trailgrade.training import (
     ConfusionMatrix,
     TrainConfig,
@@ -179,6 +182,79 @@ class TestTrainLoop:
         test_set = separable_samples(2, seed=11, name="t")
         result = train(train_set, test_set, TINY, TrainConfig(seed=2, max_epochs=2, patience=2))
         assert len(result.history) == 2
+
+
+def rescoring_train(train_samples, test_samples, model_config, train_config):
+    """The loop train() ran when it re-scored the whole training set each epoch.
+
+    Returns (history rows of (train_sca re-scored in infer mode, running
+    train-mode accuracy, test_sca, train_loss), best_params, best_epoch,
+    confusion counts of best_params on the test split).
+    """
+    train_data = np.stack([s.data for s in train_samples])
+    train_labels = np.array([s.label for s in train_samples])
+    test_data = np.stack([s.data for s in test_samples])
+    test_labels = np.array([s.label for s in test_samples])
+    batch = train_config.batch_size
+
+    def score(params, data, labels):
+        probs = np.concatenate([forward(params, data[lo : lo + batch])[0] for lo in range(0, len(data), batch)])
+        return float(np.mean(probs.argmax(axis=1) == labels)), probs.argmax(axis=1)
+
+    rng = np.random.default_rng(train_config.seed)
+    params = build_model(model_config, rng)
+    state = init_adam(params)
+    n = len(train_data)
+    rows, best = [], (-1.0, 0, None)
+    for epoch in range(1, train_config.max_epochs + 1):
+        perm = rng.permutation(n)
+        loss_sum, hits = 0.0, 0
+        for lo in range(0, n, batch):
+            idx = perm[lo : lo + batch]
+            probs, cache = forward(params, train_data[idx], train=True, rng=rng)
+            ce_loss, _ = sparse_categorical_crossentropy(probs, train_labels[idx])
+            penalty, _ = l2_penalty(conv_kernels(params), model_config.l2_coeff)
+            for row, label in zip(probs, train_labels[idx]):
+                hits += int(np.argmax(row) == label)
+            adam_step(params, backward(cache, train_labels[idx]), state, lr=train_config.learning_rate)
+            loss_sum += (ce_loss + penalty) * len(idx)
+        rescored, _ = score(params, train_data, train_labels)
+        test_sca, _ = score(params, test_data, test_labels)
+        rows.append((rescored, hits / n, test_sca, loss_sum / n))
+        if test_sca > best[0]:
+            best = (test_sca, epoch, params.copy())
+    _, predicted = score(best[2], test_data, test_labels)
+    counts = np.zeros((3, 3), dtype=np.int64)
+    for label, guess in zip(test_labels, predicted):
+        counts[label, guess] += 1
+    return rows, best[2], best[1], counts
+
+
+class TestTrainAgainstRescoringLoop:
+    """train() no longer re-scores the training set; nothing else may move."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # 36 samples: one full batch of 32 and a short one of 4
+        train_set = separable_samples(12, seed=16, scales=(0.5, 1.0, 1.5))
+        test_set = separable_samples(4, seed=17, name="t", scales=(0.5, 1.0, 1.5))
+        config = TrainConfig(seed=11, max_epochs=3, patience=3)
+        return train(train_set, test_set, TINY, config), rescoring_train(train_set, test_set, TINY, config)
+
+    def test_weights_test_sca_and_loss_unchanged(self, runs):
+        result, (rows, best_params, best_epoch, counts) = runs
+        assert [(r.test_sca, r.train_loss) for r in result.history] == [(t, loss) for _, _, t, loss in rows]
+        assert result.best_epoch == best_epoch
+        assert result.best_params.tensors.keys() == best_params.tensors.keys()
+        for key, value in best_params.tensors.items():
+            assert result.best_params.tensors[key].tobytes() == value.tobytes(), key
+        assert np.array_equal(result.confusion.counts, counts)
+
+    def test_train_sca_is_running_train_mode_accuracy(self, runs):
+        result, (rows, _, _, _) = runs
+        assert [r.train_sca for r in result.history] == [running for _, running, _, _ in rows]
+        # a re-score in infer mode after the epoch is a different number
+        assert [r.train_sca for r in result.history] != [rescored for rescored, _, _, _ in rows]
 
 
 class TestEvaluate:
