@@ -206,9 +206,7 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
 
     `data` is a sequence of (SyncedSession, LabelTrack) pairs; sessions too
     short for a cell's window simply contribute no samples to it. Cells are
-    independent (own derived seed each) so they may run in parallel; the pool
-    gets them longest first (largest window points x kernel length), so the
-    slowest cell does not start last.
+    independent (own derived seed each) so they may run in parallel.
     """
     data = list(data)
     if not data:
@@ -222,15 +220,8 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
         for kernel_len in spec.kernel_len_list
     ]
     if jobs > 1:
-        order = sorted(
-            range(len(cells)),
-            key=lambda i: -WindowConfig(cells[i][2]).window_points * cells[i][3],
-        )
-        results = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, result in zip(order, pool.map(_run_cell, [cells[i] for i in order])):
-                results[i] = result
-        return results
+            return list(pool.map(_run_cell, cells))
     return [_run_cell(cell) for cell in cells]
 
 

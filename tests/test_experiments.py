@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
 from trailgrade.errors import EmptyHistory, InvalidSpec, NoUsableSessions
 from trailgrade.experiments import (
@@ -188,30 +187,6 @@ class TestRunGrid:
     def test_parallel_matches_serial(self, data, results):
         parallel = run_grid(data, tiny_grid_spec(), jobs=2)
         assert parallel == list(results)
-
-    def test_pool_gets_longest_cells_first(self, data, results, monkeypatch):
-        submitted = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                cells = list(cells)
-                submitted.extend((w, k) for _, _, w, k in cells)
-                return [fn(cell) for cell in cells]
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        pooled = run_grid(data, tiny_grid_spec(), jobs=2)
-        # window points x kernel length: 50x60, 50x40, 25x60, 25x40, 50x10, 25x10
-        assert submitted == [(2000, 60), (2000, 40), (1000, 60), (1000, 40), (2000, 10), (1000, 10)]
-        assert pooled == list(results)
 
     def test_no_sessions(self):
         with pytest.raises(NoUsableSessions):
