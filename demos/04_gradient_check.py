@@ -8,14 +8,8 @@ configuration.
 
 import numpy as np
 
-from trailgrade.nn import ModelConfig, backward, build_model, forward
-from trailgrade.nn.model import conv_kernels, trainable_keys
-from trailgrade.nn.ops import (
-    conv2d_backward,
-    conv2d_forward,
-    l2_penalty,
-    sparse_categorical_crossentropy,
-)
+from trailgrade.nn import ModelConfig, backward, build_model, forward, l2_penalty, trainable_keys
+from trailgrade.nn.ops import conv2d_backward, conv2d_forward, sparse_categorical_crossentropy
 
 
 def finite_differences(loss_fn, x, h=1e-5):
@@ -67,8 +61,7 @@ labels = rng.integers(0, 3, size=2)
 def network_loss():
     probs, _ = forward(params, batch, train=True)
     ce, _ = sparse_categorical_crossentropy(probs, labels)
-    penalty, _ = l2_penalty(conv_kernels(params), config.l2_coeff)
-    return ce + penalty
+    return ce + l2_penalty(params)
 
 
 _, cache = forward(params, batch, train=True)

@@ -77,7 +77,6 @@ from .training import (
     TrainResult,
     confusion_matrix,
     evaluate,
-    sparse_categorical_accuracy,
     train,
 )
 

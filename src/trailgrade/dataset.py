@@ -19,6 +19,7 @@ from .errors import (
     SessionTooShort,
     TooFewSamples,
 )
+from .framing import Reader
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
 
@@ -68,13 +69,16 @@ class DatasetSplit:
 
 
 def stack_sample(session: SyncedSession, start_index: int, window_points: int, label: int) -> WindowSample:
-    """One window tensor: data[t, r, c] = channel r's axis c at start_index + t."""
+    """One window: data[t, r, c] = channel r's axis c at start_index + t.
+
+    The data is a read-only view of ``session.data``, not a copy.
+    """
     if start_index < 0 or start_index + window_points > session.length_points:
         raise OutOfRange(
             f"window [{start_index}, {start_index + window_points}) outside session "
             f"of {session.length_points} points"
         )
-    data = session.data[start_index : start_index + window_points].copy()
+    data = session.data[start_index : start_index + window_points]
     start_ms = session.start_time_ms + int(round(start_index * PERIOD_MS))
     return WindowSample(data, int(label), (session.name, start_ms))
 
@@ -146,23 +150,15 @@ def class_histogram(samples) -> dict:
     return counts
 
 
-def oversample_balance(train, seed: int = 0, classes=None):
+def oversample_balance(train, seed: int = 0):
     """Duplicate minority-class samples until every class matches the largest.
 
     Each short class is cycled whole (in origin order) as often as it fits and
     the remainder is a seeded draw without replacement. The output is the input
     followed by the duplicates, so no original value is altered or dropped.
-    `classes` may name the classes that must be present; an absent one raises
-    EmptyClass so the caller can decide whether to proceed with fewer classes.
     """
     counts = class_histogram(train)
-    if classes is None:
-        classes = [c for c in sorted(counts) if counts[c] > 0]
-    else:
-        classes = sorted(classes)
-        for c in classes:
-            if counts.get(c, 0) == 0:
-                raise EmptyClass(f"class {c} has no samples to duplicate")
+    classes = [c for c in sorted(counts) if counts[c] > 0]
     if not classes:
         raise EmptyClass("no labeled samples to balance")
     target = max(counts[c] for c in classes)
@@ -215,40 +211,26 @@ def write_sample_archive(samples, path):
 
 
 def read_sample_archive(path):
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CorruptArchive(f"{path}: truncated sample archive")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != _ARCHIVE_MAGIC:
-        raise CorruptArchive(f"{path}: not a sample archive")
-    if take(1)[0] != _ARCHIVE_VERSION:
-        raise CorruptArchive(f"{path}: unsupported sample archive version")
-    count, w = struct.unpack("<II", take(8))
+    reader = Reader(path, CorruptArchive, "sample archive")
+    if reader.take(4) != _ARCHIVE_MAGIC:
+        raise reader.error("not a sample archive")
+    if reader.take(1)[0] != _ARCHIVE_VERSION:
+        raise reader.error("unsupported sample archive version")
+    count, w = reader.unpack("<II")
     if count and not w:
-        raise CorruptArchive(f"{path}: {count} samples of 0 points")
+        raise reader.error(f"{count} samples of 0 points")
     records, payloads = [], []
     for _ in range(count):
-        label, name_len = struct.unpack("<BH", take(3))
+        label, name_len = reader.unpack("<BH")
         if label not in LABELS:
-            raise CorruptArchive(f"{path}: label {label} is not one of {LABELS}")
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptArchive(f"{path}: sample name is not UTF-8") from None
-        (start_ms,) = struct.unpack("<q", take(8))
+            raise reader.error(f"label {label} is not one of {LABELS}")
+        name = reader.utf8(name_len, "sample name")
+        (start_ms,) = reader.unpack("<q")
         records.append((int(label), (name, start_ms)))
-        payloads.append(take(w * 4 * 3 * 4))
-    if pos != len(data):
-        raise CorruptArchive(f"{path}: trailing bytes")
+        payloads.append(reader.take(w * 4 * 3 * 4))
+    reader.finish()
     raw = np.frombuffer(b"".join(payloads), dtype="<f4")
     tensors = raw.astype(np.float64).reshape(count, w, 4, 3)
     if not np.isfinite(tensors).all():
-        raise CorruptArchive(f"{path}: non-finite sample values")
+        raise reader.error("non-finite sample values")
     return [WindowSample(t, label, origin) for t, (label, origin) in zip(tensors, records)]

@@ -120,7 +120,7 @@ class EmptyDataset(TrailgradeError):
 
 
 class NumericFailure(TrailgradeError):
-    """Training produced a non-finite loss."""
+    """Non-finite sample data, or a non-finite training loss."""
 
 
 class NoUsableSessions(TrailgradeError):

@@ -27,6 +27,7 @@ from .errors import (
     TooFewSamples,
     WrongChannelSet,
 )
+from .framing import Reader
 
 #: Every session, window and archive lives on this one lattice.
 TARGET_RATE_HZ = 25.0
@@ -105,20 +106,23 @@ class SyncedSession:
     """Four channels on one grid, truncated to their common length.
 
     ``data`` stacks the channels as (length_points, 4, 3) with rows in
-    CHANNEL_ORDER; it is the array every window sample is sliced from.
+    CHANNEL_ORDER. It is read-only: every window sample is a view of it.
     """
 
     channels: tuple
     length_points: int
     start_time_ms: int
-    name: str = ""
-    data: np.ndarray = field(default=None, repr=False)
+    name: str
+    data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.data is None:
-            self.data = np.stack(
-                [ch.values[: self.length_points] for ch in self.channels], axis=1
-            )
+        self.data.flags.writeable = False
+
+    def __setstate__(self, state):
+        # unpickling (as into a grid worker) skips __post_init__ and makes
+        # arrays writable again
+        self.__dict__.update(state)
+        self.data.flags.writeable = False
 
 
 def _infer_rate_hz(timestamps: np.ndarray) -> float:
@@ -153,8 +157,6 @@ def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
     that pass rejects: it decides whether the text is valid after all (for
     example, it has whitespace-only lines) and names the first bad line.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     header, _, body = text.partition("\n")
     if header.strip() != CSV_HEADER:
         raise MalformedLine(1, f"expected header {CSV_HEADER!r}")
@@ -321,7 +323,7 @@ def build_session(channels, name: str = "") -> SyncedSession:
     if len(starts) != 1:
         raise MismatchedStart(f"channel start times differ: {sorted(starts)}")
     length = min(ch.length for ch in ordered)
-    data = np.stack([ch.values[:length] for ch in ordered], axis=1).copy()
+    data = np.stack([ch.values[:length] for ch in ordered], axis=1)
     return SyncedSession(tuple(ordered), length, ordered[0].start_time_ms, name, data)
 
 
@@ -343,37 +345,24 @@ def write_session_archive(session: SyncedSession, path):
 
 
 def read_session_archive(path) -> SyncedSession:
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CorruptArchive(f"{path}: truncated session archive")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != _SESSION_MAGIC:
-        raise CorruptArchive(f"{path}: not a session archive")
-    if take(1)[0] != _SESSION_VERSION:
-        raise CorruptArchive(f"{path}: unsupported session archive version")
-    (name_len,) = struct.unpack("<H", take(2))
-    try:
-        name = take(name_len).decode("utf-8")
-    except UnicodeDecodeError:
-        raise CorruptArchive(f"{path}: session name is not UTF-8") from None
-    start, rate, length = struct.unpack("<qdI", take(20))
+    reader = Reader(path, CorruptArchive, "session archive")
+    if reader.take(4) != _SESSION_MAGIC:
+        raise reader.error("not a session archive")
+    if reader.take(1)[0] != _SESSION_VERSION:
+        raise reader.error("unsupported session archive version")
+    (name_len,) = reader.unpack("<H")
+    name = reader.utf8(name_len, "session name")
+    start, rate, length = reader.unpack("<qdI")
     if rate != TARGET_RATE_HZ:
-        raise CorruptArchive(f"{path}: sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
-    raw = take(length * 4 * 3 * 8)
-    if pos != len(data):
-        raise CorruptArchive(f"{path}: trailing bytes")
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(length, 4, 3)
+        raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
+    raw = reader.take(length * 4 * 3 * 8)
+    reader.finish()
+    # a read-only view of the file's bytes, as the session's data must be
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(length, 4, 3)
     if not np.isfinite(values).all():
-        raise CorruptArchive(f"{path}: non-finite sample values")
+        raise reader.error("non-finite sample values")
     channels = tuple(
-        SensorChannel(kind, mount, start, values[:, i, :].copy())
+        SensorChannel(kind, mount, start, values[:, i, :])
         for i, (mount, kind) in enumerate(CHANNEL_ORDER)
     )
     return SyncedSession(channels, length, start, name, values)
@@ -393,8 +382,6 @@ _ROLE_TO_CHANNEL = {
 
 def parse_session_manifest(text) -> dict:
     """Parse key=value manifest text: a session name plus four CSV paths."""
-    if hasattr(text, "read"):
-        text = text.read()
     entries = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

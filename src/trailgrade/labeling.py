@@ -51,8 +51,6 @@ def parse_osm_difficulties(xml_text) -> dict:
 
     Ways without the grade tag are omitted; values are kept verbatim.
     """
-    if hasattr(xml_text, "read"):
-        xml_text = xml_text.read()
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -167,8 +165,6 @@ def read_label_track_csv(text) -> LabelTrack:
 
 def read_overrides_csv(text):
     """Parse `start_ms,end_ms,label` CSV into a list of interval tuples."""
-    if hasattr(text, "read"):
-        text = text.read()
     lines = text.split("\n")
     if not lines or lines[0].rstrip("\r").strip() != TRACK_CSV_HEADER:
         raise MalformedLine(1, f"expected header {TRACK_CSV_HEADER!r}")

@@ -8,10 +8,9 @@ from .model import (
     ModelParams,
     backward,
     build_model,
-    conv_kernels,
     forward,
+    l2_penalty,
     param_shapes,
-    parameter_count,
     trainable_keys,
 )
 
@@ -26,9 +25,8 @@ __all__ = [
     "ModelParams",
     "backward",
     "build_model",
-    "conv_kernels",
     "forward",
+    "l2_penalty",
     "param_shapes",
-    "parameter_count",
     "trainable_keys",
 ]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptCheckpoint, TrailgradeError, VersionMismatch
+from ..framing import Reader
 from .model import ModelConfig, ModelParams, param_shapes
 
 _MAGIC = b"TGM1"
@@ -66,24 +67,13 @@ def load_checkpoint(path):
     an invalid configuration, a non-finite tensor value or a structurally
     invalid body raise CorruptCheckpoint.
     """
-    data = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CorruptCheckpoint(f"{path}: truncated checkpoint")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if len(data) < 5 or data[:4] != _MAGIC:
+    reader = Reader(path, CorruptCheckpoint, "checkpoint")
+    if len(reader.data) < 5 or reader.take(4) != _MAGIC:
         raise VersionMismatch(f"{path}: not a model checkpoint (bad magic)")
-    pos = 4
-    if take(1)[0] != _VERSION:
+    if reader.take(1)[0] != _VERSION:
         raise VersionMismatch(f"{path}: unsupported checkpoint version")
-    ints = struct.unpack("<7I", take(28))
-    floats = struct.unpack("<4d", take(32))
+    ints = reader.unpack("<7I")
+    floats = reader.unpack("<4d")
     try:
         config = ModelConfig(
             window_points=ints[0],
@@ -97,27 +87,26 @@ def load_checkpoint(path):
             bn_epsilon=floats[3],
         )
     except (TrailgradeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"{path}: invalid configuration ({exc})") from None
+        raise reader.error(f"invalid configuration ({exc})") from None
 
     expected = param_shapes(config)
-    (count,) = struct.unpack("<H", take(2))
+    (count,) = reader.unpack("<H")
     if count != len(expected):
-        raise CorruptCheckpoint(f"{path}: expected {len(expected)} tensors, file says {count}")
+        raise reader.error(f"expected {len(expected)} tensors, file says {count}")
     tensors = {}
     for name in expected:
-        (name_len,) = struct.unpack("<H", take(2))
-        stored = take(name_len).decode("utf-8", errors="replace")
+        (name_len,) = reader.unpack("<H")
+        stored = reader.utf8(name_len, "tensor name")
         if stored != name:
-            raise CorruptCheckpoint(f"{path}: tensor {stored!r} where {name!r} was expected")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            raise reader.error(f"tensor {stored!r} where {name!r} was expected")
+        (ndim,) = reader.unpack("<B")
+        shape = reader.unpack(f"<{ndim}I")
         if shape != expected[name]:
-            raise CorruptCheckpoint(f"{path}: {name} has shape {shape}, expected {expected[name]}")
+            raise reader.error(f"{name} has shape {shape}, expected {expected[name]}")
         size = int(np.prod(shape)) if shape else 1
-        raw = take(4 * size)
+        raw = reader.take(4 * size)
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if not np.isfinite(tensors[name]).all():
-            raise CorruptCheckpoint(f"{path}: {name} holds non-finite values")
-    if pos != len(data):
-        raise CorruptCheckpoint(f"{path}: trailing bytes")
+            raise reader.error(f"{name} holds non-finite values")
+    reader.finish()
     return ModelParams(config, tensors), config

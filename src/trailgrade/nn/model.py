@@ -89,19 +89,6 @@ def trainable_keys(config: ModelConfig):
     return [k for k in param_shapes(config) if is_trainable(k)]
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Closed-form count of every stored value (weights, biases, bn stats)."""
-    total = 0
-    cin = IN_CHANNELS
-    for cout in config.filters:
-        total += config.kernel_len * KERNEL_WIDTH * cin * cout + cout  # kernel + bias
-        total += 4 * cout  # gamma, beta, running mean, running var
-        cin = cout
-    total += config.flat_size * config.dense_units + config.dense_units
-    total += config.dense_units * config.classes + config.classes
-    return total
-
-
 @dataclass
 class ModelParams:
     """All stored tensors plus a step counter bumped by each optimizer update."""
@@ -228,6 +215,7 @@ def backward(cache: ForwardCache, labels) -> dict:
     return grads
 
 
-def conv_kernels(params: ModelParams):
-    """The three convolution kernel tensors (the L2-regularized set)."""
-    return [params.tensors[f"conv{i}/kernel"] for i in (1, 2, 3)]
+def l2_penalty(params: ModelParams) -> float:
+    """coeff * sum of squares of the three conv kernels; backward adds 2 * coeff * w."""
+    kernels = (params.tensors[f"conv{i}/kernel"] for i in (1, 2, 3))
+    return params.config.l2_coeff * sum(float(np.sum(w * w)) for w in kernels)

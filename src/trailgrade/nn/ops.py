@@ -271,10 +271,3 @@ def sparse_categorical_crossentropy(probs, labels):
     grad_logits[rows, labels] -= 1.0
     grad_logits /= b
     return loss, grad_logits
-
-
-def l2_penalty(weight_tensors, coeff):
-    """coeff * sum of squares over the given tensors; gradients are 2*coeff*w."""
-    penalty = coeff * sum(float(np.sum(w * w)) for w in weight_tensors)
-    grads = [2.0 * coeff * w for w in weight_tensors]
-    return penalty, grads

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import EmptyBatch, EmptyDataset, NumericFailure, ShapeMismatch
 from .nn.adam import adam_step, init_adam
-from .nn.model import ModelConfig, ModelParams, backward, build_model, conv_kernels, forward
-from .nn.ops import l2_penalty, sparse_categorical_crossentropy
+from .nn.model import ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
+from .nn.ops import sparse_categorical_crossentropy
 
 HISTORY_CSV_HEADER = "epoch,train_sca,test_sca,train_loss"
 
@@ -27,11 +27,10 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 1500
     patience: int = 250
-    learning_rate: float = 0.001
 
     def __post_init__(self):
-        if min(self.batch_size, self.max_epochs, self.patience) < 1 or self.learning_rate <= 0:
-            raise ValueError("batch_size, max_epochs, patience, learning_rate must be positive")
+        if min(self.batch_size, self.max_epochs, self.patience) < 1:
+            raise ValueError("batch_size, max_epochs, patience must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
 
@@ -77,17 +76,6 @@ class TrainResult:
     stopped_early: bool
 
 
-def sparse_categorical_accuracy(probs, labels) -> float:
-    """Fraction of rows whose argmax (lowest index on ties) equals the label."""
-    probs = np.asarray(probs)
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise EmptyBatch("need at least one prediction row")
-    if labels.shape != (probs.shape[0],):
-        raise ShapeMismatch(f"labels {labels.shape} do not match batch of {probs.shape[0]}")
-    return float(np.mean(probs.argmax(axis=1) == labels))
-
-
 def confusion_matrix(probs, labels, classes: int = 3) -> ConfusionMatrix:
     probs = np.asarray(probs)
     labels = np.asarray(labels)
@@ -102,6 +90,9 @@ def confusion_matrix(probs, labels, classes: int = 3) -> ConfusionMatrix:
 
 def _stack(samples):
     data = np.stack([s.data for s in samples])
+    # argmax of a NaN row is 0, so a non-finite window would be scored, not rejected
+    if not np.isfinite(data).all():
+        raise NumericFailure("non-finite sample data")
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return data, labels
 
@@ -156,13 +147,12 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             labels = train_labels[idx]
             probs, cache = forward(params, train_data[idx], train=True, rng=rng)
             ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
-            penalty, _ = l2_penalty(conv_kernels(params), model_config.l2_coeff)
-            loss = ce_loss + penalty
+            loss = ce_loss + l2_penalty(params)
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
             hits += int(np.count_nonzero(probs.argmax(axis=1) == labels))
             grads = backward(cache, labels)
-            adam_step(params, grads, state, lr=train_config.learning_rate)
+            adam_step(params, grads, state)
             loss_sum += loss * len(idx)
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
@@ -183,14 +173,3 @@ def history_to_csv(history) -> str:
     for r in history:
         rows.append(f"{r.epoch},{r.train_sca!r},{r.test_sca!r},{r.train_loss!r}")
     return "\n".join(rows) + "\n"
-
-
-def history_from_csv(text):
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or lines[0].strip() != HISTORY_CSV_HEADER:
-        raise ValueError(f"expected header {HISTORY_CSV_HEADER!r}")
-    out = []
-    for line in lines[1:]:
-        epoch, train_sca, test_sca, train_loss = line.split(",")
-        out.append(EpochRecord(int(epoch), float(train_sca), float(test_sca), float(train_loss)))
-    return out

@@ -2,12 +2,13 @@
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 linear scans, finite differences) and shares no code with the package apart
-from its exception types.
+from its exception types and the record types the history CSV holds.
 """
 
 import numpy as np
 
-from trailgrade.errors import EmptyLog, MalformedLine
+from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
+from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
 
 
 def conv2d_bruteforce(x, kernels, bias):
@@ -135,6 +136,42 @@ def accuracy_loop(probs, labels):
         if best == label:
             correct += 1
     return correct / len(labels)
+
+
+def sparse_categorical_accuracy(probs, labels) -> float:
+    """Fraction of rows whose argmax (lowest index on ties) equals the label."""
+    probs = np.asarray(probs)
+    labels = np.asarray(labels)
+    if probs.ndim != 2 or probs.shape[0] == 0:
+        raise EmptyBatch("need at least one prediction row")
+    if labels.shape != (probs.shape[0],):
+        raise ShapeMismatch(f"labels {labels.shape} do not match batch of {probs.shape[0]}")
+    return float(np.mean(probs.argmax(axis=1) == labels))
+
+
+def history_from_csv(text):
+    """EpochRecords back from the text ``history_to_csv`` writes."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines or lines[0].strip() != HISTORY_CSV_HEADER:
+        raise ValueError(f"expected header {HISTORY_CSV_HEADER!r}")
+    out = []
+    for line in lines[1:]:
+        epoch, train_sca, test_sca, train_loss = line.split(",")
+        out.append(EpochRecord(int(epoch), float(train_sca), float(test_sca), float(train_loss)))
+    return out
+
+
+def parameter_count(config) -> int:
+    """Closed-form count of every stored value (weights, biases, bn stats)."""
+    total = 0
+    cin = 3  # x, y, z
+    for cout in config.filters:
+        total += config.kernel_len * 2 * cin * cout + cout  # (m, 2) kernel + bias
+        total += 4 * cout  # gamma, beta, running mean, running var
+        cin = cout
+    total += config.flat_size * config.dense_units + config.dense_units
+    total += config.dense_units * config.classes + config.classes
+    return total
 
 
 def parse_sensor_csv_lines(text):

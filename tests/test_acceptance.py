@@ -15,7 +15,9 @@ from oracles import (
     accuracy_loop,
     conv2d_bruteforce,
     finite_difference_gradient,
+    history_from_csv,
     max_relative_error,
+    sparse_categorical_accuracy,
     window_start_count,
 )
 from trailgrade import cli
@@ -38,19 +40,13 @@ from trailgrade.nn import (
     build_model,
     backward,
     forward,
+    l2_penalty,
     load_checkpoint,
     save_checkpoint,
     trainable_keys,
 )
-from trailgrade.nn.ops import l2_penalty, sparse_categorical_crossentropy
-from trailgrade.nn.model import conv_kernels
-from trailgrade.training import (
-    TrainConfig,
-    confusion_matrix,
-    history_from_csv,
-    sparse_categorical_accuracy,
-    train,
-)
+from trailgrade.nn.ops import sparse_categorical_crossentropy
+from trailgrade.training import TrainConfig, confusion_matrix, train
 
 
 TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, dropout_rate=0.0)
@@ -149,15 +145,11 @@ def test_criterion_1_gradient_fidelity():
         _, grad_logits = ops.sparse_categorical_crossentropy(ops.softmax(logits), labels)
         assert max_relative_error(grad_logits, finite_difference_gradient(ce_loss, logits)) < layer_tol
 
-        # l2 penalty
-        wl2 = rng.normal(size=(2, 3))
-
-        def l2_loss():
-            value, _ = ops.l2_penalty([wl2], 0.01)
-            return value
-
-        _, l2_grads = ops.l2_penalty([wl2], 0.01)
-        assert max_relative_error(l2_grads[0], finite_difference_gradient(l2_loss, wl2)) < layer_tol
+        # l2 penalty over the conv kernels, whose gradient backward adds
+        l2_params = build_model(TINY, rng)
+        wl2 = l2_params.tensors["conv1/kernel"]
+        l2_fd = finite_difference_gradient(lambda: l2_penalty(l2_params), wl2)
+        assert max_relative_error(2.0 * TINY.l2_coeff * wl2, l2_fd) < layer_tol
 
     # full tiny network: n=8, m=3, dropout off, train-mode batchnorm, CE + L2
     for seed in range(seeds):
@@ -169,8 +161,7 @@ def test_criterion_1_gradient_fidelity():
         def full_loss():
             probs, _ = forward(params, batch, train=True)
             ce, _ = sparse_categorical_crossentropy(probs, labels)
-            penalty, _ = l2_penalty(conv_kernels(params), TINY.l2_coeff)
-            return ce + penalty
+            return ce + l2_penalty(params)
 
         _, cache = forward(params, batch, train=True)
         grads = backward(cache, labels)

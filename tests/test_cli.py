@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import write_ride
+from oracles import history_from_csv
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import read_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
-from trailgrade.training import history_from_csv
 
 
 def run(*argv):

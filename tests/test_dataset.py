@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,7 +139,21 @@ class TestStackSample:
         session = make_session(40)
         sample = stack_sample(session, 8, 16, 0)
         assert np.array_equal(sample.data, session.data[8:24])
-        assert sample.data.base is None  # an independent copy, not a view
+        assert sample.data.base is session.data  # a read-only view of session.data
+
+    @pytest.mark.parametrize("pickled", [False, True])
+    def test_windows_share_the_session_and_cannot_write_it(self, pickled):
+        session = make_session(40)
+        if pickled:  # as a grid worker receives it
+            session = pickle.loads(pickle.dumps(session))
+        windows = slice_windows(session, full_track(session), WindowConfig(640))
+        assert len(windows) == 7
+        for window in windows:
+            assert np.shares_memory(window.data, session.data)
+            with pytest.raises(ValueError):
+                window.data[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            session.data[0, 0, 0] = 1.0
 
     def test_out_of_range(self):
         session = make_session(10)
@@ -227,11 +243,11 @@ class TestOversample:
         assert dups[4] in zeros
         assert oversample_balance(samples, seed=3) == out  # deterministic
 
-    def test_empty_class_when_requested(self):
+    def test_absent_class_stays_absent(self):
         samples = make_samples([0, 0, 1])
         with pytest.raises(EmptyClass):
-            oversample_balance(samples, seed=0, classes=(0, 1, 2))
-        # without the explicit class set, present classes are balanced
+            oversample_balance([], seed=0)
+        # only the present classes are balanced
         out = oversample_balance(samples, seed=0)
         assert class_histogram(out) == {0: 2, 1: 2, 2: 0}
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import history_from_csv
 from trailgrade.dataset import WindowConfig, slice_windows
 from trailgrade.errors import EmptyHistory, InvalidSpec, NoUsableSessions
 from trailgrade.experiments import (
@@ -23,7 +24,7 @@ from trailgrade.experiments import (
     run_grid,
     skipped_cells,
 )
-from trailgrade.training import EpochRecord, TrainConfig, history_from_csv
+from trailgrade.training import EpochRecord, TrainConfig
 
 
 class TestSkipRule:

@@ -1,4 +1,9 @@
-"""Truncated or altered binary files load or raise a TrailgradeError, nothing else."""
+"""Truncated or altered binary files load or raise their format's error, nothing else.
+
+Both archives raise CorruptArchive. A checkpoint raises VersionMismatch when its
+first five bytes (magic and version) are not those of a valid file, and
+CorruptCheckpoint for anything else.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_session
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
-from trailgrade.errors import TrailgradeError
+from trailgrade.errors import CorruptArchive, CorruptCheckpoint, TrailgradeError, VersionMismatch
 from trailgrade.ingest import read_session_archive, write_session_archive
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.nn.model import ModelConfig, build_model
@@ -49,26 +54,33 @@ def originals(tmp_path_factory):
     return out
 
 
-def _loads_or_raises_typed(read, path, data):
+def _expected_error(name, original, data):
+    if name != "TGM1":
+        return CorruptArchive
+    return VersionMismatch if data[:5] != original[:5] else CorruptCheckpoint
+
+
+def _loads_or_raises_typed(name, originals, data):
+    original, path = originals[name]
     path.write_bytes(data)
     try:
-        read(path)
-    except TrailgradeError:
-        pass
+        FORMATS[name][1](path)
+    except TrailgradeError as exc:
+        assert type(exc) is _expected_error(name, original, data), repr(exc)
 
 
 @pytest.mark.parametrize("name", FORMATS)
 def test_every_truncation(originals, name):
-    data, path = originals[name]
+    data, _ = originals[name]
     for n in range(len(data)):
-        _loads_or_raises_typed(FORMATS[name][1], path, data[:n])
+        _loads_or_raises_typed(name, originals, data[:n])
 
 
 @pytest.mark.parametrize("name", FORMATS)
 @settings(max_examples=300, deadline=None)
 @given(draw=st.data())
 def test_any_single_byte_change(originals, name, draw):
-    data, path = originals[name]
+    data, _ = originals[name]
     changed = bytearray(data)
     changed[draw.draw(st.integers(0, len(data) - 1))] = draw.draw(st.integers(0, 255))
-    _loads_or_raises_typed(FORMATS[name][1], path, bytes(changed))
+    _loads_or_raises_typed(name, originals, bytes(changed))

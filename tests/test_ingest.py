@@ -307,6 +307,43 @@ class TestParseMatchesLineLoop:
         assert_matches_line_loop("timestamp_ms,x,y,z\n" + body)
 
 
+#: Characters a CSV body is drawn from: the valid ones, plus separators,
+#: whitespace and controls the parsers treat differently.
+_CSV_CHARS = "0123456789,.-+eEinfax_# \t\r\n\"\x00\x1c\x85\xa0\u2028\u0663\U0002c6ca"
+
+
+def _manifest_texts():
+    line = st.tuples(
+        st.sampled_from(("name", *RIDE_ROLES, "# note", "", "other")),
+        st.sampled_from(("=", " = ", "", "==")),
+        st.text(max_size=6),
+    )
+    return st.lists(line, max_size=8).map(lambda rows: "\n".join(k + sep + v for k, sep, v in rows))
+
+
+class TestAnyTextParsesOrRaisesTyped:
+    """Whatever the text, the parsers return a value or raise a TrailgradeError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(_CSV_CHARS).map(lambda body: ingest.CSV_HEADER + "\n" + body)))
+    def test_sensor_csv(self, text):
+        try:
+            log = parse_sensor_csv(text, ACC, Mount.FRAME)
+        except TrailgradeError:
+            return
+        assert log.timestamps.size == log.values.shape[0] > 0
+        assert np.isfinite(log.values).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _manifest_texts()))
+    def test_manifest(self, text):
+        try:
+            entries = parse_session_manifest(text)
+        except TrailgradeError:
+            return
+        assert {"name", *RIDE_ROLES} <= set(entries)
+
+
 class TestSynchronize:
     def test_rebase_to_latest_start(self):
         logs = [

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradient, max_relative_error
+from oracles import finite_difference_gradient, max_relative_error, parameter_count
 from trailgrade.errors import (
     CorruptCheckpoint,
     KernelTooLong,
@@ -15,16 +17,15 @@ from trailgrade.nn import (
     adam_step,
     backward,
     build_model,
-    conv_kernels,
     forward,
     init_adam,
+    l2_penalty,
     load_checkpoint,
     param_shapes,
-    parameter_count,
     save_checkpoint,
     trainable_keys,
 )
-from trailgrade.nn.ops import l2_penalty, sparse_categorical_crossentropy
+from trailgrade.nn.ops import sparse_categorical_crossentropy
 
 TINY = ModelConfig(
     window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, dropout_rate=0.0
@@ -35,8 +36,7 @@ def tiny_loss(params, batch, labels):
     """Full training loss: cross-entropy plus the conv-kernel L2 penalty."""
     probs, _ = forward(params, batch, train=True)
     ce, _ = sparse_categorical_crossentropy(probs, labels)
-    penalty, _ = l2_penalty(conv_kernels(params), params.config.l2_coeff)
-    return ce + penalty
+    return ce + l2_penalty(params)
 
 
 class TestModelConfig:
@@ -159,6 +159,27 @@ class TestFullNetworkGradients:
         adam_step(params, grads, init_adam(params))
         with pytest.raises(StaleCache):
             backward(cache, labels)
+
+
+class TestL2Penalty:
+    def test_zero_coeff(self, rng):
+        params = build_model(replace(TINY, l2_coeff=0.0), rng)
+        assert l2_penalty(params) == 0.0
+
+    def test_single_weight_arithmetic(self, rng):
+        params = build_model(TINY, rng)
+        for i in (1, 2, 3):
+            params.tensors[f"conv{i}/kernel"][...] = 0.0
+        params.tensors["conv2/kernel"][0, 0, 0, 0] = 3.0
+        assert l2_penalty(params) == pytest.approx(0.09)
+
+    def test_finite_differences(self, rng):
+        # the gradient backward adds to each kernel's is that of l2_penalty
+        params = build_model(replace(TINY, l2_coeff=0.05), rng)
+        for i in (1, 2, 3):
+            w = params.tensors[f"conv{i}/kernel"]
+            fd = finite_difference_gradient(lambda: l2_penalty(params), w)
+            assert max_relative_error(2.0 * 0.05 * w, fd) < 1e-4
 
 
 class TestAdam:

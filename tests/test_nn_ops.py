@@ -485,27 +485,3 @@ class TestCrossEntropy:
         probs = ops.softmax(logits)
         _, grad_logits = ops.sparse_categorical_crossentropy(probs, labels)
         assert max_relative_error(grad_logits, finite_difference_gradient(loss, logits)) < FD_TOL
-
-
-class TestL2Penalty:
-    def test_zero_coeff(self, rng):
-        penalty, grads = ops.l2_penalty([rng.normal(size=(3, 3))], 0.0)
-        assert penalty == 0.0
-        assert not grads[0].any()
-
-    def test_single_weight_arithmetic(self):
-        penalty, grads = ops.l2_penalty([np.array([3.0])], 0.01)
-        assert penalty == pytest.approx(0.09)
-        assert grads[0].item() == pytest.approx(0.06)
-
-    def test_finite_differences(self, rng):
-        w1 = rng.normal(size=(2, 3))
-        w2 = rng.normal(size=(4,))
-
-        def loss():
-            penalty, _ = ops.l2_penalty([w1, w2], 0.05)
-            return penalty
-
-        _, grads = ops.l2_penalty([w1, w2], 0.05)
-        assert max_relative_error(grads[0], finite_difference_gradient(loss, w1)) < FD_TOL
-        assert max_relative_error(grads[1], finite_difference_gradient(loss, w2)) < FD_TOL

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import accuracy_loop
+from oracles import accuracy_loop, history_from_csv, sparse_categorical_accuracy
 from trailgrade.dataset import WindowSample
 from trailgrade.errors import (
     EmptyBatch,
@@ -11,16 +11,14 @@ from trailgrade.errors import (
 )
 from trailgrade.nn import ModelConfig, build_model
 from trailgrade.nn.adam import adam_step, init_adam
-from trailgrade.nn.model import backward, conv_kernels, forward
-from trailgrade.nn.ops import l2_penalty, sparse_categorical_crossentropy
+from trailgrade.nn.model import backward, forward, l2_penalty
+from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import (
     ConfusionMatrix,
     TrainConfig,
     confusion_matrix,
     evaluate,
-    history_from_csv,
     history_to_csv,
-    sparse_categorical_accuracy,
     train,
 )
 
@@ -213,10 +211,10 @@ def rescoring_train(train_samples, test_samples, model_config, train_config):
             idx = perm[lo : lo + batch]
             probs, cache = forward(params, train_data[idx], train=True, rng=rng)
             ce_loss, _ = sparse_categorical_crossentropy(probs, train_labels[idx])
-            penalty, _ = l2_penalty(conv_kernels(params), model_config.l2_coeff)
+            penalty = l2_penalty(params)
             for row, label in zip(probs, train_labels[idx]):
                 hits += int(np.argmax(row) == label)
-            adam_step(params, backward(cache, train_labels[idx]), state, lr=train_config.learning_rate)
+            adam_step(params, backward(cache, train_labels[idx]), state)
             loss_sum += (ce_loss + penalty) * len(idx)
         rescored, _ = score(params, train_data, train_labels)
         test_sca, _ = score(params, test_data, test_labels)
@@ -280,6 +278,16 @@ class TestEvaluate:
     def test_empty(self, rng):
         with pytest.raises(EmptyDataset):
             evaluate(build_model(TINY, rng), [])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample(self, rng, value):
+        # argmax of a NaN row is 0, which would score this window as a hit
+        samples = separable_samples(2, seed=18)
+        samples[0].data[3, 1, 2] = value
+        with pytest.raises(NumericFailure):
+            evaluate(build_model(TINY, rng), samples)
+        with pytest.raises(NumericFailure):
+            train(separable_samples(2), samples, TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
 
 
 class TestHistoryCsv:
