@@ -219,18 +219,20 @@ def read_sample_archive(path):
     count, w = reader.unpack("<II")
     if count and not w:
         raise reader.error(f"{count} samples of 0 points")
-    records, payloads = [], []
-    for _ in range(count):
+    # a record holds at least 11 header bytes and its payload; check before allocating
+    if count * (11 + w * 48) > len(reader.data) - reader.pos:
+        raise reader.error("truncated sample archive")
+    tensors = np.empty((count, w, 4, 3))
+    records = []
+    for i in range(count):
         label, name_len = reader.unpack("<BH")
         if label not in LABELS:
             raise reader.error(f"label {label} is not one of {LABELS}")
         name = reader.utf8(name_len, "sample name")
         (start_ms,) = reader.unpack("<q")
         records.append((int(label), (name, start_ms)))
-        payloads.append(reader.take(w * 4 * 3 * 4))
+        tensors[i] = np.frombuffer(reader.take(w * 48), dtype="<f4").reshape(w, 4, 3)
     reader.finish()
-    raw = np.frombuffer(b"".join(payloads), dtype="<f4")
-    tensors = raw.astype(np.float64).reshape(count, w, 4, 3)
     if not np.isfinite(tensors).all():
         raise reader.error("non-finite sample values")
     return [WindowSample(t, label, origin) for t, (label, origin) in zip(tensors, records)]

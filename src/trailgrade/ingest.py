@@ -77,10 +77,6 @@ class RawSensorLog:
         if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
             raise NonMonotonicTimestamp("timestamps must be strictly increasing")
 
-    @property
-    def span_ms(self) -> int:
-        return int(self.timestamps[-1] - self.timestamps[0])
-
 
 @dataclass
 class SensorChannel:
@@ -103,16 +99,14 @@ class SensorChannel:
 
 @dataclass
 class SyncedSession:
-    """Four channels on one grid, truncated to their common length.
+    """One recording on the lattice: sample i sits at start_time_ms + i * PERIOD_MS.
 
-    ``data`` stacks the channels as (length_points, 4, 3) with rows in
+    ``data`` stacks the four channels as (length_points, 4, 3) with rows in
     CHANNEL_ORDER. It is read-only: every window sample is a view of it.
     """
 
-    channels: tuple
-    length_points: int
-    start_time_ms: int
     name: str
+    start_time_ms: int
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -123,6 +117,21 @@ class SyncedSession:
         # arrays writable again
         self.__dict__.update(state)
         self.data.flags.writeable = False
+
+    @property
+    def length_points(self) -> int:
+        return len(self.data)
+
+    @property
+    def channels(self) -> tuple:
+        """Read-only SensorChannel views ``data[:, i]``, one per CHANNEL_ORDER row.
+
+        Kept only for ``bench/tracing.py::_session_attrs``; delete once it reads ``data``.
+        """
+        return tuple(
+            SensorChannel(kind, mount, self.start_time_ms, self.data[:, i])
+            for i, (mount, kind) in enumerate(CHANNEL_ORDER)
+        )
 
 
 def _infer_rate_hz(timestamps: np.ndarray) -> float:
@@ -302,9 +311,7 @@ def align_channel_starts(channels):
         if shift == 0:
             out.append(ch)
         else:
-            out.append(
-                SensorChannel(ch.sensor_kind, ch.mount, latest, ch.values[shift:].copy())
-            )
+            out.append(SensorChannel(ch.sensor_kind, ch.mount, latest, ch.values[shift:]))
     return out
 
 
@@ -324,7 +331,7 @@ def build_session(channels, name: str = "") -> SyncedSession:
         raise MismatchedStart(f"channel start times differ: {sorted(starts)}")
     length = min(ch.length for ch in ordered)
     data = np.stack([ch.values[:length] for ch in ordered], axis=1)
-    return SyncedSession(tuple(ordered), length, ordered[0].start_time_ms, name, data)
+    return SyncedSession(name, ordered[0].start_time_ms, data)
 
 
 # --- session archive (binary interchange between `ingest` and `window`) -----
@@ -355,29 +362,20 @@ def read_session_archive(path) -> SyncedSession:
     start, rate, length = reader.unpack("<qdI")
     if rate != TARGET_RATE_HZ:
         raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
+    if not length:
+        raise reader.error("session has no points")
     raw = reader.take(length * 4 * 3 * 8)
     reader.finish()
-    # a read-only view of the file's bytes, as the session's data must be
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(length, 4, 3)
     if not np.isfinite(values).all():
         raise reader.error("non-finite sample values")
-    channels = tuple(
-        SensorChannel(kind, mount, start, values[:, i, :])
-        for i, (mount, kind) in enumerate(CHANNEL_ORDER)
-    )
-    return SyncedSession(channels, length, start, name, values)
+    return SyncedSession(name, start, values)
 
 
 # --- session manifest --------------------------------------------------------
 
+#: One manifest key per channel, in CHANNEL_ORDER.
 _MANIFEST_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
-
-_ROLE_TO_CHANNEL = {
-    "frame_accel": (Mount.FRAME, SensorKind.ACCELEROMETER),
-    "frame_gyro": (Mount.FRAME, SensorKind.GYROSCOPE),
-    "helmet_accel": (Mount.HELMET, SensorKind.ACCELEROMETER),
-    "helmet_gyro": (Mount.HELMET, SensorKind.GYROSCOPE),
-}
 
 
 def parse_session_manifest(text) -> dict:
@@ -422,8 +420,7 @@ def load_session(manifest_path) -> SyncedSession:
     text = read_utf8(manifest_path, lambda n, why: MalformedManifest(f"line {n}: {why}"))
     entries = parse_session_manifest(text)
     logs = []
-    for role in _MANIFEST_ROLES:
-        mount, kind = _ROLE_TO_CHANNEL[role]
+    for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
         csv_text = read_utf8(manifest_path.parent / entries[role], MalformedLine)
         logs.append(parse_sensor_csv(csv_text, kind, mount))
     channels = [resample_linear(log) for log in synchronize(logs)]

@@ -166,11 +166,11 @@ def read_label_track_csv(text) -> LabelTrack:
 def read_overrides_csv(text):
     """Parse `start_ms,end_ms,label` CSV into a list of interval tuples."""
     lines = text.split("\n")
-    if not lines or lines[0].rstrip("\r").strip() != TRACK_CSV_HEADER:
+    if not lines or lines[0].strip() != TRACK_CSV_HEADER:
         raise MalformedLine(1, f"expected header {TRACK_CSV_HEADER!r}")
     out = []
     for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line:
             continue
         parts = line.split(",")

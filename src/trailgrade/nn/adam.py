@@ -7,15 +7,16 @@ import numpy as np
 from ..errors import ShapeMismatch
 from .model import ModelParams, is_trainable
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -34,8 +35,8 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 0.
     so stale forward caches can be detected.
     """
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for key, g in grads.items():
         if key not in state.m:
             raise ShapeMismatch(f"gradient for unknown parameter {key!r}")
@@ -46,16 +47,16 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 0.
         m, v = state.m[key], state.v[key]
         # every product and quotient below is the one the textbook formula
         # makes, in its order; only the temporaries are reused
-        scratch = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
-        v *= state.beta2
+        scratch *= 1.0 - BETA2
+        v *= BETA2
         v += scratch
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.epsilon
+        scratch += EPSILON
         step = m / bc1
         step *= lr
         step /= scratch

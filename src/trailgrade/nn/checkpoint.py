@@ -19,7 +19,6 @@ from .model import ModelConfig, ModelParams, param_shapes
 _MAGIC = b"TGM1"
 _VERSION = 1
 
-_CONFIG_FIELDS_INT = ("window_points", "kernel_len", "dense_units", "classes")
 _CONFIG_FIELDS_FLOAT = ("dropout_rate", "l2_coeff", "bn_momentum", "bn_epsilon")
 
 

@@ -1,4 +1,6 @@
 import pickle
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +351,35 @@ class TestSampleArchive:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptArchive, match="UTF-8"):
             read_sample_archive(path)
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        # the file's bytes, the float64 result and the non-finite check's bool
+        # mask; a second copy of the float32 payload would pass 1.25
+        samples = make_samples([0, 1, 2] * 100, window_points=125, seed=4)
+        path = tmp_path / "a.tgds"
+        write_sample_archive(samples, path)
+        result_bytes = len(samples) * 125 * 4 * 3 * 8
+        tracemalloc.start()
+        try:
+            loaded = read_sample_archive(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 300
+        assert peak <= 1.25 * (path.stat().st_size + result_bytes)
+
+    def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.tgds"
+        header = b"TGDS\x01" + struct.pack("<II", 2**31, 2**20)
+        path.write_bytes(header + struct.pack("<BH", 0, 1) + b"s" + struct.pack("<q", 0) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptArchive, match="truncated"):
+                read_sample_archive(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_mixed_window_sizes_rejected(self, tmp_path):
         mixed = make_samples([0], window_points=4) + make_samples([1], window_points=8)

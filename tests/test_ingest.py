@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
+import struct
+
 import numpy as np
 import pytest
-from conftest import RIDE_ROLES, write_ride
+from conftest import RIDE_ROLES, make_session, write_ride
 from oracles import parse_sensor_csv_lines
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,7 +67,7 @@ class TestParseSensorCsv:
     def test_two_samples(self):
         log = parse_sensor_csv("timestamp_ms,x,y,z\n0,0.0,1.0,-0.5\n80,0.2,1.0,-0.4", ACC, Mount.FRAME)
         assert log.timestamps.tolist() == [0, 80]
-        assert log.span_ms == 80
+        assert log.timestamps[-1] - log.timestamps[0] == 80
         assert log.values[1].tolist() == [0.2, 1.0, -0.4]
 
     def test_equal_timestamps_rejected(self):
@@ -79,7 +83,7 @@ class TestParseSensorCsv:
         lines = ["timestamp_ms,x,y,z"] + [f"{i * 80},{i * 0.1},0.0,0.0" for i in range(101)]
         log = parse_sensor_csv("\n".join(lines), ACC, Mount.FRAME)
         assert log.timestamps.size == 101
-        assert log.span_ms == 8000
+        assert log.timestamps[-1] - log.timestamps[0] == 8000
         assert log.nominal_rate_hz == pytest.approx(12.5)
 
     def test_crlf_accepted(self):
@@ -488,6 +492,31 @@ class TestBuildSession:
         assert session.length_points == 500
 
 
+class TestSessionHoldsOneCopy:
+    def test_fields_are_name_start_and_data(self):
+        fields = [f.name for f in dataclasses.fields(ingest.SyncedSession)]
+        assert fields == ["name", "start_time_ms", "data"]
+
+    def test_length_and_channels_derive_from_data(self):
+        session = make_session(40, start_ms=120)
+        assert session.length_points == len(session.data) == 40
+        for i, (channel, (mount, kind)) in enumerate(zip(session.channels, CHANNEL_ORDER)):
+            assert (channel.mount, channel.sensor_kind) == (mount, kind)
+            assert channel.start_time_ms == 120
+            assert np.shares_memory(channel.values, session.data)
+            assert np.array_equal(channel.values, session.data[:, i])
+            with pytest.raises(ValueError):
+                channel.values[0, 0] = 1.0
+
+    def test_pickles_to_little_more_than_its_data(self):
+        session = make_session(500)
+        assert len(pickle.dumps(session)) < 1.2 * session.data.nbytes
+        loaded = pickle.loads(pickle.dumps(session))
+        assert np.array_equal(loaded.data, session.data)
+        assert not loaded.data.flags.writeable
+        assert not loaded.channels[0].values.flags.writeable
+
+
 class TestAlignChannelStarts:
     def make(self, start, length, kind=ACC, mount=Mount.FRAME):
         from trailgrade.ingest import align_channel_starts  # noqa: F401
@@ -580,6 +609,14 @@ class TestSessionArchive:
         data[7] = 0xFF  # first name byte, after magic, version and name length
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptArchive, match="UTF-8"):
+            read_session_archive(path)
+
+    def test_zero_points_rejected(self, tmp_path):
+        path = tmp_path / "empty.session"
+        name = b"ride"
+        header = b"TGSS\x01" + struct.pack("<H", len(name)) + name
+        path.write_bytes(header + struct.pack("<qdI", 0, TARGET_RATE_HZ, 0))
+        with pytest.raises(CorruptArchive, match="no points"):
             read_session_archive(path)
 
     def test_bad_magic_rejected(self, tmp_path):
