@@ -33,7 +33,7 @@ for session, track in pairs:
 print(f"total {len(samples)} samples, class counts {class_histogram(samples)}")
 
 print("\n== 80/20 split, then balance only the train side ==")
-split = split_train_test(samples, train_fraction=0.8, seed=7)
+split = split_train_test(samples, seed=7)
 print(f"train {len(split.train)} {class_histogram(split.train)}")
 print(f"test  {len(split.test)} {class_histogram(split.test)}")
 

@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--session", required=True, help="session archive, or a directory of them")
     p.add_argument("--track", help="label track CSV (required for a single archive)")
     p.add_argument("--window-ms", type=int, required=True)
-    p.add_argument("--overlap", type=float, default=0.75)
+    p.add_argument("--overlap", type=float, default=dataset.WindowConfig.overlap_fraction)
     p.add_argument("--out", required=True, help="output sample archive")
     p.set_defaults(func=_cmd_window)
 
@@ -60,10 +60,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--kernel-len", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--l2", type=float, default=1e-2)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--max-epochs", type=int, default=1500)
-    p.add_argument("--patience", type=int, default=250)
+    p.add_argument("--l2", type=float, default=ModelConfig.l2_coeff)
+    p.add_argument("--batch", type=int, default=training.TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", required=True)
     p.set_defaults(func=_cmd_train)
@@ -79,8 +79,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-epochs", type=int, default=1500)
-    p.add_argument("--patience", type=int, default=250)
+    p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth", help="generate labeled synthetic sessions")
@@ -202,7 +202,7 @@ def _cmd_grid(args):
         training.TrainConfig,
         seed=args.seed,
         max_epochs=args.max_epochs,
-        patience=min(args.patience, args.max_epochs),
+        patience=args.patience,
     )
     spec = experiments.GridSpec(train_config=train_config, seed=args.seed)
     results = experiments.run_grid(pairs, spec, jobs=args.jobs)

@@ -23,6 +23,10 @@ from .framing import Reader
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
 
+#: Share of the samples that a split gives to the training side.
+TRAIN_FRACTION = 0.8
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Sliding-window geometry.
@@ -105,8 +109,8 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     return out
 
 
-def split_train_test(samples, train_fraction: float = 0.8, seed: int = 0, by_session: bool = False) -> DatasetSplit:
-    """Seeded uniform split; the first round(train_fraction * N) go to train.
+def split_train_test(samples, seed: int = 0, by_session: bool = False) -> DatasetSplit:
+    """Seeded uniform split; the first round(TRAIN_FRACTION * N) go to train.
 
     Both sides are kept non-empty. With by_session=True whole recordings are
     assigned to one side (leakage-aware mode, off by default).
@@ -114,9 +118,7 @@ def split_train_test(samples, train_fraction: float = 0.8, seed: int = 0, by_ses
     n = len(samples)
     if n < 2:
         raise TooFewSamples("need at least 2 samples to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
+    n_train = min(max(int(round(TRAIN_FRACTION * n)), 1), n - 1)
     rng = np.random.default_rng(seed)
     if not by_session:
         perm = rng.permutation(n)

@@ -158,20 +158,9 @@ def cell_seed(seed: int, window_ms: int, kernel_len: int) -> int:
     return (seed ^ (window_ms * 0x9E3779B1 + kernel_len * 0x85EBCA6B)) % 2**32
 
 
-def skipped_cells(window_ms_list, kernel_len_list):
-    """Cells where the kernel cannot fit: kernel_len > window_points."""
-    skipped = set()
-    for window_ms in window_ms_list:
-        points = WindowConfig(window_ms).window_points
-        for kernel_len in kernel_len_list:
-            if kernel_len > points:
-                skipped.add((window_ms, kernel_len))
-    return skipped
-
-
 def prepare_splits(samples, seed: int):
     """split 80/20 -> oversample the train side -> shuffle, with staged seeds."""
-    split = split_train_test(samples, 0.8, seed=seed)
+    split = split_train_test(samples, seed=seed)
     balanced = oversample_balance(split.train, seed=seed + 1)
     return shuffle(balanced, seed=seed + 2), split.test
 

@@ -11,7 +11,6 @@ from .model import (
     forward,
     l2_penalty,
     param_shapes,
-    trainable_keys,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "forward",
     "l2_penalty",
     "param_shapes",
-    "trainable_keys",
 ]

@@ -14,19 +14,26 @@ import numpy as np
 
 from ..errors import CorruptCheckpoint, TrailgradeError, VersionMismatch
 from ..framing import Reader
-from .model import ModelConfig, ModelParams, param_shapes
+from .model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig, ModelParams, param_shapes
 
 _MAGIC = b"TGM1"
 _VERSION = 1
 
-_CONFIG_FIELDS_FLOAT = ("dropout_rate", "l2_coeff", "bn_momentum", "bn_epsilon")
+#: The fixed network settings the layout still stores, checked on load.
+_FIXED = {
+    "classes": CLASSES,
+    "dropout_rate": DROPOUT_RATE,
+    "bn_momentum": BN_MOMENTUM,
+    "bn_epsilon": BN_EPSILON,
+}
 
 
 def _config_text(config: ModelConfig) -> str:
     lines = [f"window_points = {config.window_points}", f"kernel_len = {config.kernel_len}"]
     lines.append(f"filters = {config.filters[0]},{config.filters[1]},{config.filters[2]}")
-    lines += [f"{name} = {getattr(config, name)}" for name in ("dense_units", "classes")]
-    lines += [f"{name} = {getattr(config, name)!r}" for name in _CONFIG_FIELDS_FLOAT]
+    lines += [f"dense_units = {config.dense_units}", f"classes = {CLASSES}"]
+    lines += [f"dropout_rate = {DROPOUT_RATE!r}", f"l2_coeff = {config.l2_coeff!r}"]
+    lines += [f"bn_momentum = {BN_MOMENTUM!r}", f"bn_epsilon = {BN_EPSILON!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -42,9 +49,9 @@ def save_checkpoint(params: ModelParams, path):
         cfg.kernel_len,
         *cfg.filters,
         cfg.dense_units,
-        cfg.classes,
+        CLASSES,
     )
-    buf += struct.pack("<4d", cfg.dropout_rate, cfg.l2_coeff, cfg.bn_momentum, cfg.bn_epsilon)
+    buf += struct.pack("<4d", DROPOUT_RATE, cfg.l2_coeff, BN_MOMENTUM, BN_EPSILON)
     names = list(param_shapes(cfg))
     buf += struct.pack("<H", len(names))
     for name in names:
@@ -63,8 +70,9 @@ def load_checkpoint(path):
     """Read a checkpoint back as (params, config).
 
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
-    an invalid configuration, a non-finite tensor value or a structurally
-    invalid body raise CorruptCheckpoint.
+    an invalid configuration, a stored fixed setting (classes, dropout rate,
+    batchnorm momentum or epsilon) other than the network's, a non-finite
+    tensor value or a structurally invalid body raise CorruptCheckpoint.
     """
     reader = Reader(path, CorruptCheckpoint, "checkpoint")
     if len(reader.data) < 5 or reader.take(4) != _MAGIC:
@@ -73,17 +81,17 @@ def load_checkpoint(path):
         raise VersionMismatch(f"{path}: unsupported checkpoint version")
     ints = reader.unpack("<7I")
     floats = reader.unpack("<4d")
+    stored = dict(zip(_FIXED, (ints[6], floats[0], floats[2], floats[3])))
+    for name, value in stored.items():
+        if value != _FIXED[name]:
+            raise reader.error(f"stored {name} {value!r}, the network's is {_FIXED[name]!r}")
     try:
         config = ModelConfig(
             window_points=ints[0],
             kernel_len=ints[1],
             filters=tuple(ints[2:5]),
             dense_units=ints[5],
-            classes=ints[6],
-            dropout_rate=floats[0],
             l2_coeff=floats[1],
-            bn_momentum=floats[2],
-            bn_epsilon=floats[3],
         )
     except (TrailgradeError, ValueError) as exc:
         raise reader.error(f"invalid configuration ({exc})") from None

@@ -11,38 +11,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import labeling
 from ..errors import KernelTooLong, ShapeMismatch, StaleCache
 from . import ops
 
 IN_CHANNELS = 3
 SENSOR_ROWS = 4
 KERNEL_WIDTH = 2
+CLASSES = len(labeling.LABELS)
+DROPOUT_RATE = 0.3
+BN_MOMENTUM = 0.99
+BN_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """What a caller chooses; the paper fixes the rest (the constants above)."""
+
     window_points: int
     kernel_len: int
     filters: tuple = (4, 8, 16)
     dense_units: int = 128
-    classes: int = 3
-    dropout_rate: float = 0.3
     l2_coeff: float = 1e-2
-    bn_momentum: float = 0.99
-    bn_epsilon: float = 1e-3
 
     def __post_init__(self):
-        counts = (self.window_points, self.kernel_len, self.dense_units, self.classes, *self.filters)
+        counts = (self.window_points, self.kernel_len, self.dense_units, *self.filters)
         if any(c < 1 for c in counts) or len(self.filters) != 3:
             raise ValueError("all sizes must be positive; exactly three conv blocks")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0.0):
             raise ValueError("l2_coeff must be finite and >= 0")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must be in [0, 1]")
-        if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon > 0.0):
-            raise ValueError("bn_epsilon must be finite and > 0")
         if self.kernel_len > self.window_points:
             raise KernelTooLong(
                 f"kernel length {self.kernel_len} exceeds the {self.window_points}-point window"
@@ -74,19 +71,14 @@ def param_shapes(config: ModelConfig) -> dict:
         cin = cout
     shapes["dense1/weights"] = (config.flat_size, config.dense_units)
     shapes["dense1/bias"] = (config.dense_units,)
-    shapes["dense2/weights"] = (config.dense_units, config.classes)
-    shapes["dense2/bias"] = (config.classes,)
+    shapes["dense2/weights"] = (config.dense_units, CLASSES)
+    shapes["dense2/bias"] = (CLASSES,)
     return shapes
 
 
 def is_trainable(name: str) -> bool:
     """Everything except the batchnorm running statistics is trained."""
     return not name.endswith(("/mean", "/var"))
-
-
-def trainable_keys(config: ModelConfig):
-    """Names of the trained tensors, in canonical order."""
-    return [k for k in param_shapes(config) if is_trainable(k)]
 
 
 @dataclass
@@ -148,7 +140,7 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
     expected = (cfg.window_points, SENSOR_ROWS, IN_CHANNELS)
     if batch.ndim != 4 or batch.shape[1:] != expected:
         raise ShapeMismatch(f"expected batch of shape (B, {expected[0]}, 4, 3), got {batch.shape}")
-    if train and cfg.dropout_rate > 0.0 and rng is None:
+    if train and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
 
     t = params.tensors
@@ -162,15 +154,15 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
             t[f"bn{i}/beta"],
             t[f"bn{i}/mean"],
             t[f"bn{i}/var"],
-            momentum=cfg.bn_momentum,
-            eps=cfg.bn_epsilon,
+            momentum=BN_MOMENTUM,
+            eps=BN_EPSILON,
             train=train,
         )
         if train:
             t[f"bn{i}/mean"], t[f"bn{i}/var"] = new_mean, new_var
         x, relu_mask = ops.relu(x)
         x, pool_c = ops.maxpool_forward(x)
-        x, drop_mask = ops.dropout_forward(x, cfg.dropout_rate, rng, train=train)
+        x, drop_mask = ops.dropout_forward(x, DROPOUT_RATE, rng, train=train)
         blocks.append((conv_c, bn_c, relu_mask, pool_c, drop_mask))
 
     pre_flatten = x.shape
@@ -206,7 +198,7 @@ def backward(cache: ForwardCache, labels) -> dict:
     dx = dx.reshape(cache.pre_flatten_shape)
     for i in (3, 2, 1):
         conv_c, bn_c, relu_mask, pool_c, drop_mask = cache.block_caches[i - 1]
-        dx = ops.dropout_backward(drop_mask, dx, cfg.dropout_rate)
+        dx = ops.dropout_backward(drop_mask, dx, DROPOUT_RATE)
         dx = ops.maxpool_backward(pool_c, dx)
         dx = ops.relu_backward(relu_mask, dx)
         dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyBatch, EmptyDataset, NumericFailure, ShapeMismatch
 from .nn.adam import adam_step, init_adam
-from .nn.model import ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
+from .nn.model import CLASSES, ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
 from .nn.ops import sparse_categorical_crossentropy
 
 HISTORY_CSV_HEADER = "epoch,train_sca,test_sca,train_loss"
@@ -31,8 +31,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.max_epochs, self.patience) < 1:
             raise ValueError("batch_size, max_epochs, patience must be positive")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,14 @@ class TrainResult:
     stopped_early: bool
 
 
-def confusion_matrix(probs, labels, classes: int = 3) -> ConfusionMatrix:
+def confusion_matrix(probs, labels) -> ConfusionMatrix:
     probs = np.asarray(probs)
     labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise EmptyBatch("need at least one prediction row")
     if labels.shape != (probs.shape[0],):
         raise ShapeMismatch(f"labels {labels.shape} do not match batch of {probs.shape[0]}")
-    counts = np.zeros((classes, classes), dtype=np.int64)
+    counts = np.zeros((CLASSES, CLASSES), dtype=np.int64)
     np.add.at(counts, (labels, probs.argmax(axis=1)), 1)
     return ConfusionMatrix(counts)
 
@@ -98,23 +96,23 @@ def _stack(samples):
 
 
 def _evaluate_arrays(params, data, labels, batch_size):
-    probs = np.empty((len(data), params.config.classes))
+    probs = np.empty((len(data), CLASSES))
     for lo in range(0, len(data), batch_size):
         probs[lo : lo + batch_size] = forward(params, data[lo : lo + batch_size])[0]
-    cm = confusion_matrix(probs, labels, params.config.classes)
+    cm = confusion_matrix(probs, labels)
     return cm.accuracy, cm
 
 
-def evaluate(params: ModelParams, samples, batch_size: int = 32):
+def evaluate(params: ModelParams, samples):
     """Infer-mode (accuracy, confusion matrix) over a sample set. Pure.
 
-    The default batch size matches the training loop's evaluation batches, so
-    re-evaluating a snapshot reproduces its recorded accuracy bit for bit.
+    Batches are TrainConfig's default size, so re-evaluating a snapshot of a
+    default-batch run reproduces its recorded accuracy bit for bit.
     """
     if not samples:
         raise EmptyDataset("nothing to evaluate")
     data, labels = _stack(samples)
-    return _evaluate_arrays(params, data, labels, batch_size)
+    return _evaluate_arrays(params, data, labels, TrainConfig.batch_size)
 
 
 def train(train_samples, test_samples, model_config: ModelConfig, train_config: TrainConfig) -> TrainResult:

@@ -169,9 +169,28 @@ def parameter_count(config) -> int:
         total += config.kernel_len * 2 * cin * cout + cout  # (m, 2) kernel + bias
         total += 4 * cout  # gamma, beta, running mean, running var
         cin = cout
+    classes = 3  # easy, medium, hard
     total += config.flat_size * config.dense_units + config.dense_units
-    total += config.dense_units * config.classes + config.classes
+    total += config.dense_units * classes + classes
     return total
+
+
+def trainable_keys():
+    """Names of the trained tensors in canonical order: all but the bn running stats."""
+    keys = []
+    for i in (1, 2, 3):
+        keys += [f"conv{i}/kernel", f"conv{i}/bias", f"bn{i}/gamma", f"bn{i}/beta"]
+    return keys + ["dense1/weights", "dense1/bias", "dense2/weights", "dense2/bias"]
+
+
+def skipped_cells(window_ms_list, kernel_len_list):
+    """Grid cells whose kernel is longer than the window's 25-per-second points."""
+    skipped = set()
+    for window_ms in window_ms_list:
+        for kernel_len in kernel_len_list:
+            if kernel_len * 1000 > window_ms * 25:
+                skipped.add((window_ms, kernel_len))
+    return skipped
 
 
 def parse_sensor_csv_lines(text):

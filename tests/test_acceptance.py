@@ -18,6 +18,7 @@ from oracles import (
     history_from_csv,
     max_relative_error,
     sparse_categorical_accuracy,
+    trainable_keys,
     window_start_count,
 )
 from trailgrade import cli
@@ -43,13 +44,12 @@ from trailgrade.nn import (
     l2_penalty,
     load_checkpoint,
     save_checkpoint,
-    trainable_keys,
 )
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import TrainConfig, confusion_matrix, train
 
 
-TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, dropout_rate=0.0)
+TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)
 
 
 def test_criterion_1_gradient_fidelity():
@@ -151,7 +151,8 @@ def test_criterion_1_gradient_fidelity():
         l2_fd = finite_difference_gradient(lambda: l2_penalty(l2_params), wl2)
         assert max_relative_error(2.0 * TINY.l2_coeff * wl2, l2_fd) < layer_tol
 
-    # full tiny network: n=8, m=3, dropout off, train-mode batchnorm, CE + L2
+    # full tiny network: n=8, m=3, train-mode batchnorm, CE + L2; every pass
+    # gets a fresh rng of one seed, so every pass draws the same dropout masks
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
         params = build_model(TINY, rng)
@@ -159,13 +160,13 @@ def test_criterion_1_gradient_fidelity():
         labels = rng.integers(0, 3, size=2)
 
         def full_loss():
-            probs, _ = forward(params, batch, train=True)
+            probs, _ = forward(params, batch, train=True, rng=np.random.default_rng(99))
             ce, _ = sparse_categorical_crossentropy(probs, labels)
             return ce + l2_penalty(params)
 
-        _, cache = forward(params, batch, train=True)
+        _, cache = forward(params, batch, train=True, rng=np.random.default_rng(99))
         grads = backward(cache, labels)
-        for key in trainable_keys(TINY):
+        for key in trainable_keys():
             fd = finite_difference_gradient(full_loss, params.tensors[key])
             assert max_relative_error(grads[key], fd) < composite_tol, key
 

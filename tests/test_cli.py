@@ -11,6 +11,7 @@ from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_a
 from trailgrade.ingest import read_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
+from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig
 
 
 def run(*argv):
@@ -101,6 +102,16 @@ class TestTrainAndEval:
         params, config = load_checkpoint(model_path)
         assert config.window_points == 50
         assert config.kernel_len == 10
+
+    def test_train_needs_no_patience_below_its_default(self, samples_path, tmp_path):
+        history = tmp_path / "history.csv"
+        code = run(
+            "train", "--samples", str(samples_path), "--kernel-len", "10", "--seed", "5",
+            "--max-epochs", "2", "--out-model", str(tmp_path / "model.ckpt"),
+            "--out-history", str(history),
+        )
+        assert code == 0
+        assert [r.epoch for r in history_from_csv(history.read_text())] == [1, 2]
 
     def test_eval_writes_confusion(self, trained, samples_path, tmp_path):
         model_path, _ = trained
@@ -358,27 +369,38 @@ class TestExitCodes:
         )
         assert code == 2
 
-    #: Offsets of the stored float config fields: after magic, version and 7 ints.
-    CONFIG_FLOAT_OFFSET = {"l2_coeff": 41, "bn_momentum": 49, "bn_epsilon": 57}
+    #: Stored config fields after magic and version: offset, format, and the value
+    #: the CLI writes (the l2 default, the network's fixed settings otherwise).
+    CONFIG_SLOTS = {
+        "classes": (29, "<I", CLASSES),
+        "dropout_rate": (33, "<d", DROPOUT_RATE),
+        "l2_coeff": (41, "<d", ModelConfig.l2_coeff),
+        "bn_momentum": (49, "<d", BN_MOMENTUM),
+        "bn_epsilon": (57, "<d", BN_EPSILON),
+    }
 
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("classes", 2),
+            ("dropout_rate", 0.5),
             ("l2_coeff", -1.0),
             ("l2_coeff", np.inf),
             ("bn_momentum", 1.5),
             ("bn_momentum", np.nan),
+            ("bn_momentum", 0.9),
             ("bn_epsilon", -5.0),
             ("bn_epsilon", 0.0),
             ("bn_epsilon", np.inf),
+            ("bn_epsilon", 1e-5),
         ],
     )
     def test_data_error_bad_checkpoint_config(self, trained, samples_path, tmp_path, field, value):
         model_path, _ = trained
         data = bytearray(model_path.read_bytes())
-        offset = self.CONFIG_FLOAT_OFFSET[field]
-        assert struct.unpack_from("<d", data, offset)[0] == getattr(load_checkpoint(model_path)[1], field)
-        struct.pack_into("<d", data, offset, value)
+        offset, fmt, written = self.CONFIG_SLOTS[field]
+        assert struct.unpack_from(fmt, data, offset)[0] == written
+        struct.pack_into(fmt, data, offset, value)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(data))
         code = run(

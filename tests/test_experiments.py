@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import history_from_csv
+from oracles import history_from_csv, skipped_cells
 from trailgrade.dataset import WindowConfig, slice_windows
 from trailgrade.errors import EmptyHistory, InvalidSpec, NoUsableSessions
 from trailgrade.experiments import (
@@ -22,7 +22,6 @@ from trailgrade.experiments import (
     report_csv,
     report_table,
     run_grid,
-    skipped_cells,
 )
 from trailgrade.training import EpochRecord, TrainConfig
 
@@ -168,6 +167,11 @@ class TestRunGrid:
             (2000, 40, COMPLETED),
             (2000, 60, SKIPPED_KERNEL_TOO_LONG),
         ]
+
+    def test_skips_follow_the_oracle(self, results):
+        spec = tiny_grid_spec()
+        skipped = {(r.window_ms, r.kernel_len) for r in results if r.status == SKIPPED_KERNEL_TOO_LONG}
+        assert skipped == skipped_cells(spec.window_ms_list, spec.kernel_len_list)
 
     def test_completed_cells_carry_metrics(self, results):
         for r in results:

@@ -1,9 +1,10 @@
-from dataclasses import replace
+import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradient, max_relative_error, parameter_count
+from oracles import finite_difference_gradient, max_relative_error, parameter_count, trainable_keys
 from trailgrade.errors import (
     CorruptCheckpoint,
     KernelTooLong,
@@ -23,18 +24,20 @@ from trailgrade.nn import (
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    trainable_keys,
 )
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 
-TINY = ModelConfig(
-    window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, dropout_rate=0.0
-)
+TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)
+
+
+def masks():
+    """A fresh rng per train-mode forward, so every pass draws the same dropout masks."""
+    return np.random.default_rng(99)
 
 
 def tiny_loss(params, batch, labels):
     """Full training loss: cross-entropy plus the conv-kernel L2 penalty."""
-    probs, _ = forward(params, batch, train=True)
+    probs, _ = forward(params, batch, train=True, rng=masks())
     ce, _ = sparse_categorical_crossentropy(probs, labels)
     return ce + l2_penalty(params)
 
@@ -54,6 +57,10 @@ class TestModelConfig:
     def test_dense1_weight_count(self):
         config = ModelConfig(window_points=250, kernel_len=60)
         assert param_shapes(config)["dense1/weights"] == (2048, 128)
+
+    def test_fields_are_what_a_caller_sets(self):
+        names = [f.name for f in fields(ModelConfig)]
+        assert names == ["window_points", "kernel_len", "filters", "dense_units", "l2_coeff"]
 
     def test_kernel_too_long(self):
         with pytest.raises(KernelTooLong):
@@ -121,10 +128,10 @@ class TestFullNetworkGradients:
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = rng.integers(0, 3, size=2)
 
-        probs, cache = forward(params, batch, train=True)
+        probs, cache = forward(params, batch, train=True, rng=masks())
         grads = backward(cache, labels)
-        assert set(grads) == set(trainable_keys(TINY))
-        for key in trainable_keys(TINY):
+        assert set(grads) == set(trainable_keys())
+        for key in trainable_keys():
             fd = finite_difference_gradient(
                 lambda: tiny_loss(params, batch, labels), params.tensors[key]
             )
@@ -135,15 +142,12 @@ class TestFullNetworkGradients:
         params = build_model(TINY, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 2])
-        probs, cache = forward(params, batch, train=True)
+        probs, cache = forward(params, batch, train=True, rng=masks())
         grads_with = backward(cache, labels)
 
-        free_config = ModelConfig(
-            window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5,
-            dropout_rate=0.0, l2_coeff=0.0,
-        )
+        free_config = replace(TINY, l2_coeff=0.0)
         free_params = ModelParams(free_config, {k: v.copy() for k, v in params.tensors.items()})
-        probs2, cache2 = forward(free_params, batch, train=True)
+        probs2, cache2 = forward(free_params, batch, train=True, rng=masks())
         grads_without = backward(cache2, labels)
         for i in (1, 2, 3):
             key = f"conv{i}/kernel"
@@ -154,7 +158,7 @@ class TestFullNetworkGradients:
         params = build_model(TINY, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 1])
-        _, cache = forward(params, batch, train=True)
+        _, cache = forward(params, batch, train=True, rng=masks())
         grads = backward(cache, labels)
         adam_step(params, grads, init_adam(params))
         with pytest.raises(StaleCache):
@@ -245,6 +249,18 @@ class TestCheckpoint:
         for key, value in params.tensors.items():
             expected = value.astype(np.float32).astype(np.float64)
             assert np.array_equal(loaded.tensors[key], expected)
+
+    def test_golden_bytes(self, tmp_path):
+        # pins the TGM1 layout and its sidecar byte for byte
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelConfig(25, 5), 0), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "16b498a24e4c57292a7a236e92fbfeb271953633501904e539664fe1de39dd77"
+        assert (tmp_path / "model.ckpt.txt").read_text() == (
+            "window_points = 25\nkernel_len = 5\nfilters = 4,8,16\ndense_units = 128\n"
+            "classes = 3\ndropout_rate = 0.3\nl2_coeff = 0.01\nbn_momentum = 0.99\n"
+            "bn_epsilon = 0.001\n"
+        )
 
     def test_sidecar_written(self, tmp_path, rng):
         params = build_model(TINY, rng)
