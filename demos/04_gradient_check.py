@@ -34,22 +34,20 @@ def worst_error(analytic, numeric):
 rng = np.random.default_rng(0)
 
 print("== one convolution layer ==")
-x = rng.normal(size=(2, 6, 4, 3))
+x = rng.normal(size=(6, 2, 4, 3))  # height-major: (height, batch, width, channels)
 kernels = rng.normal(size=(4, 2, 3, 5))  # even kernel length: asymmetric padding
-bias = rng.normal(size=5)
-projection = rng.normal(size=(2, 6, 4, 5))
+projection = rng.normal(size=(6, 2, 4, 5))
 
 
 def conv_loss():
-    out, _ = conv2d_forward(x, kernels, bias)
+    out, _ = conv2d_forward(x, kernels)
     return float(np.sum(out * projection))
 
 
-_, cache = conv2d_forward(x, kernels, bias)
-grad_x, grad_k, grad_b = conv2d_backward(cache, projection)
+_, cache = conv2d_forward(x, kernels)
+grad_x, grad_k = conv2d_backward(cache, projection)
 print(f"  d/d input   max relative error {worst_error(grad_x, finite_differences(conv_loss, x)):.2e}")
 print(f"  d/d kernels max relative error {worst_error(grad_k, finite_differences(conv_loss, kernels)):.2e}")
-print(f"  d/d bias    max relative error {worst_error(grad_b, finite_differences(conv_loss, bias)):.2e}")
 
 print("\n== the full network, tiny configuration ==")
 config = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)

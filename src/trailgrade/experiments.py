@@ -165,8 +165,7 @@ def prepare_splits(samples, seed: int):
     return shuffle(balanced, seed=seed + 2), split.test
 
 
-def _run_cell(args):
-    data, spec, window_ms, kernel_len = args
+def _run_cell(data, spec, window_ms, kernel_len):
     config = WindowConfig(window_ms)
     points = config.window_points
     if kernel_len > points:
@@ -190,12 +189,26 @@ def _run_cell(args):
     )
 
 
+#: A pool worker's copy of run_grid's data, set once by _init_worker.
+_worker_data = None
+
+
+def _init_worker(data):
+    global _worker_data
+    _worker_data = data
+
+
+def _run_pooled_cell(cell):
+    return _run_cell(_worker_data, *cell)
+
+
 def run_grid(data, spec: GridSpec, jobs: int = 1):
     """Every (window, kernel) cell in row-major order.
 
     `data` is a sequence of (SyncedSession, LabelTrack) pairs; sessions too
     short for a cell's window simply contribute no samples to it. Cells are
-    independent (own derived seed each) so they may run in parallel.
+    independent (own derived seed each) so they may run in parallel; each
+    pool worker receives `data` once, not once per cell.
     """
     data = list(data)
     if not data:
@@ -204,14 +217,14 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     if not any(session.length_points >= largest for session, _ in data):
         raise NoUsableSessions(f"no session reaches the largest window of {largest} points")
     cells = [
-        (data, spec, window_ms, kernel_len)
+        (spec, window_ms, kernel_len)
         for window_ms in spec.window_ms_list
         for kernel_len in spec.kernel_len_list
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(cell) for cell in cells]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
+            return list(pool.map(_run_pooled_cell, cells))
+    return [_run_cell(data, *cell) for cell in cells]
 
 
 # --- reporting ----------------------------------------------------------------

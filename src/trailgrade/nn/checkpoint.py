@@ -17,7 +17,7 @@ from ..framing import Reader
 from .model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig, ModelParams, param_shapes
 
 _MAGIC = b"TGM1"
-_VERSION = 1
+_VERSION = 2  # 1 stored a bias per conv layer
 
 #: The fixed network settings the layout still stores, checked on load.
 _FIXED = {
@@ -72,7 +72,8 @@ def load_checkpoint(path):
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
     an invalid configuration, a stored fixed setting (classes, dropout rate,
     batchnorm momentum or epsilon) other than the network's, a non-finite
-    tensor value or a structurally invalid body raise CorruptCheckpoint.
+    tensor value, a negative batchnorm running variance or a structurally
+    invalid body raise CorruptCheckpoint.
     """
     reader = Reader(path, CorruptCheckpoint, "checkpoint")
     if len(reader.data) < 5 or reader.take(4) != _MAGIC:
@@ -115,5 +116,7 @@ def load_checkpoint(path):
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if not np.isfinite(tensors[name]).all():
             raise reader.error(f"{name} holds non-finite values")
+        if name.endswith("/var") and (tensors[name] < 0).any():
+            raise reader.error(f"{name} holds a negative variance")
     reader.finish()
     return ModelParams(config, tensors), config

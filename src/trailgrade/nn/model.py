@@ -4,6 +4,14 @@ Three convolutional blocks (conv -> batchnorm -> relu -> maxpool -> dropout)
 feed a 128-unit ReLU dense layer and a 3-way softmax head. Kernels are (m, 2)
 with stride (1, 1) and same padding; pools are (2, 1) with ceil semantics, so
 a 250-point window shrinks 250 -> 125 -> 63 -> 32 before flattening.
+
+The blocks carry activations height-major, (height, batch, width, channels):
+the input batch is transposed once, the FFT convolution leaves its output in
+that order, and the flatten restores each sample's (height, width, channels)
+order for the dense layer. The convolutions have no bias: train-mode
+batchnorm subtracts the batch mean right after them, which cancels any
+per-channel constant (Ioffe & Szegedy, "Batch Normalization", ICML 2015,
+section 3.2), and in infer mode the running mean would absorb it.
 """
 
 import math
@@ -65,7 +73,6 @@ def param_shapes(config: ModelConfig) -> dict:
     cin = IN_CHANNELS
     for i, cout in enumerate(config.filters, start=1):
         shapes[f"conv{i}/kernel"] = (config.kernel_len, KERNEL_WIDTH, cin, cout)
-        shapes[f"conv{i}/bias"] = (cout,)
         for stat in ("gamma", "beta", "mean", "var"):
             shapes[f"bn{i}/{stat}"] = (cout,)
         cin = cout
@@ -94,7 +101,7 @@ class ModelParams:
 
 
 def build_model(config: ModelConfig, rng) -> ModelParams:
-    """Fresh parameters: Glorot-uniform weights, zero biases, identity batchnorm."""
+    """Fresh parameters: Glorot-uniform weights, zero dense biases, identity batchnorm."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     receptive = config.kernel_len * KERNEL_WIDTH
@@ -121,7 +128,7 @@ class ForwardCache:
     params: ModelParams
     params_step: int
     block_caches: list  # per block: (conv, bn, relu mask, pool, dropout mask)
-    pre_flatten_shape: tuple
+    pre_flatten_shape: tuple  # height-major
     dense1_cache: tuple
     relu4_mask: np.ndarray
     dense2_cache: tuple
@@ -144,10 +151,10 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
         raise ValueError("train-mode forward needs an rng for dropout")
 
     t = params.tensors
-    x = batch
+    x = batch.transpose(1, 0, 2, 3)
     blocks = []
     for i in (1, 2, 3):
-        x, conv_c = ops.conv2d_forward(x, t[f"conv{i}/kernel"], t[f"conv{i}/bias"])
+        x, conv_c = ops.conv2d_forward(x, t[f"conv{i}/kernel"])
         x, bn_c, new_mean, new_var = ops.batchnorm_forward(
             x,
             t[f"bn{i}/gamma"],
@@ -166,7 +173,7 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
         blocks.append((conv_c, bn_c, relu_mask, pool_c, drop_mask))
 
     pre_flatten = x.shape
-    x = x.reshape(x.shape[0], -1)
+    x = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
     x, dense1_c = ops.dense_forward(x, t["dense1/weights"], t["dense1/bias"])
     x, relu4_mask = ops.relu(x)
     logits, dense2_c = ops.dense_forward(x, t["dense2/weights"], t["dense2/bias"])
@@ -195,14 +202,15 @@ def backward(cache: ForwardCache, labels) -> dict:
     dx, grads["dense2/weights"], grads["dense2/bias"] = ops.dense_backward(cache.dense2_cache, dx)
     dx = ops.relu_backward(cache.relu4_mask, dx)
     dx, grads["dense1/weights"], grads["dense1/bias"] = ops.dense_backward(cache.dense1_cache, dx)
-    dx = dx.reshape(cache.pre_flatten_shape)
+    h, b, w, c = cache.pre_flatten_shape
+    dx = dx.reshape(b, h, w, c).transpose(1, 0, 2, 3)
     for i in (3, 2, 1):
         conv_c, bn_c, relu_mask, pool_c, drop_mask = cache.block_caches[i - 1]
         dx = ops.dropout_backward(drop_mask, dx, DROPOUT_RATE)
         dx = ops.maxpool_backward(pool_c, dx)
         dx = ops.relu_backward(relu_mask, dx)
         dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)
-        dx, grad_kernel, grads[f"conv{i}/bias"] = ops.conv2d_backward(conv_c, dx)
+        dx, grad_kernel = ops.conv2d_backward(conv_c, dx, input_grad=i > 1)
         grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * cfg.l2_coeff * params.tensors[f"conv{i}/kernel"]
     return grads
 

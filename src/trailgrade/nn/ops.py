@@ -1,9 +1,12 @@
 """Differentiable building blocks with hand-derived backward passes.
 
 Every forward returns (output, cache); the matching backward consumes that
-cache. Layouts are channels-last (batch, height, width, channels), arithmetic
-is float64 throughout, and every gradient here is checked against central
-finite differences in the test suite.
+cache. The conv, batchnorm and maxpool ops take height-major, channels-last
+activations (height, batch, width, channels): the FFT convolution transforms
+along the height and leaves its output in that order, pooling pairs
+neighbouring rows of axis 0, and batchnorm sums each channel over a (N, C)
+view. Arithmetic is float64 throughout, and every gradient here is checked
+against central finite differences in the test suite.
 """
 
 import numpy as np
@@ -68,103 +71,102 @@ def _conv_fft_len(h, kh):
     return _fft_len(max(kh, h + kh // 2))
 
 
-def conv2d_forward(x, kernels, bias):
-    """Same-padded stride-1 correlation.
+def conv2d_forward(x, kernels):
+    """Same-padded stride-1 correlation of a height-major input, without a bias.
 
-    x: (B, H, W, Cin), kernels: (kh, kw, Cin, Cout), bias: (Cout,).
-    Output spatial dims equal the input's; the odd padding zero goes to the
-    bottom/right edge. Folding the width taps into the channel axis leaves a
-    correlation along the height, out[i] = sum_u xp[i + u] @ k[u] over the
-    height-padded input xp, which runs through real FFTs: per frequency it is
-    one product X[f] @ conj(K[f]) of the (B*W, kw*Cin) input spectrum and the
-    (kw*Cin, Cout) kernel spectrum. The cache keeps both spectra for the
+    The model puts a batchnorm after every conv, and its mean subtraction
+    would cancel a per-channel bias.
+
+    x: (H, B, W, Cin), kernels: (kh, kw, Cin, Cout); the output is (H, B, W,
+    Cout). Output spatial dims equal the input's; the odd padding zero goes to
+    the bottom/right edge. Folding the width taps into the channel axis leaves
+    a correlation along the height, out[i] = sum_u xp[i + u] @ k[u] over the
+    height-padded input xp, which runs through real FFTs along axis 0: per
+    frequency it is one product X[f] @ conj(K[f]) of the (B*W, kw*Cin) input
+    spectrum and the (kw*Cin, Cout) kernel spectrum. The output is a view of
+    the inverse transform's first H rows. The cache keeps both spectra for the
     backward.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch("conv2d expects a 4-d input and 4-d kernels")
     kh, kw, cin, cout = kernels.shape
-    if x.shape[3] != cin or bias.shape != (cout,):
-        raise ShapeMismatch(
-            f"channel mismatch: input {x.shape}, kernels {kernels.shape}, bias {bias.shape}"
-        )
-    b, h, w, _ = x.shape
+    if x.shape[3] != cin:
+        raise ShapeMismatch(f"channel mismatch: input {x.shape}, kernels {kernels.shape}")
+    h, b, w, _ = x.shape
     kwc = kw * cin
     n = _conv_fft_len(h, kh)
     pt, _ = _pad_amounts(kh)
     # the width unfold commutes with the height FFT, so transform the narrower input
-    spectrum = np.fft.rfft(x, n, axis=1).transpose(1, 0, 2, 3)
-    xf = _unfold_width(spectrum, kw).reshape(n // 2 + 1, b * w, kwc)
+    xf = _unfold_width(np.fft.rfft(x, n, axis=0), kw).reshape(n // 2 + 1, b * w, kwc)
     kc = np.zeros((n, kwc, cout))
     kc[:kh] = kernels.reshape(kh, kwc, cout)
     kf = np.fft.rfft(np.roll(kc, -pt, axis=0), axis=0)
-    y = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h]
-    out = y.reshape(h, b, w, cout).transpose(1, 0, 2, 3) + bias
+    out = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h].reshape(h, b, w, cout)
     return out, ((xf, kf), x.shape, kernels)
 
 
-def conv2d_backward(cache, grad_out):
-    """Gradients of conv2d_forward w.r.t. input, kernels and bias.
+def conv2d_backward(cache, grad_out, input_grad=True):
+    """Gradients (grad_x, grad_k) of conv2d_forward; grad_out is (H, B, W, Cout).
 
-    Grad-input is the convolution irfft(G @ K^T); grad-kernel is the
-    correlation irfft(X^T @ conj(G)), rolled back down by pt rows.
+    Grad-kernel is the correlation irfft(X^T @ conj(G)), rolled back down by pt
+    rows; grad-input is the convolution irfft(G @ K^T). A first layer, whose
+    input is data, passes input_grad=False and gets None for grad_x.
     """
     (xf, kf), x_shape, kernels = cache
     kh, kw, cin, cout = kernels.shape
-    b, h, w, _ = x_shape
-    if grad_out.shape != (b, h, w, cout):
-        raise ShapeMismatch(f"grad_out {grad_out.shape} does not match output {(b, h, w, cout)}")
+    h, b, w, _ = x_shape
+    if grad_out.shape != (h, b, w, cout):
+        raise ShapeMismatch(f"grad_out {grad_out.shape} does not match output {(h, b, w, cout)}")
     n = _conv_fft_len(h, kh)
     pt, _ = _pad_amounts(kh)
-    g3 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3))
-    gf = np.fft.rfft(g3, n, axis=0).reshape(n // 2 + 1, b * w, cout)
+    gf = np.fft.rfft(grad_out, n, axis=0).reshape(n // 2 + 1, b * w, cout)
     grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf.conj(), n, axis=0)
     grad_k = np.roll(grad_kc, pt, axis=0)[:kh].reshape(kh, kw, cin, cout)
+    if not input_grad:
+        return None, grad_k
     gxf = _fold_width((gf @ kf.transpose(0, 2, 1)).reshape(n // 2 + 1, b, w, kw * cin), kw, cin)
-    grad_x = np.ascontiguousarray(np.fft.irfft(gxf, n, axis=0)[:h].transpose(1, 0, 2, 3))
-    return grad_x, grad_k, grad_out.sum(axis=(0, 1, 2))
+    return np.fft.irfft(gxf, n, axis=0)[:h], grad_k
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum=0.99, eps=1e-3, train=True):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum, eps, train=True):
     """Channel-wise batch normalization (channels on the last axis).
 
     Train mode normalizes with the batch's population statistics and returns
     exponentially updated running stats; infer mode reads the running stats
     and leaves them untouched. Returns (out, cache, running_mean, running_var).
+    Each channel sum is one vector-matrix product over a (N, C) view of x,
+    which is far faster than a reduction with C innermost.
     """
-    axes = tuple(range(x.ndim - 1))
     if train:
-        n_red = 1
-        for a in axes:
-            n_red *= x.shape[a]
-        if n_red < 2:
+        c = x.shape[-1]
+        ones = np.ones(x.size // c)
+        if ones.size < 2:
             raise DegenerateBatch("batch statistics need at least 2 values per channel")
-        # the same reductions np.mean and np.var make, over x as laid out: the
-        # conv output is height-major, and a reshape(-1, C) copy would sum in
-        # another order
-        mean = x.sum(axis=axes) / n_red
+        mean = ones @ x.reshape(-1, c) / ones.size
         xhat = x - mean
         out = np.square(xhat)
-        var = out.sum(axis=axes) / n_red
+        var = ones @ out.reshape(-1, c) / ones.size
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std
         np.multiply(xhat, gamma, out=out)
         out += beta
         new_mean = momentum * running_mean + (1.0 - momentum) * mean
         new_var = momentum * running_var + (1.0 - momentum) * var
-        return out, (xhat, gamma, inv_std, n_red, axes), new_mean, new_var
+        return out, (xhat, gamma, inv_std, ones), new_mean, new_var
     out = gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
     return out, None, running_mean, running_var
 
 
 def batchnorm_backward(cache, grad_out):
-    xhat, gamma, inv_std, n_red, axes = cache
-    grad_beta = grad_out.sum(axis=axes)
+    xhat, gamma, inv_std, ones = cache
+    c = xhat.shape[-1]
+    grad_beta = ones @ grad_out.reshape(-1, c)
     scratch = grad_out * xhat
-    grad_gamma = scratch.sum(axis=axes)
+    grad_gamma = ones @ scratch.reshape(-1, c)
     # (gamma * inv_std) * (grad_out - grad_beta / n - xhat * grad_gamma / n), in place
     np.multiply(xhat, grad_gamma, out=scratch)
-    scratch /= n_red
-    grad_x = grad_out - grad_beta / n_red
+    scratch /= ones.size
+    grad_x = grad_out - grad_beta / ones.size
     grad_x -= scratch
     grad_x *= gamma * inv_std
     return grad_x, grad_gamma, grad_beta
@@ -181,17 +183,18 @@ def relu_backward(cache, grad_out):
 
 
 def maxpool_forward(x):
-    """Max pool (2, 1) with stride (2, 1) along height, ceil mode.
+    """Max pool (2, 1) with stride (2, 1) along the height axis 0, ceil mode.
 
-    A trailing odd row pools alone, so output height is ceil(H / 2). The mask
-    records each window's argmax (first occurrence on ties) for the backward.
+    x is height-major (H, B, W, C). A trailing odd row pools alone, so output
+    height is ceil(H / 2). The mask records each window's argmax (first
+    occurrence on ties) for the backward.
     """
-    b, h, w, c = x.shape
+    h = x.shape[0]
     ho = (h + 1) // 2
     if h % 2:
-        x = np.concatenate([x, np.full((b, 1, w, c), -np.inf)], axis=1)
-    xr = x.reshape(b, ho, 2, w, c)
-    first, second = xr[:, :, 0], xr[:, :, 1]
+        x = np.concatenate([x, np.full((1, *x.shape[1:]), -np.inf)])
+    xr = x.reshape(ho, 2, *x.shape[1:])
+    first, second = xr[:, 0], xr[:, 1]
     # argmax of each pair without a reduction: NaN counts as the maximum, so the
     # second row wins where it is larger, or NaN while the first is not
     mask = ~((second <= first) | np.isnan(first))
@@ -199,19 +202,22 @@ def maxpool_forward(x):
 
 
 def maxpool_backward(cache, grad_out):
-    """Route each output gradient to its argmax position; zeros elsewhere."""
+    """Route each output gradient to its argmax row; zeros elsewhere."""
     mask, h = cache
-    b, ho, w, c = grad_out.shape
-    grad_x = np.stack((np.where(mask, 0.0, grad_out), np.where(mask, grad_out, 0.0)), axis=2)
-    return grad_x.reshape(b, 2 * ho, w, c)[:, :h]
+    ho = grad_out.shape[0]
+    grad_x = np.empty((ho, 2, *grad_out.shape[1:]))
+    # the second row of a pair takes the gradient where it won, the first the rest
+    np.multiply(grad_out, mask, out=grad_x[:, 1])
+    np.subtract(grad_out, grad_x[:, 1], out=grad_x[:, 0])
+    return grad_x.reshape(2 * ho, *grad_out.shape[1:])[:h]
 
 
 def dropout_forward(x, rate, rng, train=True):
     """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate).
 
-    Outside train mode (or at rate 0) this is the identity and the mask is None.
+    Outside train mode this is the identity and the mask is None.
     """
-    if not train or rate == 0.0:
+    if not train:
         return x, None
     keep = rng.random(x.shape) >= rate
     out = x * keep

@@ -99,6 +99,9 @@ def _evaluate_arrays(params, data, labels, batch_size):
     probs = np.empty((len(data), CLASSES))
     for lo in range(0, len(data), batch_size):
         probs[lo : lo + batch_size] = forward(params, data[lo : lo + batch_size])[0]
+    # argmax of a NaN row is 0, so non-finite weights would score as class 0
+    if not np.isfinite(probs).all():
+        raise NumericFailure("non-finite probabilities")
     cm = confusion_matrix(probs, labels)
     return cm.accuracy, cm
 

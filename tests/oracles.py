@@ -11,26 +11,29 @@ from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
 from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
 
 
-def conv2d_bruteforce(x, kernels, bias):
-    """Same-padded stride-1 correlation by explicit loops over every tap."""
-    b, h, w, cin = x.shape
+def conv2d_bruteforce(x, kernels):
+    """Same-padded stride-1 correlation by explicit loops over every tap.
+
+    x is height-major (H, B, W, Cin) and so is the (H, B, W, Cout) result.
+    """
+    h, b, w, cin = x.shape
     kh, kw, _, cout = kernels.shape
     pad_top = (kh - 1) // 2
     pad_left = (kw - 1) // 2
-    out = np.zeros((b, h, w, cout))
+    out = np.zeros((h, b, w, cout))
     for bi in range(b):
         for i in range(h):
             for j in range(w):
                 for o in range(cout):
-                    acc = bias[o]
+                    acc = 0.0
                     for u in range(kh):
                         for v in range(kw):
                             ii = i + u - pad_top
                             jj = j + v - pad_left
                             if 0 <= ii < h and 0 <= jj < w:
                                 for c in range(cin):
-                                    acc += x[bi, ii, jj, c] * kernels[u, v, c, o]
-                    out[bi, i, j, o] = acc
+                                    acc += x[ii, bi, jj, c] * kernels[u, v, c, o]
+                    out[i, bi, j, o] = acc
     return out
 
 
@@ -39,8 +42,8 @@ def batchnorm_two_pass(x, gamma, beta, running_mean, running_var, momentum, eps)
 
     Returns (out, running_mean, running_var, backward) where backward(grad_out)
     gives (grad_x, grad_gamma, grad_beta). The arithmetic is that of the
-    package's batchnorm before it was fused, kept so the fused one can be held
-    to it bit for bit.
+    package's batchnorm before it was fused; the fused one sums in another
+    order and is held to it within a tight tolerance.
     """
     axes = tuple(range(x.ndim - 1))
     n_red = 1
@@ -166,7 +169,7 @@ def parameter_count(config) -> int:
     total = 0
     cin = 3  # x, y, z
     for cout in config.filters:
-        total += config.kernel_len * 2 * cin * cout + cout  # (m, 2) kernel + bias
+        total += config.kernel_len * 2 * cin * cout  # (m, 2) kernel, no bias
         total += 4 * cout  # gamma, beta, running mean, running var
         cin = cout
     classes = 3  # easy, medium, hard
@@ -179,7 +182,7 @@ def trainable_keys():
     """Names of the trained tensors in canonical order: all but the bn running stats."""
     keys = []
     for i in (1, 2, 3):
-        keys += [f"conv{i}/kernel", f"conv{i}/bias", f"bn{i}/gamma", f"bn{i}/beta"]
+        keys += [f"conv{i}/kernel", f"bn{i}/gamma", f"bn{i}/beta"]
     return keys + ["dense1/weights", "dense1/bias", "dense2/weights", "dense2/bias"]
 
 

@@ -45,6 +45,7 @@ from trailgrade.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import TrainConfig, confusion_matrix, train
 
@@ -61,32 +62,31 @@ def test_criterion_1_gradient_fidelity():
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
 
-        # convolution
-        x = rng.normal(size=(1, 4, 3, 2))
+        # convolution, height-major (H, B, W, C)
+        x = rng.normal(size=(4, 1, 3, 2))
         kernels = rng.normal(size=(3, 2, 2, 2))
-        bias = rng.normal(size=2)
-        proj = rng.normal(size=(1, 4, 3, 2))
+        proj = rng.normal(size=(4, 1, 3, 2))
 
         def conv_loss():
-            out, _ = ops.conv2d_forward(x, kernels, bias)
+            out, _ = ops.conv2d_forward(x, kernels)
             return float(np.sum(out * proj))
 
-        _, cache = ops.conv2d_forward(x, kernels, bias)
-        gx, gk, gb = ops.conv2d_backward(cache, proj)
+        _, cache = ops.conv2d_forward(x, kernels)
+        gx, gk = ops.conv2d_backward(cache, proj)
         assert max_relative_error(gx, finite_difference_gradient(conv_loss, x)) < layer_tol
         assert max_relative_error(gk, finite_difference_gradient(conv_loss, kernels)) < layer_tol
-        assert max_relative_error(gb, finite_difference_gradient(conv_loss, bias)) < layer_tol
 
         # batch normalization (train mode)
         xb = rng.normal(size=(2, 3, 2, 2))
         gamma, beta = rng.normal(size=2), rng.normal(size=2)
         proj_b = rng.normal(size=xb.shape)
+        bn = {"momentum": BN_MOMENTUM, "eps": BN_EPSILON}
 
         def bn_loss():
-            out, _, _, _ = ops.batchnorm_forward(xb, gamma, beta, np.zeros(2), np.ones(2))
+            out, _, _, _ = ops.batchnorm_forward(xb, gamma, beta, np.zeros(2), np.ones(2), **bn)
             return float(np.sum(out * proj_b))
 
-        _, bn_cache, _, _ = ops.batchnorm_forward(xb, gamma, beta, np.zeros(2), np.ones(2))
+        _, bn_cache, _, _ = ops.batchnorm_forward(xb, gamma, beta, np.zeros(2), np.ones(2), **bn)
         gxb, gg, gbb = ops.batchnorm_backward(bn_cache, proj_b)
         assert max_relative_error(gxb, finite_difference_gradient(bn_loss, xb)) < layer_tol
         assert max_relative_error(gg, finite_difference_gradient(bn_loss, gamma)) < layer_tol
@@ -106,9 +106,9 @@ def test_criterion_1_gradient_fidelity():
             ops.relu_backward(mask, proj_r), finite_difference_gradient(relu_loss, xr)
         ) < layer_tol
 
-        # max pooling on distinct values
-        xp = rng.permutation(np.linspace(-1.0, 1.0, 2 * 5 * 2 * 2)).reshape(2, 5, 2, 2)
-        proj_p = rng.normal(size=(2, 3, 2, 2))
+        # max pooling on distinct values, height-major
+        xp = rng.permutation(np.linspace(-1.0, 1.0, 5 * 2 * 2 * 2)).reshape(5, 2, 2, 2)
+        proj_p = rng.normal(size=(3, 2, 2, 2))
 
         def pool_loss():
             out, _ = ops.maxpool_forward(xp)
@@ -184,13 +184,12 @@ def test_criterion_2_convolution_oracle():
         cout = int(rng.integers(1, 5))
         kh = int(rng.integers(1, 6))
         kw = int(rng.integers(1, 3))
-        x = rng.normal(size=(b, h, w, cin))
+        x = rng.normal(size=(h, b, w, cin))
         kernels = rng.normal(size=(kh, kw, cin, cout))
-        bias = rng.normal(size=cout)
         from trailgrade.nn import ops
 
-        out, _ = ops.conv2d_forward(x, kernels, bias)
-        assert np.max(np.abs(out - conv2d_bruteforce(x, kernels, bias))) < 1e-10
+        out, _ = ops.conv2d_forward(x, kernels)
+        assert np.max(np.abs(out - conv2d_bruteforce(x, kernels))) < 1e-10
     assert time.monotonic() - started < 30.0
 
 

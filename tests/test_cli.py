@@ -369,6 +369,32 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_data_error_negative_bn_variance(self, trained, samples_path, tmp_path):
+        # a negative running variance makes every probability NaN
+        model_path, _ = trained
+        params, _ = load_checkpoint(model_path)
+        params.tensors["bn1/var"][...] = -5.0
+        bad = tmp_path / "negvar.ckpt"
+        save_checkpoint(params, bad)
+        code = run(
+            "eval", "--model", str(bad), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
+    def test_data_error_version_1_checkpoint(self, trained, samples_path, tmp_path):
+        # version 1 stored a bias per conv layer
+        model_path, _ = trained
+        data = bytearray(model_path.read_bytes())
+        data[4] = 1
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(data))
+        code = run(
+            "eval", "--model", str(old), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+
     #: Stored config fields after magic and version: offset, format, and the value
     #: the CLI writes (the l2 default, the network's fixed settings otherwise).
     CONFIG_SLOTS = {

@@ -81,7 +81,7 @@ class TestModelConfig:
 class TestBuildAndForward:
     def test_initial_values(self):
         params = build_model(TINY, 3)
-        assert not params.tensors["conv1/bias"].any()
+        assert "conv1/bias" not in params.tensors
         assert (params.tensors["bn2/gamma"] == 1.0).all()
         assert (params.tensors["bn3/var"] == 1.0).all()
         assert not params.tensors["dense1/bias"].any()
@@ -251,11 +251,11 @@ class TestCheckpoint:
             assert np.array_equal(loaded.tensors[key], expected)
 
     def test_golden_bytes(self, tmp_path):
-        # pins the TGM1 layout and its sidecar byte for byte
+        # pins the TGM1 layout (version 2, no conv biases) and its sidecar byte for byte
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_model(ModelConfig(25, 5), 0), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "16b498a24e4c57292a7a236e92fbfeb271953633501904e539664fe1de39dd77"
+        assert digest == "2181590ec25b27c08741819adceabea0e1da8dd41d39d14d48ed8c557e000610"
         assert (tmp_path / "model.ckpt.txt").read_text() == (
             "window_points = 25\nkernel_len = 5\nfilters = 4,8,16\ndense_units = 128\n"
             "classes = 3\ndropout_rate = 0.3\nl2_coeff = 0.01\nbn_momentum = 0.99\n"

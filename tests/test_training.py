@@ -289,6 +289,13 @@ class TestEvaluate:
         with pytest.raises(NumericFailure):
             train(separable_samples(2), samples, TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
 
+    def test_non_finite_probabilities(self, rng):
+        # a negative running variance gives NaN probabilities, whose argmax is 0
+        params = build_model(TINY, rng)
+        params.tensors["bn1/var"][...] = -5.0
+        with pytest.raises(NumericFailure), np.errstate(invalid="ignore"):
+            evaluate(params, separable_samples(2, seed=19))
+
 
 class TestHistoryCsv:
     def test_roundtrip_exact(self):
