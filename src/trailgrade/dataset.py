@@ -60,7 +60,9 @@ class WindowConfig:
 
 @dataclass(frozen=True, eq=False)
 class WindowSample:
-    data: np.ndarray  # (window_points, 4, 3) float64
+    # (window_points, 4, 3): a read-only float64 view of its session's data,
+    # or, read from a sample archive, a float32 view of the payload array
+    data: np.ndarray
     label: int
     origin: tuple  # (session name, window start time in ms)
 
@@ -97,7 +99,7 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     w = config.window_points
     if session.length_points < w:
         raise SessionTooShort(
-            f"session has {session.length_points} points, window needs {w}"
+            f"session {session.name!r} has {session.length_points} points, window needs {w}"
         )
     out = []
     for p in range(0, session.length_points - w + 1, config.stride):
@@ -209,7 +211,7 @@ def write_sample_archive(samples, path):
         buf += name_bytes
         buf += struct.pack("<q", int(start_ms))
         buf += s.data.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    Path(path).write_bytes(buf)
 
 
 def read_sample_archive(path):
@@ -224,7 +226,7 @@ def read_sample_archive(path):
     # a record holds at least 11 header bytes and its payload; check before allocating
     if count * (11 + w * 48) > len(reader.data) - reader.pos:
         raise reader.error("truncated sample archive")
-    tensors = np.empty((count, w, 4, 3))
+    tensors = np.empty((count, w, 4, 3), dtype=np.float32)
     records = []
     for i in range(count):
         label, name_len = reader.unpack("<BH")

@@ -9,6 +9,7 @@ channels can be stacked into one session.
 
 import io
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,6 +26,7 @@ from .errors import (
     MismatchedStart,
     NonMonotonicTimestamp,
     TooFewSamples,
+    TrailgradeError,
     WrongChannelSet,
 )
 from .framing import Reader
@@ -153,30 +155,45 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 #: Whitespace to ``str.strip`` and numpy, but not around an ``int`` or ``float``.
 _SEPARATOR_CONTROLS = "\x1c\x1d\x1e\x1f"
 
+_NON_SPACE = re.compile(r"\S")
+
 
 def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
     """Parse ``timestamp_ms,x,y,z`` CSV text (LF or CRLF) into a RawSensorLog.
 
     The nominal rate is inferred from the median timestamp gap. Blank lines are
     skipped; anything else that does not parse, a timestamp outside int64 or a
-    non-finite value raises MalformedLine with its 1-based line number.
+    non-finite value raises MalformedLine with its 1-based line number, and a
+    timestamp not after the one before it raises NonMonotonicTimestamp naming
+    its line.
 
     The rows are parsed in one numpy pass. numpy accepts a subset of what the
     line loop accepts, with the same values, so the line loop only runs on text
     that pass rejects: it decides whether the text is valid after all (for
     example, it has whitespace-only lines) and names the first bad line.
     """
-    header, _, body = text.partition("\n")
-    if header.strip() != CSV_HEADER:
+    header_end = text.find("\n")
+    if header_end < 0:
+        header_end = len(text)
+    if text[:header_end].strip() != CSV_HEADER:
         raise MalformedLine(1, f"expected header {CSV_HEADER!r}")
-    parsed = _parse_rows_vectorised(body)
-    timestamps, values = parsed if parsed is not None else _parse_rows_by_line(body)
-    return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
+    body_start = header_end + 1
+    parsed = _parse_rows_vectorised(text, body_start)
+    timestamps, values = parsed if parsed is not None else _parse_rows_by_line(text[body_start:])
+    try:
+        return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
+    except NonMonotonicTimestamp as exc:
+        # name the line of the first timestamp not after the one before it
+        row_lines = [n for n, raw in enumerate(text.split("\n"), start=1) if n > 1 and raw.strip()]
+        stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
+        raise NonMonotonicTimestamp(f"line {row_lines[stall]}: {exc}") from None
 
 
-def _parse_rows_vectorised(body: str):
-    """(timestamps, values) of the data rows, or None if numpy rejects the text.
+def _parse_rows_vectorised(text: str, body_start: int):
+    """(timestamps, values) of the rows after the header line, or None if numpy rejects the text.
 
+    numpy reads the text's ASCII bytes, so the parse holds one byte per
+    character, not the four of a ``str`` buffer, and skips the header itself.
     Only ASCII text without the separator controls U+001C..U+001F is tried:
     numpy strips those controls around a field where ``int`` and ``float`` do
     not, and numpy 2.4.6 at times segfaults rejecting a field that holds a
@@ -185,15 +202,19 @@ def _parse_rows_vectorised(body: str):
     a valid row, which the line loop rejects.
     """
     if (
-        not body
-        or body.isspace()  # numpy warns on input without rows
-        or not body.isascii()
-        or any(c in body for c in _SEPARATOR_CONTROLS)
+        _NON_SPACE.search(text, body_start) is None  # numpy warns on input without rows
+        or not text.isascii()
+        or any(c in text for c in _SEPARATOR_CONTROLS)
     ):
         return None
     try:
         rows = np.loadtxt(
-            io.StringIO(body), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1
+            io.BytesIO(text.encode("ascii")),
+            dtype=_CSV_ROW,
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            ndmin=1,
         )
     except ValueError:
         return None
@@ -242,15 +263,16 @@ def synchronize(logs):
 
     Samples before t0 = max(first timestamps) are dropped and the survivors are
     rebased so time 0 means t0; a sample exactly at t0 is kept. Returns new logs
-    in the input order.
+    in the input order, whose values are views of the input logs' values.
     """
     if not logs:
         raise EmptyLog("nothing to synchronize")
     t0 = max(int(log.timestamps[0]) for log in logs)
     out = []
     for log in logs:
-        keep = log.timestamps >= t0
-        if not keep.any():
+        # timestamps strictly increase, so the kept samples are a suffix
+        first = int(np.searchsorted(log.timestamps, t0))
+        if first == log.timestamps.size:
             raise EmptyAfterSync(
                 f"{log.mount.value} {log.sensor_kind.value}: no samples at or after {t0} ms"
             )
@@ -258,8 +280,8 @@ def synchronize(logs):
             RawSensorLog(
                 log.sensor_kind,
                 log.mount,
-                log.timestamps[keep] - t0,
-                log.values[keep],
+                log.timestamps[first:] - t0,
+                log.values[first:],
                 log.nominal_rate_hz,
             )
         )
@@ -347,8 +369,8 @@ def write_session_archive(session: SyncedSession, path):
     name = session.name.encode("utf-8")
     buf += struct.pack("<H", len(name)) + name
     buf += struct.pack("<qdI", session.start_time_ms, TARGET_RATE_HZ, session.length_points)
-    buf += session.data.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    buf += memoryview(np.ascontiguousarray(session.data, dtype="<f8"))
+    Path(path).write_bytes(buf)
 
 
 def read_session_archive(path) -> SyncedSession:
@@ -421,7 +443,13 @@ def load_session(manifest_path) -> SyncedSession:
     entries = parse_session_manifest(text)
     logs = []
     for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
-        csv_text = read_utf8(manifest_path.parent / entries[role], MalformedLine)
-        logs.append(parse_sensor_csv(csv_text, kind, mount))
+        csv_path = manifest_path.parent / entries[role]
+        csv_text = read_utf8(csv_path, MalformedLine)
+        try:
+            logs.append(parse_sensor_csv(csv_text, kind, mount))
+        except TrailgradeError as exc:
+            # keep the type and line number; name the file in the message
+            exc.args = (f"{csv_path}: {exc}",)
+            raise
     channels = [resample_linear(log) for log in synchronize(logs)]
     return build_session(align_channel_starts(channels), name=entries["name"])

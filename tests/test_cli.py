@@ -4,11 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import write_ride
+from conftest import make_session, write_ride
 from oracles import history_from_csv
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
-from trailgrade.ingest import read_session_archive
+from trailgrade.ingest import read_session_archive, write_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig
@@ -253,6 +253,20 @@ class TestExitCodes:
         path.write_bytes(path.read_bytes().replace(b"\n40,", b"\n4\x800,", 1))
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
 
+    def test_data_error_bad_row_names_the_csv(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "helmet_gyro.csv"
+        path.write_text(path.read_text().replace("\n40,3,0.04,-1.5\n", "\n40,0,zz,1\n", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: unparseable record '40,0,zz,1'\n"
+
+    def test_data_error_repeated_timestamp_names_csv_and_line(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_accel.csv"
+        path.write_text(path.read_text().replace("\n120,", "\n80,", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 5: timestamps must be strictly increasing\n"
+
     def test_data_error_undecodable_manifest(self, tmp_path):
         manifest = write_ride(tmp_path)
         manifest.write_bytes(b"\xfe" + manifest.read_bytes())
@@ -356,6 +370,19 @@ class TestExitCodes:
             source = ["--session", str(tmp_path / session.name), "--track", str(track)]
         code = run("window", *source, "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"))
         assert code == 2
+
+    def test_data_error_short_session_in_directory_is_named(self, synth_dir, tmp_path, capsys):
+        for path in sorted(synth_dir.iterdir())[:2]:  # one 500-point session and its track
+            shutil.copy(path, tmp_path / path.name)
+        write_session_archive(make_session(100, name="short"), tmp_path / "short.session")
+        (tmp_path / "short.labels.csv").write_text("start_ms,end_ms,label\n0,4000,1\n")
+        code = run(
+            "window", "--session", str(tmp_path), "--window-ms", "5000", "--out", str(tmp_path / "w.tgds"),
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: session 'short' has 100 points, window needs 125\n"
 
     def test_data_error_non_finite_checkpoint(self, trained, samples_path, tmp_path):
         model_path, _ = trained

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import struct
 import tracemalloc
@@ -72,8 +73,8 @@ class TestSliceWindows:
         assert samples[0].origin == ("sess", 0)
 
     def test_too_short(self):
-        session = make_session(24)
-        with pytest.raises(SessionTooShort):
+        session = make_session(24, name="ride-7")
+        with pytest.raises(SessionTooShort, match="^session 'ride-7' has 24 points, window needs 25$"):
             slice_windows(session, full_track(session), WindowConfig(1000))
 
     def test_uniform_track_keeps_all_candidates(self):
@@ -308,6 +309,29 @@ class TestSampleArchive:
         write_sample_archive(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_windows_are_the_float32_payload(self, tmp_path):
+        samples = make_samples([0, 1, 2, 1], window_points=6, seed=3)
+        path = tmp_path / "a.tgds"
+        write_sample_archive(samples, path)
+        for got, want in zip(read_sample_archive(path), samples):
+            assert got.data.dtype == np.float32
+            widened = got.data.astype(np.float64)
+            assert widened.tobytes() == want.data.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_write_holds_the_file_once(self, tmp_path):
+        rng = np.random.default_rng(4)
+        samples = [WindowSample(rng.normal(size=(125, 4, 3)), i % 3, ("s", 40 * i)) for i in range(300)]
+        path = tmp_path / "a.tgds"
+        tracemalloc.start()
+        try:
+            write_sample_archive(samples, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c6dd2ce39e37c231b181f7fc5507dc4123bdf21db888145e00fa69a90527b3b8"
+        assert peak <= 1.5 * path.stat().st_size
+
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "empty.tgds"
         write_sample_archive([], path)
@@ -353,12 +377,12 @@ class TestSampleArchive:
             read_sample_archive(path)
 
     def test_read_holds_the_payload_once(self, tmp_path):
-        # the file's bytes, the float64 result and the non-finite check's bool
+        # the file's bytes, the float32 result and the non-finite check's bool
         # mask; a second copy of the float32 payload would pass 1.25
         samples = make_samples([0, 1, 2] * 100, window_points=125, seed=4)
         path = tmp_path / "a.tgds"
         write_sample_archive(samples, path)
-        result_bytes = len(samples) * 125 * 4 * 3 * 8
+        result_bytes = len(samples) * 125 * 4 * 3 * 4
         tracemalloc.start()
         try:
             loaded = read_sample_archive(path)

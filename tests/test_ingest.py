@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +79,29 @@ class TestParseSensorCsv:
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
             parse_sensor_csv("timestamp_ms,x,y,z\n10,0,0,0\n5,1,1,1", ACC, Mount.FRAME)
+
+    @pytest.mark.parametrize("blank", ["", " \t"])
+    def test_repeated_timestamp_names_its_line(self, blank):
+        # blank lines hold no row; a whitespace-only one sends the text to the line loop
+        text = f"timestamp_ms,x,y,z\n0,0,0,0\n{blank}\n40,1,1,1\n40,2,2,2\n80,3,3,3\n"
+        with pytest.raises(NonMonotonicTimestamp, match="^line 5: "):
+            parse_sensor_csv(text, ACC, Mount.FRAME)
+
+    def test_parse_holds_the_text_once_as_bytes(self):
+        # numpy reads the text's ASCII bytes (1x) into rows of 32 bytes (about
+        # 0.6x here); a UCS-4 copy of the text alone would be 4x
+        rng = np.random.default_rng(3)
+        rows = zip(range(1_500_000_000_000, 1_500_000_400_000, 10), *rng.normal(size=(3, 40_000)).tolist())
+        text = ingest.CSV_HEADER + "\n" + "".join(map("%d,%.9f,%.9f,%.9f\n".__mod__, rows))
+        assert len(text) > 2_000_000
+        tracemalloc.start()
+        try:
+            log = parse_sensor_csv(text, ACC, Mount.FRAME)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.timestamps.size == 40_000
+        assert peak <= 2.5 * len(text)
 
     def test_rate_inferred_from_12hz_file(self):
         # 101 samples at 0, 80, ..., 8000 ms
@@ -375,6 +400,15 @@ class TestSynchronize:
         assert synced[0].values[0, 0] == 2.0
         assert synced[1].timestamps.tolist() == [0, 40, 80]
 
+    def test_values_are_views_of_the_input(self):
+        logs = [log_from([0, 40, 80], [0, 1, 2]), log_from([40, 80], [3, 4])] * 2
+        synced = synchronize(logs)
+        for before, after in zip(logs, synced):
+            assert np.shares_memory(after.values, before.values)
+            assert not np.shares_memory(after.timestamps, before.timestamps)
+        assert [s.timestamps.tolist() for s in synced] == [[0, 40], [0, 40]] * 2
+        assert logs[0].timestamps.tolist() == [0, 40, 80]
+
     def test_empty_after_sync(self):
         a = log_from([0], [1.0])
         b = log_from([100, 140], [1.0, 2.0])
@@ -585,6 +619,19 @@ class TestSessionArchive:
         write_session_archive(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_write_holds_the_file_once(self, tmp_path):
+        path = tmp_path / "a.session"
+        session = make_session(20_000, name="ride", seed=4)
+        tracemalloc.start()
+        try:
+            write_session_archive(session, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e7e4df36d2e146f1f9082ba26aa9a9995446386f494b61e1b183c6486856c1d2"
+        assert peak <= 1.5 * path.stat().st_size
+
     def test_truncated_rejected(self, tmp_path):
         session = build_session(
             [
@@ -680,6 +727,14 @@ class TestLoadSessionBytes:
             load_session(manifest)
         assert err.value.line_no == 4
         assert "helmet_gyro.csv" in str(err.value)
+
+    def test_parse_errors_name_the_csv(self, tmp_path):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_gyro.csv"
+        path.write_text(path.read_text().replace("\n80,", "\n40,", 1))
+        with pytest.raises(NonMonotonicTimestamp) as err:
+            load_session(manifest)
+        assert str(err.value) == f"{path}: line 4: timestamps must be strictly increasing"
 
     def test_undecodable_manifest_byte(self, tmp_path):
         manifest = write_ride(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import accuracy_loop, history_from_csv, sparse_categorical_accuracy
-from trailgrade.dataset import WindowSample
+from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.errors import (
     EmptyBatch,
     EmptyDataset,
@@ -180,6 +180,21 @@ class TestTrainLoop:
         test_set = separable_samples(2, seed=11, name="t")
         result = train(train_set, test_set, TINY, TrainConfig(seed=2, max_epochs=2, patience=2))
         assert len(result.history) == 2
+
+
+def test_archive_windows_train_as_their_float64_casts(tmp_path):
+    # forward casts each batch to float64, so float32 archive windows train
+    # to the same bytes as the same values held as float64
+    path = tmp_path / "a.tgds"
+    write_sample_archive(separable_samples(6, seed=12), path)
+    archived = read_sample_archive(path)
+    widened = [WindowSample(s.data.astype(np.float64), s.label, s.origin) for s in archived]
+    config = TrainConfig(seed=13, max_epochs=2, patience=2)
+    a = train(archived[:14], archived[14:], TINY, config)
+    b = train(widened[:14], widened[14:], TINY, config)
+    assert a.history == b.history
+    for key, tensor in a.best_params.tensors.items():
+        assert tensor.tobytes() == b.best_params.tensors[key].tobytes()
 
 
 def rescoring_train(train_samples, test_samples, model_config, train_config):
