@@ -10,7 +10,6 @@ import numpy as np
 from trailgrade.ingest import (
     CHANNEL_ORDER,
     SensorKind,
-    align_channel_starts,
     build_session,
     parse_sensor_csv,
     resample_linear,
@@ -46,11 +45,9 @@ for ch in channels:
     print(f"  {ch.mount.value:6s} {ch.sensor_kind.value:13s} {ch.length} points from {ch.start_time_ms} ms")
 
 # the first surviving sample of each unit may sit on a different lattice
-# point; trimming whole periods lines them up
-channels = align_channel_starts(channels)
-print("aligned start:", {ch.start_time_ms for ch in channels})
-
+# point; build_session trims whole periods to line them up
 session = build_session(channels, name="demo-ride")
+print("aligned start:", session.start_time_ms, "ms")
 print(f"\nsession '{session.name}': {session.length_points} points, stacked shape {session.data.shape}")
 print("row order:", [f"{m.value}/{k.value}" for m, k in CHANNEL_ORDER])
 

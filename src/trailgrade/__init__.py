@@ -18,7 +18,6 @@ from .dataset import (
     shuffle,
     slice_windows,
     split_train_test,
-    stack_sample,
     write_sample_archive,
 )
 from .experiments import (
@@ -39,7 +38,6 @@ from .ingest import (
     SensorChannel,
     SensorKind,
     SyncedSession,
-    align_channel_starts,
     build_session,
     load_session,
     parse_sensor_csv,

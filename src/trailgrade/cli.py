@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kernel-len", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--l2", type=float, default=ModelConfig.l2_coeff)
-    p.add_argument("--batch", type=int, default=training.TrainConfig.batch_size)
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
     p.add_argument("--out-model", required=True)
@@ -104,8 +103,8 @@ def _cmd_label(args):
     if args.osm is not None:
         if args.way is None:
             raise _UsageError("--osm needs --way")
-        entries = labeling.parse_osm_difficulties(
-            ingest.read_utf8(args.osm, lambda n, why: MalformedXml(f"line {n}: {why}"))
+        entries = ingest.parse_file(
+            args.osm, labeling.parse_osm_difficulties, lambda n, why: MalformedXml(f"line {n}: {why}")
         )
         if args.way not in entries:
             raise TrailgradeError(f"way {args.way} carries no {labeling.OSM_GRADE_KEY} tag")
@@ -113,14 +112,21 @@ def _cmd_label(args):
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
-    track = labeling.read_label_track_csv(ingest.read_utf8(args.track, MalformedLine))
-    overrides = []
+    merged = track = _read_track(args.track)
     if args.overrides:
-        overrides = labeling.read_overrides_csv(ingest.read_utf8(args.overrides, MalformedLine))
-    merged = labeling.apply_overrides(track, overrides)
+        # an override's bad interval is an error of the overrides file too
+        merged = ingest.parse_file(
+            args.overrides,
+            lambda text: labeling.apply_overrides(track, labeling.read_overrides_csv(text)),
+            MalformedLine,
+        )
     Path(args.out).write_text(labeling.write_label_track_csv(merged))
     print(f"{len(merged.segments)} segments -> {args.out}")
     return 0
+
+
+def _read_track(path):
+    return ingest.parse_file(path, labeling.read_label_track_csv, MalformedLine)
 
 
 def _session_track_pairs(directory: Path):
@@ -130,8 +136,7 @@ def _session_track_pairs(directory: Path):
         if not track_path.exists():
             raise TrailgradeError(f"no label track next to {session_path.name}")
         session = ingest.read_session_archive(session_path)
-        track = labeling.read_label_track_csv(ingest.read_utf8(track_path, MalformedLine))
-        pairs.append((session, track))
+        pairs.append((session, _read_track(track_path)))
     if not pairs:
         raise TrailgradeError(f"no *.session archives in {directory}")
     return pairs
@@ -145,9 +150,7 @@ def _cmd_window(args):
     else:
         if args.track is None:
             raise _UsageError("--track is required when --session is a single archive")
-        session = ingest.read_session_archive(source)
-        track = labeling.read_label_track_csv(ingest.read_utf8(args.track, MalformedLine))
-        pairs = [(session, track)]
+        pairs = [(ingest.read_session_archive(source), _read_track(args.track))]
     samples = []
     for session, track in pairs:
         samples.extend(dataset.slice_windows(session, track, config))
@@ -171,7 +174,6 @@ def _cmd_train(args):
     train_config = _from_flags(
         training.TrainConfig,
         seed=args.seed + 3,
-        batch_size=args.batch,
         max_epochs=args.max_epochs,
         patience=args.patience,
     )

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     CorruptArchive,
     EmptyClass,
-    OutOfRange,
     SessionTooShort,
     TooFewSamples,
 )
@@ -71,22 +70,6 @@ class WindowSample:
 class DatasetSplit:
     train: list
     test: list
-    seed: int
-
-
-def stack_sample(session: SyncedSession, start_index: int, window_points: int, label: int) -> WindowSample:
-    """One window: data[t, r, c] = channel r's axis c at start_index + t.
-
-    The data is a read-only view of ``session.data``, not a copy.
-    """
-    if start_index < 0 or start_index + window_points > session.length_points:
-        raise OutOfRange(
-            f"window [{start_index}, {start_index + window_points}) outside session "
-            f"of {session.length_points} points"
-        )
-    data = session.data[start_index : start_index + window_points]
-    start_ms = session.start_time_ms + int(round(start_index * PERIOD_MS))
-    return WindowSample(data, int(label), (session.name, start_ms))
 
 
 def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfig):
@@ -94,7 +77,8 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
 
     Windows start at point indices 0, s, 2s, ... with s = the config stride;
     a window is dropped when its [start_ms, start_ms + window_ms) span crosses
-    a label change or unlabeled time.
+    a label change or unlabeled time. A window's data is
+    ``session.data[p : p + window_points]``, a read-only view, not a copy.
     """
     w = config.window_points
     if session.length_points < w:
@@ -105,9 +89,8 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     for p in range(0, session.length_points - w + 1, config.stride):
         start_ms = session.start_time_ms + int(round(p * PERIOD_MS))
         label = uniform_label(track, start_ms, start_ms + config.window_ms)
-        if label is None:
-            continue
-        out.append(stack_sample(session, p, w, label))
+        if label is not None:
+            out.append(WindowSample(session.data[p : p + w], label, (session.name, start_ms)))
     return out
 
 
@@ -126,7 +109,7 @@ def split_train_test(samples, seed: int = 0, by_session: bool = False) -> Datase
         perm = rng.permutation(n)
         train = [samples[i] for i in perm[:n_train]]
         test = [samples[i] for i in perm[n_train:]]
-        return DatasetSplit(train, test, seed)
+        return DatasetSplit(train, test)
 
     names = sorted({s.origin[0] for s in samples})
     if len(names) < 2:
@@ -143,7 +126,7 @@ def split_train_test(samples, seed: int = 0, by_session: bool = False) -> Datase
         train_names.add(names[order[0]])
     train = [s for s in samples if s.origin[0] in train_names]
     test = [s for s in samples if s.origin[0] not in train_names]
-    return DatasetSplit(train, test, seed)
+    return DatasetSplit(train, test)
 
 
 def class_histogram(samples) -> dict:

@@ -36,7 +36,7 @@ class WrongChannelSet(TrailgradeError):
 
 
 class MismatchedStart(TrailgradeError):
-    """Channels of one session must share a start time."""
+    """Channel start times of one session must lie a whole number of periods apart."""
 
 
 class MalformedManifest(TrailgradeError):
@@ -65,10 +65,6 @@ class InvalidInterval(TrailgradeError):
 
 class SessionTooShort(TrailgradeError):
     """Session has fewer points than one window."""
-
-
-class OutOfRange(TrailgradeError):
-    """A window slice falls outside the session."""
 
 
 class EmptyClass(TrailgradeError):

@@ -309,17 +309,26 @@ def resample_linear(log: RawSensorLog) -> SensorChannel:
     return SensorChannel(log.sensor_kind, log.mount, int(round(k0 * PERIOD_MS)), out)
 
 
-def align_channel_starts(channels):
-    """Trim leading points so every channel starts at the latest channel start.
+def build_session(channels, name: str = "") -> SyncedSession:
+    """Stack four channels into a session: fixed row order, common start, common length.
 
-    After synchronization the units' first surviving samples can sit on
-    different lattice points (each within one period of the common t0).
-    All channels share the same lattice, so the difference is a whole number
-    of periods and dropping that many leading points aligns them exactly.
+    After synchronization each unit's first lattice point lies within one
+    period of the common t0, so channel starts differ by whole periods: each
+    channel drops its points before the latest start, and all are cut to the
+    shortest end.
     """
-    latest = max(ch.start_time_ms for ch in channels)
-    out = []
-    for ch in channels:
+    combos = [(ch.mount, ch.sensor_kind) for ch in channels]
+    if sorted(combos, key=str) != sorted(CHANNEL_ORDER, key=str):
+        raise WrongChannelSet(
+            "need exactly one channel per (mount, sensor) combination"
+        )
+    ordered = [
+        next(ch for ch in channels if (ch.mount, ch.sensor_kind) == key)
+        for key in CHANNEL_ORDER
+    ]
+    latest = max(ch.start_time_ms for ch in ordered)
+    shifts = []
+    for ch in ordered:
         shift_exact = (latest - ch.start_time_ms) / PERIOD_MS
         shift = int(round(shift_exact))
         if abs(shift_exact - shift) > 1e-6:
@@ -330,30 +339,10 @@ def align_channel_starts(channels):
             raise EmptyAfterSync(
                 f"{ch.mount.value} {ch.sensor_kind.value}: no samples at or after {latest} ms"
             )
-        if shift == 0:
-            out.append(ch)
-        else:
-            out.append(SensorChannel(ch.sensor_kind, ch.mount, latest, ch.values[shift:]))
-    return out
-
-
-def build_session(channels, name: str = "") -> SyncedSession:
-    """Assemble four channels into a session, fixed row order, common length."""
-    combos = [(ch.mount, ch.sensor_kind) for ch in channels]
-    if sorted(combos, key=str) != sorted(CHANNEL_ORDER, key=str):
-        raise WrongChannelSet(
-            "need exactly one channel per (mount, sensor) combination"
-        )
-    ordered = [
-        next(ch for ch in channels if (ch.mount, ch.sensor_kind) == key)
-        for key in CHANNEL_ORDER
-    ]
-    starts = {ch.start_time_ms for ch in ordered}
-    if len(starts) != 1:
-        raise MismatchedStart(f"channel start times differ: {sorted(starts)}")
-    length = min(ch.length for ch in ordered)
-    data = np.stack([ch.values[:length] for ch in ordered], axis=1)
-    return SyncedSession(name, ordered[0].start_time_ms, data)
+        shifts.append(shift)
+    length = min(ch.length - shift for ch, shift in zip(ordered, shifts))
+    data = np.stack([ch.values[shift : shift + length] for ch, shift in zip(ordered, shifts)], axis=1)
+    return SyncedSession(name, latest, data)
 
 
 # --- session archive (binary interchange between `ingest` and `window`) -----
@@ -432,24 +421,33 @@ def read_utf8(path, malformed) -> str:
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise malformed(line_no, f"{path}: byte {data[exc.start]:#04x} is not UTF-8") from None
+        raise malformed(line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    del data  # normalise without the raw bytes alive: a CRLF file is held at most twice
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse_file(path, parse, malformed):
+    """``parse(text)`` of the text file at ``path``, read by ``read_utf8``.
+
+    Every TrailgradeError from reading or parsing keeps its type and fields
+    and names the file at the front: ``<path>: line N: reason``.
+    """
+    try:
+        return parse(read_utf8(path, malformed))
+    except TrailgradeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session."""
     manifest_path = Path(manifest_path)
-    text = read_utf8(manifest_path, lambda n, why: MalformedManifest(f"line {n}: {why}"))
-    entries = parse_session_manifest(text)
+    entries = parse_file(
+        manifest_path, parse_session_manifest, lambda n, why: MalformedManifest(f"line {n}: {why}")
+    )
     logs = []
     for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
         csv_path = manifest_path.parent / entries[role]
-        csv_text = read_utf8(csv_path, MalformedLine)
-        try:
-            logs.append(parse_sensor_csv(csv_text, kind, mount))
-        except TrailgradeError as exc:
-            # keep the type and line number; name the file in the message
-            exc.args = (f"{csv_path}: {exc}",)
-            raise
+        logs.append(parse_file(csv_path, lambda text: parse_sensor_csv(text, kind, mount), MalformedLine))
     channels = [resample_linear(log) for log in synchronize(logs)]
-    return build_session(align_channel_starts(channels), name=entries["name"])
+    return build_session(channels, name=entries["name"])

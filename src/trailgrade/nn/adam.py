@@ -7,6 +7,8 @@ import numpy as np
 from ..errors import ShapeMismatch
 from .model import ModelParams, is_trainable
 
+#: The paper's learning rate; Adam's betas and epsilon are the usual defaults.
+LEARNING_RATE = 1e-3
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
@@ -28,8 +30,9 @@ def init_adam(params: ModelParams) -> AdamState:
     )
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 0.001):
-    """One update: m, v <- moving moments of g, g^2; step by lr * m_hat / (sqrt(v_hat) + eps).
+def adam_step(params: ModelParams, grads: dict, state: AdamState):
+    """One update: m, v <- moving moments of g, g^2; step by
+    LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
     Mutates params and state in place and returns both; params.step is bumped
     so stale forward caches can be detected.
@@ -58,7 +61,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 0.
         np.sqrt(scratch, out=scratch)
         scratch += EPSILON
         step = m / bc1
-        step *= lr
+        step *= LEARNING_RATE
         step /= scratch
         params.tensors[key] -= step
     params.step += 1

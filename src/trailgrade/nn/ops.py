@@ -226,8 +226,6 @@ def dropout_forward(x, rate, rng, train=True):
 
 
 def dropout_backward(cache, grad_out, rate):
-    if cache is None:
-        return grad_out
     grad = grad_out * cache
     grad /= 1.0 - rate
     return grad

@@ -1,7 +1,7 @@
 """Mini-batch Adam training with early stopping on held-out accuracy.
 
-Each epoch shuffles the training set and runs batches of 32 through train-mode
-forward / backward / Adam. Its train accuracy is the running train-mode
+Each epoch shuffles the training set and runs batches of BATCH_SIZE through
+train-mode forward / backward / Adam. Its train accuracy is the running train-mode
 accuracy over those batches, as Keras reports it: dropout is on and the
 weights change from batch to batch, and the training set is not re-scored.
 The test split is then scored in infer mode. The weights and confusion matrix
@@ -20,17 +20,19 @@ from .nn.ops import sparse_categorical_crossentropy
 
 HISTORY_CSV_HEADER = "epoch,train_sca,test_sca,train_loss"
 
+#: The paper's mini-batch size, for training and for every evaluation.
+BATCH_SIZE = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int
-    batch_size: int = 32
     max_epochs: int = 1500
     patience: int = 250
 
     def __post_init__(self):
-        if min(self.batch_size, self.max_epochs, self.patience) < 1:
-            raise ValueError("batch_size, max_epochs, patience must be positive")
+        if min(self.max_epochs, self.patience) < 1:
+            raise ValueError("max_epochs, patience must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,10 @@ def _stack(samples):
     return data, labels
 
 
-def _evaluate_arrays(params, data, labels, batch_size):
+def _evaluate_arrays(params, data, labels):
     probs = np.empty((len(data), CLASSES))
-    for lo in range(0, len(data), batch_size):
-        probs[lo : lo + batch_size] = forward(params, data[lo : lo + batch_size])[0]
+    for lo in range(0, len(data), BATCH_SIZE):
+        probs[lo : lo + BATCH_SIZE] = forward(params, data[lo : lo + BATCH_SIZE])[0]
     # argmax of a NaN row is 0, so non-finite weights would score as class 0
     if not np.isfinite(probs).all():
         raise NumericFailure("non-finite probabilities")
@@ -109,13 +111,13 @@ def _evaluate_arrays(params, data, labels, batch_size):
 def evaluate(params: ModelParams, samples):
     """Infer-mode (accuracy, confusion matrix) over a sample set. Pure.
 
-    Batches are TrainConfig's default size, so re-evaluating a snapshot of a
-    default-batch run reproduces its recorded accuracy bit for bit.
+    Batches are the training batch size, so re-evaluating a snapshot
+    reproduces its recorded accuracy bit for bit.
     """
     if not samples:
         raise EmptyDataset("nothing to evaluate")
     data, labels = _stack(samples)
-    return _evaluate_arrays(params, data, labels, TrainConfig.batch_size)
+    return _evaluate_arrays(params, data, labels)
 
 
 def train(train_samples, test_samples, model_config: ModelConfig, train_config: TrainConfig) -> TrainResult:
@@ -143,8 +145,8 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
         perm = rng.permutation(n)
         loss_sum = 0.0
         hits = 0
-        for lo in range(0, n, train_config.batch_size):
-            idx = perm[lo : lo + train_config.batch_size]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = perm[lo : lo + BATCH_SIZE]
             labels = train_labels[idx]
             probs, cache = forward(params, train_data[idx], train=True, rng=rng)
             ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
@@ -157,7 +159,7 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             loss_sum += loss * len(idx)
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
-        test_sca, test_confusion = _evaluate_arrays(params, test_data, test_labels, train_config.batch_size)
+        test_sca, test_confusion = _evaluate_arrays(params, test_data, test_labels)
         history.append(EpochRecord(epoch, hits / n, test_sca, loss_sum / n))
         if test_sca > best_sca:
             best_sca, best_epoch = test_sca, epoch

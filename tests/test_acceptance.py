@@ -290,7 +290,7 @@ def test_criterion_5_synthetic_end_to_end(tmp_path):
     ]) == 0
     assert cli.main([
         "train", "--samples", str(samples_file), "--kernel-len", "20",
-        "--seed", "42", "--batch", "32", "--max-epochs", "300", "--patience", "250",
+        "--seed", "42", "--max-epochs", "300", "--patience", "250",
         "--out-model", str(model_file), "--out-history", str(history_file),
     ]) == 0
 

@@ -83,7 +83,7 @@ def trained(samples_path, tmp_path_factory):
     history = out / "history.csv"
     code = run(
         "train", "--samples", str(samples_path), "--kernel-len", "10",
-        "--seed", "5", "--batch", "32", "--max-epochs", "3", "--patience", "3",
+        "--seed", "5", "--max-epochs", "3", "--patience", "3",
         "--out-model", str(model), "--out-history", str(history),
     )
     assert code == 0
@@ -158,6 +158,88 @@ class TestIngest:
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = run("ingest", "--session", str(tmp_path / "absent.toml"), "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+class TestDataErrorsNameTheFile:
+    """A data error from a text file reads ``error: <path>: line N: reason``."""
+
+    @staticmethod
+    def error_line(capsys):
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    def test_non_utf8_csv_byte(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_gyro.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n40,", b"\n4\x800,", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert self.error_line(capsys) == f"error: {path}: line 3: byte 0x80 is not UTF-8\n"
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        manifest.write_text(manifest.read_text().replace("helmet_gyro=", "helmet_gyro "))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert self.error_line(capsys) == f"error: {manifest}: line 5: expected key=value\n"
+
+    @staticmethod
+    def bad_track_beside_a_session(synth_dir, tmp_path, text):
+        session = sorted(synth_dir.glob("*.session"))[0]
+        shutil.copy(session, tmp_path / session.name)
+        track = tmp_path / session.with_suffix(".labels.csv").name
+        track.write_text(text)
+        return tmp_path / session.name, track
+
+    @pytest.mark.parametrize("directory_mode", [False, True])
+    def test_window_track(self, synth_dir, tmp_path, capsys, directory_mode):
+        session, track = self.bad_track_beside_a_session(
+            synth_dir, tmp_path, "start_ms,end_ms,label\n0,oops,1\n"
+        )
+        source = ["--session", str(tmp_path)]
+        if not directory_mode:
+            source = ["--session", str(session), "--track", str(track)]
+        code = run("window", *source, "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"))
+        assert code == 2
+        assert self.error_line(capsys) == f"error: {track}: line 2: unparseable record '0,oops,1'\n"
+
+    def test_grid_track(self, synth_dir, tmp_path, capsys):
+        _, track = self.bad_track_beside_a_session(
+            synth_dir, tmp_path, "start_ms,end_ms,label\n0,1000,1\n500,2000,1\n"
+        )
+        code = run("grid", "--data", str(tmp_path), "--seed", "1", "--out", str(tmp_path / "g"))
+        assert code == 2
+        assert self.error_line(capsys) == f"error: {track}: segments overlap or are unsorted\n"
+
+    def test_label_track(self, tmp_path, capsys):
+        base = tmp_path / "base.csv"
+        base.write_text("start,end,label\n0,1000,1\n")
+        assert run("label", "--track", str(base), "--out", str(tmp_path / "merged.csv")) == 2
+        want = f"error: {base}: line 1: expected header 'start_ms,end_ms,label'\n"
+        assert self.error_line(capsys) == want
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            pytest.param("400,600", "line 2: expected 3 fields, got 2", id="short-row"),
+            pytest.param("600,400,0", "interval [600, 400) is empty or reversed", id="reversed"),
+        ],
+    )
+    def test_overrides(self, tmp_path, capsys, row, reason):
+        base, overrides = tmp_path / "base.csv", tmp_path / "ovr.csv"
+        base.write_text("start_ms,end_ms,label\n0,1000,1\n")
+        overrides.write_text(f"start_ms,end_ms,label\n{row}\n")
+        code = run(
+            "label", "--track", str(base), "--overrides", str(overrides),
+            "--out", str(tmp_path / "merged.csv"),
+        )
+        assert code == 2
+        assert self.error_line(capsys) == f"error: {overrides}: {reason}\n"
+
+    def test_osm(self, tmp_path, capsys):
+        osm = tmp_path / "area.osm"
+        osm.write_text('<osm><way id="x"><tag k="mtb:scale" v="2"/></way></osm>')
+        assert run("label", "--osm", str(osm), "--way", "12") == 2
+        assert self.error_line(capsys) == f"error: {osm}: way id 'x' is not an integer\n"
 
 
 class TestLabelCommand:
@@ -468,7 +550,6 @@ class TestExitCodes:
             pytest.param("window", ["--window-ms", "3"], id="window-ms-3"),
             pytest.param("window", ["--window-ms", "2000", "--overlap", "1.5"], id="overlap-1.5"),
             pytest.param("train", ["--kernel-len", "0"], id="kernel-len-0"),
-            pytest.param("train", ["--kernel-len", "5", "--batch", "0"], id="batch-0"),
             pytest.param("train", ["--kernel-len", "5", "--l2", "-1"], id="l2-minus-1"),
             pytest.param("grid", ["--max-epochs", "0"], id="grid-max-epochs-0"),
             pytest.param("grid", ["--jobs", "0"], id="grid-jobs-0"),

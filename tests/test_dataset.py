@@ -19,16 +19,15 @@ from trailgrade.dataset import (
     shuffle,
     slice_windows,
     split_train_test,
-    stack_sample,
     write_sample_archive,
 )
 from trailgrade.errors import (
     CorruptArchive,
     EmptyClass,
-    OutOfRange,
     SessionTooShort,
     TooFewSamples,
 )
+from trailgrade.ingest import PERIOD_MS
 from trailgrade.labeling import LabelTrack
 
 
@@ -116,23 +115,33 @@ class TestSliceWindows:
                 assert got == window_start_count(length, w, stride)
 
 
+def window_at(session, start, points, label):
+    """The window slice_windows cuts at point ``start``, sliding by one point."""
+    config = WindowConfig(int(points * PERIOD_MS), overlap_fraction=1 - 1 / points)
+    assert config.stride == 1
+    return slice_windows(session, full_track(session, label), config)[start]
+
+
 class TestStackSample:
+    """How slice_windows stacks a window: data[t, r, c] = channel r's axis c at p + t."""
+
     def test_single_point_window(self):
         session = make_session(10)
-        sample = stack_sample(session, 3, 1, 2)
+        sample = window_at(session, 3, 1, 2)
         assert sample.data.shape == (1, 4, 3)
         assert np.array_equal(sample.data[0], session.data[3])
+        assert sample.label == 2
 
     def test_layout_definition(self):
         session = make_session(30)
-        sample = stack_sample(session, 5, 8, 0)
+        sample = window_at(session, 5, 8, 0)
         # row 0 is the frame accelerometer; column 2 is the z axis
         assert sample.data[0][0][2] == session.channels[0].values[5, 2]
         assert sample.origin == ("sess", 200)
 
     def test_inverse_layout(self):
         session = make_session(60, seed=9)
-        sample = stack_sample(session, 12, 20, 1)
+        sample = window_at(session, 12, 20, 1)
         for row in range(4):
             assert np.array_equal(
                 sample.data[:, row, :], session.channels[row].values[12:32]
@@ -140,7 +149,7 @@ class TestStackSample:
 
     def test_bit_identical_slice(self):
         session = make_session(40)
-        sample = stack_sample(session, 8, 16, 0)
+        sample = window_at(session, 8, 16, 0)
         assert np.array_equal(sample.data, session.data[8:24])
         assert sample.data.base is session.data  # a read-only view of session.data
 
@@ -157,13 +166,6 @@ class TestStackSample:
                 window.data[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             session.data[0, 0, 0] = 1.0
-
-    def test_out_of_range(self):
-        session = make_session(10)
-        with pytest.raises(OutOfRange):
-            stack_sample(session, 5, 6, 0)
-        with pytest.raises(OutOfRange):
-            stack_sample(session, -1, 5, 0)
 
 
 class TestSplit:

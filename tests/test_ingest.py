@@ -499,10 +499,15 @@ class TestBuildSession:
             build_session(self.make_channels([10, 10, 10, 10])[:3])
 
     def test_mismatched_start_rejected(self):
+        # one channel starts a period late, so the others drop their first point
         channels = self.make_channels([10, 10, 10, 10])
-        bad = SensorChannel(GYRO, Mount.HELMET, 40, channels[3].values)
-        with pytest.raises(MismatchedStart):
-            build_session(channels[:3] + [bad])
+        late = SensorChannel(GYRO, Mount.HELMET, 40, channels[3].values)
+        session = build_session(channels[:3] + [late])
+        assert session.start_time_ms == 40
+        assert session.length_points == 9
+        for row in range(3):
+            assert np.array_equal(session.data[:, row], channels[row].values[1:])
+        assert np.array_equal(session.data[:, 3], late.values[:9])
 
     def test_channel_order_fixed(self):
         channels = self.make_channels([10, 10, 10, 10])
@@ -552,34 +557,31 @@ class TestSessionHoldsOneCopy:
 
 
 class TestAlignChannelStarts:
-    def make(self, start, length, kind=ACC, mount=Mount.FRAME):
-        from trailgrade.ingest import align_channel_starts  # noqa: F401
+    """build_session drops each channel's leading points before the latest start."""
 
-        rng = np.random.default_rng(start + length)
-        return SensorChannel(kind, mount, start, rng.normal(size=(length, 3)))
+    def make(self, starts, lengths):
+        return [
+            SensorChannel(kind, mount, start, np.random.default_rng(start + n).normal(size=(n, 3)))
+            for (mount, kind), start, n in zip(CHANNEL_ORDER, starts, lengths)
+        ]
 
     def test_trims_to_latest_start(self):
-        from trailgrade.ingest import align_channel_starts
-
-        early = self.make(0, 10)
-        late = self.make(80, 8, kind=GYRO)
-        aligned = align_channel_starts([early, late])
-        assert [c.start_time_ms for c in aligned] == [80, 80]
-        assert aligned[0].length == 8
-        assert np.array_equal(aligned[0].values, early.values[2:])
-        assert aligned[1] is late
+        channels = self.make([0, 80, 40, 80], [10, 8, 12, 9])
+        session = build_session(channels)
+        assert session.start_time_ms == 80
+        assert session.length_points == 8
+        assert np.array_equal(session.data[:, 0], channels[0].values[2:])
+        assert np.array_equal(session.data[:, 1], channels[1].values)
+        assert np.array_equal(session.data[:, 2], channels[2].values[1:9])
+        assert np.array_equal(session.data[:, 3], channels[3].values[:8])
 
     def test_off_lattice_start_rejected(self):
-        from trailgrade.ingest import align_channel_starts
-
-        with pytest.raises(MismatchedStart):
-            align_channel_starts([self.make(0, 10), self.make(50, 10, kind=GYRO)])
+        with pytest.raises(MismatchedStart, match="not a whole number of periods"):
+            build_session(self.make([0, 50, 0, 0], [10, 10, 10, 10]))
 
     def test_channel_entirely_before_start(self):
-        from trailgrade.ingest import align_channel_starts
-
-        with pytest.raises(EmptyAfterSync):
-            align_channel_starts([self.make(0, 3), self.make(400, 5, kind=GYRO)])
+        with pytest.raises(EmptyAfterSync, match="no samples at or after 400 ms"):
+            build_session(self.make([0, 400, 0, 0], [3, 5, 12, 12]))
 
     def test_load_session_with_offset_units(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -596,7 +598,9 @@ class TestAlignChannelStarts:
         (tmp_path / "session.toml").write_text(manifest)
         session = load_session(tmp_path / "session.toml")
         assert session.length_points > 150
-        assert len({c.start_time_ms for c in session.channels}) == 1
+        # units start at 160 - 110, 135 - 110, 0 and 135 - 110 ms after the common
+        # t0 of 110 ms, so on the lattice at 80, 40, 0 and 40 ms
+        assert session.start_time_ms == 80
 
 
 class TestSessionArchive:
@@ -715,6 +719,19 @@ class TestLoadSessionBytes:
         got = load_session(manifest)
         assert got.name == want.name
         assert np.array_equal(got.data, want.data)
+
+    def test_crlf_read_holds_the_file_at_most_twice(self, tmp_path):
+        path = tmp_path / "ride.csv"
+        rows = ["timestamp_ms,x,y,z"] + [f"{40 * i},{i},{i / 1000},-1.5" for i in range(60_000)]
+        path.write_bytes("\r\n".join(rows).encode("ascii") + b"\r\n")
+        tracemalloc.start()
+        try:
+            text = ingest.read_utf8(path, MalformedLine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "\n".join(rows) + "\n"
+        assert peak <= 2.2 * path.stat().st_size
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_undecodable_csv_byte_names_its_line(self, tmp_path, newline):

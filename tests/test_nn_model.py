@@ -202,7 +202,7 @@ class TestAdam:
         # bias correction makes the first update ~ lr * g / (|g| + eps)
         for g in (0.3, -2.0, 1e-4):
             params = self.make_scalar_params(0.0)
-            adam_step(params, {"w": np.array([g])}, init_adam(params), lr=0.001)
+            adam_step(params, {"w": np.array([g])}, init_adam(params))
             expected = -0.001 * g / (abs(g) + 1e-8)
             assert params.tensors["w"].item() == pytest.approx(expected, rel=1e-6)
 
@@ -212,7 +212,7 @@ class TestAdam:
         values = [1.0]
         for _ in range(10):
             w = params.tensors["w"]
-            adam_step(params, {"w": 2.0 * w}, state, lr=0.05)
+            adam_step(params, {"w": 2.0 * w}, state)
             values.append(params.tensors["w"].item())
         losses = [v * v for v in values]
         assert losses[-1] < losses[0]

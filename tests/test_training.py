@@ -14,6 +14,7 @@ from trailgrade.nn.adam import adam_step, init_adam
 from trailgrade.nn.model import backward, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import (
+    BATCH_SIZE,
     ConfusionMatrix,
     TrainConfig,
     confusion_matrix,
@@ -208,7 +209,7 @@ def rescoring_train(train_samples, test_samples, model_config, train_config):
     train_labels = np.array([s.label for s in train_samples])
     test_data = np.stack([s.data for s in test_samples])
     test_labels = np.array([s.label for s in test_samples])
-    batch = train_config.batch_size
+    batch = BATCH_SIZE
 
     def score(params, data, labels):
         probs = np.concatenate([forward(params, data[lo : lo + batch])[0] for lo in range(0, len(data), batch)])
