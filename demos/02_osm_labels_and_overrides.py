@@ -10,9 +10,9 @@ trail.
 from trailgrade.labeling import (
     LabelTrack,
     apply_overrides,
-    label_at,
     map_grade,
     parse_osm_difficulties,
+    uniform_label,
 )
 
 OSM_EXPORT = """
@@ -46,5 +46,6 @@ print("resulting segments (start ms, end ms, class):")
 for segment in track.segments:
     print(f"  {segment}")
 
+# the label at an instant t is the one label covering [t, t + 1)
 for t in (10_000, 25_000, 59_999, 60_000, 95_000):
-    print(f"label at {t:>6d} ms: {label_at(track, t)}")
+    print(f"label at {t:>6d} ms: {uniform_label(track, t, t + 1)}")

@@ -54,7 +54,6 @@ from .labeling import (
     MEDIUM,
     LabelTrack,
     apply_overrides,
-    label_at,
     map_grade,
     parse_osm_difficulties,
     uniform_label,

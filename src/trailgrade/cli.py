@@ -31,6 +31,13 @@ def _from_flags(config_type, *args, **kwargs):
         raise _UsageError(str(exc)) from None
 
 
+def _seed(text):
+    """A --seed value: an integer, at least 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trailgrade", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,7 +66,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="split, balance, shuffle and train on a sample archive")
     p.add_argument("--samples", required=True)
     p.add_argument("--kernel-len", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--l2", type=float, default=ModelConfig.l2_coeff)
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
@@ -75,7 +82,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="run the window-size x kernel-size grid")
     p.add_argument("--data", required=True, help="directory of *.session + *.labels.csv pairs")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
@@ -86,7 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sessions-per-class", type=int, required=True)
     p.add_argument("--seconds", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=_cmd_synth)
 
     return parser
@@ -100,9 +107,9 @@ def _cmd_ingest(args):
 
 
 def _cmd_label(args):
-    if args.osm is not None:
-        if args.way is None:
-            raise _UsageError("--osm needs --way")
+    if args.osm is not None or args.way is not None:
+        if None in (args.osm, args.way) or (args.track, args.overrides, args.out) != (None,) * 3:
+            raise _UsageError("--osm and --way go together and take no --track, --overrides or --out")
         entries = ingest.parse_file(
             args.osm, labeling.parse_osm_difficulties, lambda n, why: MalformedXml(f"line {n}: {why}")
         )
@@ -112,14 +119,10 @@ def _cmd_label(args):
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
-    merged = track = _read_track(args.track)
+    merged = _read_track(args.track)
     if args.overrides:
-        # an override's bad interval is an error of the overrides file too
-        merged = ingest.parse_file(
-            args.overrides,
-            lambda text: labeling.apply_overrides(track, labeling.read_overrides_csv(text)),
-            MalformedLine,
-        )
+        overrides = ingest.parse_file(args.overrides, labeling.read_overrides_csv, MalformedLine)
+        merged = labeling.apply_overrides(merged, overrides)
     Path(args.out).write_text(labeling.write_label_track_csv(merged))
     print(f"{len(merged.segments)} segments -> {args.out}")
     return 0
@@ -146,6 +149,8 @@ def _cmd_window(args):
     config = _from_flags(dataset.WindowConfig, args.window_ms, args.overlap)
     source = Path(args.session)
     if source.is_dir():
+        if args.track is not None:
+            raise _UsageError("--track is for a single archive; a directory's sessions have their own")
         pairs = _session_track_pairs(source)
     else:
         if args.track is None:

@@ -7,6 +7,7 @@ label. Only windows whose whole time span sits under a single label are kept.
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     return out
 
 
-def split_train_test(samples, seed: int = 0, by_session: bool = False) -> DatasetSplit:
+def split_train_test(samples, seed: int, by_session: bool = False) -> DatasetSplit:
     """Seeded uniform split; the first round(TRAIN_FRACTION * N) go to train.
 
     Both sides are kept non-empty. With by_session=True whole recordings are
@@ -111,7 +112,8 @@ def split_train_test(samples, seed: int = 0, by_session: bool = False) -> Datase
         test = [samples[i] for i in perm[n_train:]]
         return DatasetSplit(train, test)
 
-    names = sorted({s.origin[0] for s in samples})
+    per_session = Counter(s.origin[0] for s in samples)
+    names = sorted(per_session)
     if len(names) < 2:
         raise TooFewSamples("per-recording split needs at least 2 sessions")
     order = rng.permutation(len(names))
@@ -121,9 +123,7 @@ def split_train_test(samples, seed: int = 0, by_session: bool = False) -> Datase
         if count >= n_train:
             break
         train_names.add(names[idx])
-        count += sum(1 for s in samples if s.origin[0] == names[idx])
-    if not train_names:
-        train_names.add(names[order[0]])
+        count += per_session[names[idx]]
     train = [s for s in samples if s.origin[0] in train_names]
     test = [s for s in samples if s.origin[0] not in train_names]
     return DatasetSplit(train, test)
@@ -137,7 +137,7 @@ def class_histogram(samples) -> dict:
     return counts
 
 
-def oversample_balance(train, seed: int = 0):
+def oversample_balance(train, seed: int):
     """Duplicate minority-class samples until every class matches the largest.
 
     Each short class is cycled whole (in origin order) as often as it fits and
@@ -165,7 +165,7 @@ def oversample_balance(train, seed: int = 0):
     return list(train) + duplicates
 
 
-def shuffle(samples, seed: int = 0):
+def shuffle(samples, seed: int):
     """Seeded uniform permutation of the sample sequence."""
     rng = np.random.default_rng(seed)
     return [samples[i] for i in rng.permutation(len(samples))]

@@ -44,14 +44,17 @@ class ClassSignature:
     impulses_per_s: float
 
 
-#: Deliberately separable defaults: amplitude envelopes do not overlap, so an
+#: Deliberately separable classes: amplitude envelopes do not overlap, so an
 #: amplitude-threshold baseline already classifies the corpus. The point is to
 #: verify the pipeline, not to pose a hard task.
-DEFAULT_SIGNATURES = (
+SIGNATURES = (
     ClassSignature(0.3, 2.0, 20.0, 0.2),  # easy: gentle low-frequency shaking
     ClassSignature(0.8, 5.0, 60.0, 1.0),  # medium
     ClassSignature(1.6, 9.0, 140.0, 3.0),  # hard: violent and impulse-heavy
 )
+
+#: Standard deviation of the Gaussian noise added to every synthetic axis.
+NOISE_STD = 0.05
 
 _HELMET_ATTENUATION = 0.6  # the rider's body damps what the helmet unit sees
 _GRAVITY_G = 1.0
@@ -63,19 +66,10 @@ class SyntheticSpec:
     sessions_per_class: int
     session_seconds: int
     seed: int
-    signatures: tuple = DEFAULT_SIGNATURES
-    noise_std: float = 0.05
 
     def __post_init__(self):
         if self.sessions_per_class < 1 or self.session_seconds < 1:
             raise InvalidSpec("sessions_per_class and session_seconds must be positive")
-        if self.noise_std < 0:
-            raise InvalidSpec("noise_std must be >= 0")
-        if len(set(self.signatures)) != len(self.signatures):
-            raise InvalidSpec("class signatures must be pairwise distinct")
-        for sig in self.signatures:
-            if min(sig.vibration_g, sig.frequency_hz, sig.gyro_swing_dps) <= 0 or sig.impulses_per_s < 0:
-                raise InvalidSpec(f"non-positive magnitude in {sig}")
 
 
 def _impulse_train(rng, n, per_second, amplitude):
@@ -88,7 +82,7 @@ def _impulse_train(rng, n, per_second, amplitude):
     return out
 
 
-def _synthetic_channel(rng, kind, mount, n, sig, spec):
+def _synthetic_channel(rng, kind, mount, n, sig):
     t = np.arange(n) / TARGET_RATE_HZ
     scale = 1.0 if mount is Mount.FRAME else _HELMET_ATTENUATION
     values = np.empty((n, 3))
@@ -103,9 +97,7 @@ def _synthetic_channel(rng, kind, mount, n, sig, spec):
         else:
             # the body/bike yaws at roughly half the vibration frequency
             signal = sig.gyro_swing_dps * scale * np.sin(np.pi * sig.frequency_hz * t + phase)
-        if spec.noise_std > 0:
-            signal = signal + rng.normal(0.0, spec.noise_std, n)
-        values[:, axis] = signal
+        values[:, axis] = signal + rng.normal(0.0, NOISE_STD, n)
     return SensorChannel(kind, mount, 0, values)
 
 
@@ -114,10 +106,10 @@ def generate_synthetic(spec: SyntheticSpec):
     rng = np.random.default_rng(spec.seed)
     n = int(round(spec.session_seconds * TARGET_RATE_HZ))
     out = []
-    for label, sig in enumerate(spec.signatures):
+    for label, sig in enumerate(SIGNATURES):
         for s in range(spec.sessions_per_class):
             channels = [
-                _synthetic_channel(rng, kind, mount, n, sig, spec)
+                _synthetic_channel(rng, kind, mount, n, sig)
                 for mount, kind in CHANNEL_ORDER
             ]
             session = build_session(channels, name=f"synth-c{label}-s{s:02d}")
@@ -207,8 +199,8 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
 
     `data` is a sequence of (SyncedSession, LabelTrack) pairs; sessions too
     short for a cell's window simply contribute no samples to it. Cells are
-    independent (own derived seed each) so they may run in parallel; each
-    pool worker receives `data` once, not once per cell.
+    independent (own derived seed each) so they may run in parallel, on at most
+    one worker per cell; each pool worker receives `data` once, not per cell.
     """
     data = list(data)
     if not data:
@@ -221,8 +213,9 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
         for window_ms in spec.window_ms_list
         for kernel_len in spec.kernel_len_list
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(data,)) as pool:
             return list(pool.map(_run_pooled_cell, cells))
     return [_run_cell(data, *cell) for cell in cells]
 
@@ -277,7 +270,8 @@ def export_curves(history):
     return history_to_csv(history), _curves_svg(history)
 
 
-def _curves_svg(history, width=640, height=400, margin=50):
+def _curves_svg(history):
+    width, height, margin = 640, 400, 50
     max_epoch = history[-1].epoch
     span = max(1, max_epoch - 1)
 

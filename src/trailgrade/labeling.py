@@ -75,11 +75,11 @@ def parse_osm_difficulties(xml_text) -> dict:
     return entries
 
 
-def _check_segment(start_ms, end_ms, label):
+def _check_segment(start_ms, end_ms, label, where=""):
     if start_ms >= end_ms:
-        raise InvalidInterval(f"interval [{start_ms}, {end_ms}) is empty or reversed")
+        raise InvalidInterval(f"{where}interval [{start_ms}, {end_ms}) is empty or reversed")
     if label not in LABELS:
-        raise InvalidInterval(f"label {label!r} not in {LABELS}")
+        raise InvalidInterval(f"{where}label {label!r} not in {LABELS}")
 
 
 @dataclass
@@ -98,16 +98,6 @@ class LabelTrack:
             prev_end = end
         self.segments = segs
         self._starts = [s for s, _, _ in segs]
-
-
-def label_at(track: LabelTrack, t_ms: int):
-    """Label of the segment containing t_ms, or None for unlabeled time."""
-    i = bisect_right(track._starts, t_ms) - 1
-    if i >= 0:
-        start, end, label = track.segments[i]
-        if start <= t_ms < end:
-            return label
-    return None
 
 
 def uniform_label(track: LabelTrack, start_ms: int, end_ms: int):
@@ -160,15 +150,24 @@ def apply_overrides(track: LabelTrack, overrides) -> LabelTrack:
 
 def read_label_track_csv(text) -> LabelTrack:
     """Parse `start_ms,end_ms,label` CSV into a LabelTrack."""
-    return LabelTrack(tuple(read_overrides_csv(text)))
+    segments = []
+    for line_no, row in _read_rows(text):
+        if segments and row[0] < segments[-1][1]:
+            raise InvalidInterval(f"line {line_no}: segments overlap or are unsorted")
+        segments.append(row)
+    return LabelTrack(tuple(segments))
 
 
 def read_overrides_csv(text):
     """Parse `start_ms,end_ms,label` CSV into a list of interval tuples."""
+    return [row for _, row in _read_rows(text)]
+
+
+def _read_rows(text):
+    """(line_no, (start_ms, end_ms, label)) per data row, each interval checked."""
     lines = text.split("\n")
     if not lines or lines[0].strip() != TRACK_CSV_HEADER:
         raise MalformedLine(1, f"expected header {TRACK_CSV_HEADER!r}")
-    out = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -177,10 +176,11 @@ def read_overrides_csv(text):
         if len(parts) != 3:
             raise MalformedLine(line_no, f"expected 3 fields, got {len(parts)}")
         try:
-            out.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            row = (int(parts[0]), int(parts[1]), int(parts[2]))
         except ValueError:
             raise MalformedLine(line_no, f"unparseable record {line!r}") from None
-    return out
+        _check_segment(*row, where=f"line {line_no}: ")
+        yield line_no, row
 
 
 def write_label_track_csv(track: LabelTrack) -> str:

@@ -101,9 +101,10 @@ class ModelParams:
 
 
 def build_model(config: ModelConfig, rng) -> ModelParams:
-    """Fresh parameters: Glorot-uniform weights, zero dense biases, identity batchnorm."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    """Fresh parameters: Glorot-uniform weights, zero dense biases, identity batchnorm.
+
+    ``rng`` is a ``np.random.Generator``; the weights are drawn from it.
+    """
     receptive = config.kernel_len * KERNEL_WIDTH
     tensors = {}
     for name, shape in param_shapes(config).items():

@@ -18,6 +18,12 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_one_usage_error(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -208,7 +214,7 @@ class TestDataErrorsNameTheFile:
         )
         code = run("grid", "--data", str(tmp_path), "--seed", "1", "--out", str(tmp_path / "g"))
         assert code == 2
-        assert self.error_line(capsys) == f"error: {track}: segments overlap or are unsorted\n"
+        assert self.error_line(capsys) == f"error: {track}: line 3: segments overlap or are unsorted\n"
 
     def test_label_track(self, tmp_path, capsys):
         base = tmp_path / "base.csv"
@@ -221,7 +227,7 @@ class TestDataErrorsNameTheFile:
         "row, reason",
         [
             pytest.param("400,600", "line 2: expected 3 fields, got 2", id="short-row"),
-            pytest.param("600,400,0", "interval [600, 400) is empty or reversed", id="reversed"),
+            pytest.param("600,400,0", "line 2: interval [600, 400) is empty or reversed", id="reversed"),
         ],
     )
     def test_overrides(self, tmp_path, capsys, row, reason):
@@ -258,6 +264,23 @@ class TestLabelCommand:
         osm = tmp_path / "area.osm"
         osm.write_text("<osm/>")
         assert run("label", "--osm", str(osm)) == 1
+
+    def test_track_mode_rejects_way(self, tmp_path, capsys):
+        (tmp_path / "base.csv").write_text("start_ms,end_ms,label\n0,1000,1\n")
+        out = tmp_path / "merged.csv"
+        code = run("label", "--track", str(tmp_path / "base.csv"), "--out", str(out), "--way", "7")
+        assert code == 1
+        assert_one_usage_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--track", "--overrides", "--out"])
+    def test_osm_mode_rejects_track_flags(self, tmp_path, capsys, flag):
+        osm = tmp_path / "area.osm"
+        osm.write_text('<osm><way id="12"><tag k="mtb:scale" v="2"/></way></osm>')
+        out = tmp_path / "merged.csv"
+        assert run("label", "--osm", str(osm), "--way", "12", flag, str(out)) == 1
+        assert_one_usage_error(capsys)
+        assert not out.exists()
 
     def test_track_overrides(self, tmp_path):
         (tmp_path / "base.csv").write_text("start_ms,end_ms,label\n0,1000,1\n")
@@ -549,6 +572,7 @@ class TestExitCodes:
         [
             pytest.param("window", ["--window-ms", "3"], id="window-ms-3"),
             pytest.param("window", ["--window-ms", "2000", "--overlap", "1.5"], id="overlap-1.5"),
+            pytest.param("window", ["--window-ms", "2000", "--track", "t.csv"], id="window-dir-with-track"),
             pytest.param("train", ["--kernel-len", "0"], id="kernel-len-0"),
             pytest.param("train", ["--kernel-len", "5", "--l2", "-1"], id="l2-minus-1"),
             pytest.param("grid", ["--max-epochs", "0"], id="grid-max-epochs-0"),
@@ -556,6 +580,9 @@ class TestExitCodes:
             pytest.param("grid", ["--jobs", "-4"], id="grid-jobs-minus-4"),
             pytest.param("synth", ["--seconds", "0"], id="synth-seconds-0"),
             pytest.param("synth", ["--sessions-per-class", "0"], id="synth-sessions-0"),
+            pytest.param("synth", ["--seed", "-1"], id="synth-seed-minus-1"),
+            pytest.param("train", ["--kernel-len", "5", "--seed", "-1"], id="train-seed-minus-1"),
+            pytest.param("grid", ["--seed", "-1"], id="grid-seed-minus-1"),
         ],
     )
     def test_usage_error_bad_flag_value(self, synth_dir, samples_path, tmp_path, capsys, command, flags):

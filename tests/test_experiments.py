@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import history_from_csv, skipped_cells
+from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
 from trailgrade.errors import EmptyHistory, InvalidSpec, NoUsableSessions
 from trailgrade.experiments import (
     COMPLETED,
-    DEFAULT_SIGNATURES,
     KERNEL_LEN_GRID,
     SKIPPED_KERNEL_TOO_LONG,
     WINDOW_MS_GRID,
@@ -51,16 +51,6 @@ class TestSyntheticSpec:
     def test_validation(self):
         with pytest.raises(InvalidSpec):
             SyntheticSpec(0, 20, seed=1)
-        with pytest.raises(InvalidSpec):
-            SyntheticSpec(1, 20, seed=1, noise_std=-0.1)
-        with pytest.raises(InvalidSpec):
-            SyntheticSpec(1, 20, seed=1, signatures=(DEFAULT_SIGNATURES[0],) * 3)
-        with pytest.raises(InvalidSpec):
-            SyntheticSpec(1, 20, seed=1, signatures=(
-                ClassSignature(-1.0, 2.0, 20.0, 0.2),
-                DEFAULT_SIGNATURES[1],
-                DEFAULT_SIGNATURES[2],
-            ))
 
 
 class TestGenerateSynthetic:
@@ -82,16 +72,15 @@ class TestGenerateSynthetic:
             assert np.array_equal(sa.data, sb.data)
         assert not np.array_equal(a[0][0].data, c[0][0].data)
 
-    def test_noiseless_sessions_are_pure_sinusoids(self):
-        spec = SyntheticSpec(
-            1, 20, seed=3, noise_std=0.0,
-            signatures=(
-                ClassSignature(0.3, 2.0, 20.0, 0.0),
-                ClassSignature(0.8, 5.0, 60.0, 0.0),
-                ClassSignature(1.6, 9.0, 140.0, 0.0),
-            ),
+    def test_noiseless_sessions_are_pure_sinusoids(self, monkeypatch):
+        signatures = (
+            ClassSignature(0.3, 2.0, 20.0, 0.0),
+            ClassSignature(0.8, 5.0, 60.0, 0.0),
+            ClassSignature(1.6, 9.0, 140.0, 0.0),
         )
-        for (session, track), sig in zip(generate_synthetic(spec), spec.signatures):
+        monkeypatch.setattr(experiments, "NOISE_STD", 0.0)
+        monkeypatch.setattr(experiments, "SIGNATURES", signatures)
+        for (session, track), sig in zip(generate_synthetic(SyntheticSpec(1, 20, seed=3)), signatures):
             t = np.arange(session.length_points) / 25.0
             x = session.data[:, 0, 0]  # frame accelerometer, x axis
             design = np.column_stack([
@@ -104,9 +93,9 @@ class TestGenerateSynthetic:
             assert np.max(np.abs(residual)) < 1e-9
             assert np.hypot(coeffs[0], coeffs[1]) == pytest.approx(sig.vibration_g, rel=1e-9)
 
-    def test_helmet_attenuated(self):
-        spec = SyntheticSpec(1, 20, seed=4, noise_std=0.0)
-        session, _ = generate_synthetic(spec)[2]  # a medium session
+    def test_helmet_attenuated(self, monkeypatch):
+        monkeypatch.setattr(experiments, "NOISE_STD", 0.0)
+        session, _ = generate_synthetic(SyntheticSpec(1, 20, seed=4))[2]  # a medium session
         frame_gyro = session.data[:, 1, :]
         helmet_gyro = session.data[:, 3, :]
         assert np.abs(helmet_gyro).max() < np.abs(frame_gyro).max()
@@ -192,6 +181,36 @@ class TestRunGrid:
     def test_parallel_matches_serial(self, data, results):
         parallel = run_grid(data, tiny_grid_spec(), jobs=2)
         assert parallel == list(results)
+
+    def test_pool_has_at_most_one_worker_per_cell(self, data, results, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            """Records the worker count; runs the initializer and the cells here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments, "_worker_data", None)
+        two_cells = GridSpec(
+            train_config=tiny_grid_spec().train_config,
+            seed=9,
+            window_ms_list=(1000,),
+            kernel_len_list=(10, 40),
+        )
+        assert run_grid(data, two_cells, jobs=10**6) == list(results[:2])
+        assert asked == [2]
 
     def test_no_sessions(self):
         with pytest.raises(NoUsableSessions):

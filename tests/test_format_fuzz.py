@@ -30,7 +30,7 @@ def _write_samples(path):
 
 def _write_checkpoint(path):
     config = ModelConfig(window_points=2, kernel_len=1, filters=(1, 1, 1), dense_units=1)
-    save_checkpoint(build_model(config, 0), path)
+    save_checkpoint(build_model(config, np.random.default_rng(0)), path)
 
 
 #: format name -> (writer of one small valid file, reader)

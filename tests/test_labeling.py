@@ -14,7 +14,6 @@ from trailgrade.labeling import (
     LABELS,
     LabelTrack,
     apply_overrides,
-    label_at,
     map_grade,
     parse_osm_difficulties,
     read_label_track_csv,
@@ -119,18 +118,20 @@ class TestLabelTrack:
 
 
 class TestLabelAt:
+    """The label at an instant t is uniform_label over [t, t + 1)."""
+
     def test_inclusive_start(self):
         track = LabelTrack(((0, 1000, 1),))
-        assert label_at(track, 0) == 1
+        assert uniform_label(track, 0, 1) == 1
 
     def test_exclusive_end(self):
         track = LabelTrack(((0, 1000, 1),))
-        assert label_at(track, 1000) is None
+        assert uniform_label(track, 1000, 1001) is None
 
     def test_gap_is_unlabeled(self):
         track = LabelTrack(((0, 100, 1), (200, 300, 2)))
-        assert label_at(track, 150) is None
-        assert label_at(track, 250) == 2
+        assert uniform_label(track, 150, 151) is None
+        assert uniform_label(track, 250, 251) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -143,7 +144,7 @@ class TestLabelAt:
             segments.append((a, b, data.draw(st.sampled_from(LABELS))))
         track = LabelTrack(tuple(segments))
         for t in data.draw(st.lists(st.integers(-10, 510), max_size=20)):
-            assert label_at(track, t) == label_at_scan(segments, t)
+            assert uniform_label(track, t, t + 1) == label_at_scan(segments, t)
 
 
 class TestUniformLabel:
@@ -213,7 +214,7 @@ class TestApplyOverrides:
         result = apply_overrides(LabelTrack(tuple(base_segments)), overrides)
         # invariants hold by construction (LabelTrack validates); check labels
         for t in range(-5, 325):
-            assert label_at(result, t) == overlay_label(base_segments, overrides, t), t
+            assert uniform_label(result, t, t + 1) == overlay_label(base_segments, overrides, t), t
 
 
 class TestTrackCsv:

@@ -73,14 +73,14 @@ class TestModelConfig:
                 if kernel > points:
                     continue
                 config = ModelConfig(window_points=points, kernel_len=kernel)
-                params = build_model(config, 0)
+                params = build_model(config, np.random.default_rng(0))
                 stored = sum(v.size for v in params.tensors.values())
                 assert parameter_count(config) == stored
 
 
 class TestBuildAndForward:
     def test_initial_values(self):
-        params = build_model(TINY, 3)
+        params = build_model(TINY, np.random.default_rng(3))
         assert "conv1/bias" not in params.tensors
         assert (params.tensors["bn2/gamma"] == 1.0).all()
         assert (params.tensors["bn3/var"] == 1.0).all()
@@ -90,32 +90,32 @@ class TestBuildAndForward:
         assert np.abs(kernel).max() <= limit
 
     def test_rows_sum_to_one(self, rng):
-        params = build_model(TINY, 1)
+        params = build_model(TINY, np.random.default_rng(1))
         probs, cache = forward(params, rng.normal(size=(5, 8, 4, 3)))
         assert probs.shape == (5, 3)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
         assert cache is None
 
     def test_infer_deterministic(self, rng):
-        params = build_model(TINY, 1)
+        params = build_model(TINY, np.random.default_rng(1))
         batch = rng.normal(size=(4, 8, 4, 3))
         a, _ = forward(params, batch)
         b, _ = forward(params, batch)
         assert np.array_equal(a, b)
 
     def test_shape_mismatch(self, rng):
-        params = build_model(TINY, 1)
+        params = build_model(TINY, np.random.default_rng(1))
         with pytest.raises(ShapeMismatch):
             forward(params, rng.normal(size=(2, 9, 4, 3)))
 
     def test_train_mode_updates_running_stats(self, rng):
-        params = build_model(TINY, 1)
+        params = build_model(TINY, np.random.default_rng(1))
         before = params.tensors["bn1/mean"].copy()
         forward(params, rng.normal(size=(4, 8, 4, 3)) + 5.0, train=True, rng=rng)
         assert not np.array_equal(params.tensors["bn1/mean"], before)
 
     def test_dropout_needs_rng(self, rng):
-        params = build_model(ModelConfig(window_points=8, kernel_len=3), 1)
+        params = build_model(ModelConfig(window_points=8, kernel_len=3), np.random.default_rng(1))
         with pytest.raises(ValueError):
             forward(params, rng.normal(size=(2, 8, 4, 3)), train=True)
 
@@ -253,7 +253,7 @@ class TestCheckpoint:
     def test_golden_bytes(self, tmp_path):
         # pins the TGM1 layout (version 2, no conv biases) and its sidecar byte for byte
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(ModelConfig(25, 5), 0), path)
+        save_checkpoint(build_model(ModelConfig(25, 5), np.random.default_rng(0)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "2181590ec25b27c08741819adceabea0e1da8dd41d39d14d48ed8c557e000610"
         assert (tmp_path / "model.ckpt.txt").read_text() == (
