@@ -7,7 +7,6 @@ sinusoid-plus-impulse signatures that are separable by construction, so the
 grid and training machinery can be verified at desk scale.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -215,6 +214,9 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     ]
     workers = min(jobs, len(cells))
     if workers > 1:
+        # imported here: the pool's modules cost `import trailgrade` ~30 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(data,)) as pool:
             return list(pool.map(_run_pooled_cell, cells))
     return [_run_cell(data, *cell) for cell in cells]

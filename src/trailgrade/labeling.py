@@ -6,7 +6,6 @@ LabelTrack of sorted, non-overlapping [start_ms, end_ms) segments; gaps mean
 unlabeled time.
 """
 
-import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -51,6 +50,8 @@ def parse_osm_difficulties(xml_text) -> dict:
 
     Ways without the grade tag are omitted; values are kept verbatim.
     """
+    import xml.etree.ElementTree as ET  # only OSM input needs the XML parser
+
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:

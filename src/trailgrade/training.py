@@ -9,6 +9,7 @@ of the best test epoch are snapshotted and returned; training stops after
 `patience` epochs without strict improvement or at `max_epochs`.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ HISTORY_CSV_HEADER = "epoch,train_sca,test_sca,train_loss"
 
 #: The paper's mini-batch size, for training and for every evaluation.
 BATCH_SIZE = 32
+
+# mallopt parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -88,19 +93,29 @@ def confusion_matrix(probs, labels) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def _stack(samples):
-    data = np.stack([s.data for s in samples])
-    # argmax of a NaN row is 0, so a non-finite window would be scored, not rejected
-    if not np.isfinite(data).all():
-        raise NumericFailure("non-finite sample data")
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return data, labels
+def _checked_labels(samples, config: ModelConfig):
+    """The samples' labels, after checking each window's shape and values.
+
+    Raises on the first sample that does not fit the model input or holds a
+    non-finite value, naming its origin; no window is copied.
+    """
+    expected = (config.window_points, 4, 3)
+    for s in samples:
+        if s.data.shape != expected:
+            raise ShapeMismatch(
+                f"sample {s.origin} of shape {s.data.shape} does not match the {expected} model input"
+            )
+        # argmax of a NaN row is 0, so a non-finite window would be scored, not rejected
+        if not np.isfinite(s.data).all():
+            raise NumericFailure(f"sample {s.origin} has non-finite data")
+    return np.array([s.label for s in samples], dtype=np.int64)
 
 
-def _evaluate_arrays(params, data, labels):
-    probs = np.empty((len(data), CLASSES))
-    for lo in range(0, len(data), BATCH_SIZE):
-        probs[lo : lo + BATCH_SIZE] = forward(params, data[lo : lo + BATCH_SIZE])[0]
+def _evaluate_checked(params, samples, labels):
+    probs = np.empty((len(samples), CLASSES))
+    for lo in range(0, len(samples), BATCH_SIZE):
+        batch = np.stack([s.data for s in samples[lo : lo + BATCH_SIZE]])
+        probs[lo : lo + BATCH_SIZE] = forward(params, batch)[0]
     # argmax of a NaN row is 0, so non-finite weights would score as class 0
     if not np.isfinite(probs).all():
         raise NumericFailure("non-finite probabilities")
@@ -116,26 +131,41 @@ def evaluate(params: ModelParams, samples):
     """
     if not samples:
         raise EmptyDataset("nothing to evaluate")
-    data, labels = _stack(samples)
-    return _evaluate_arrays(params, data, labels)
+    return _evaluate_checked(params, samples, _checked_labels(samples, params.config))
+
+
+def _keep_freed_heap():
+    """Ask the C allocator to keep freed memory in the process for reuse.
+
+    Each train step frees all of its arrays before the next step allocates
+    them again. glibc serves blocks above its mmap threshold with fresh
+    mappings and hands a free heap top above its trim threshold (twice the
+    mmap threshold) back to the kernel. Both start low and rise only when a
+    large mapped block is freed, so in a fresh process, such as a grid
+    worker, every step faulted its whole working set back in. These are the
+    highest values glibc's dynamic thresholds reach on 64-bit. The setting
+    is process-wide; outside Linux it is left alone.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def train(train_samples, test_samples, model_config: ModelConfig, train_config: TrainConfig) -> TrainResult:
     """Run the full training loop; deterministic given data and seed."""
     if not train_samples or not test_samples:
         raise EmptyDataset("train and test sets must be non-empty")
-    train_data, train_labels = _stack(train_samples)
-    test_data, test_labels = _stack(test_samples)
-    expected = (model_config.window_points, 4, 3)
-    if train_data.shape[1:] != expected or test_data.shape[1:] != expected:
-        raise ShapeMismatch(
-            f"samples of shape {train_data.shape[1:]} do not match the {expected} model input"
-        )
+    _keep_freed_heap()
+    train_labels = _checked_labels(train_samples, model_config)
+    test_labels = _checked_labels(test_samples, model_config)
 
     rng = np.random.default_rng(train_config.seed)
     params = build_model(model_config, rng)
     state = init_adam(params)
-    n = len(train_data)
+    n = len(train_samples)
     # No degenerate-batch merging is needed here: batchnorm reduces over
     # B * n * 4 values per channel, which is >= 8 even for a 1-sample batch.
     history = []
@@ -148,18 +178,22 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
         for lo in range(0, n, BATCH_SIZE):
             idx = perm[lo : lo + BATCH_SIZE]
             labels = train_labels[idx]
-            probs, cache = forward(params, train_data[idx], train=True, rng=rng)
+            # each batch is gathered from its samples, the only copy made of them
+            batch = np.stack([train_samples[i].data for i in idx])
+            probs, cache = forward(params, batch, train=True, rng=rng)
             ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
             loss = ce_loss + l2_penalty(params)
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
             hits += int(np.count_nonzero(probs.argmax(axis=1) == labels))
-            grads = backward(cache, labels)
-            adam_step(params, grads, state)
+            adam_step(params, backward(cache, labels), state)
             loss_sum += loss * len(idx)
+            # nothing of this step may live through the next step's forward:
+            # the cache holds as many bytes as that forward's activations
+            del batch, probs, cache
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
-        test_sca, test_confusion = _evaluate_arrays(params, test_data, test_labels)
+        test_sca, test_confusion = _evaluate_checked(params, test_samples, test_labels)
         history.append(EpochRecord(epoch, hits / n, test_sca, loss_sum / n))
         if test_sca > best_sca:
             best_sca, best_epoch = test_sca, epoch

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,19 @@ def pytest_runtest_logreport(report):
         f"in {report.duration:.1f}s",
         flush=True,
     )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports trailgrade from src/."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def make_session(length, name="sess", start_ms=0, seed=0):

@@ -1,8 +1,11 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh_python
 from oracles import history_from_csv, skipped_cells
 from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
@@ -24,6 +27,12 @@ from trailgrade.experiments import (
     run_grid,
 )
 from trailgrade.training import EpochRecord, TrainConfig
+
+
+def test_import_loads_no_process_pool_or_xml_parser():
+    # run_grid's pool and the OSM parser import their modules when first used
+    code = "import sys, trailgrade; print(sorted({'multiprocessing', 'xml.etree.ElementTree'} & set(sys.modules)))"
+    assert run_fresh_python(code).strip() == "[]"
 
 
 class TestSkipRule:
@@ -201,7 +210,8 @@ class TestRunGrid:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        # run_grid imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiments, "_worker_data", None)
         two_cells = GridSpec(
             train_config=tiny_grid_spec().train_config,

@@ -1,7 +1,14 @@
+import sys
+import textwrap
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from conftest import run_fresh_python
 from oracles import accuracy_loop, history_from_csv, sparse_categorical_accuracy
+from trailgrade import training
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.errors import (
     EmptyBatch,
@@ -163,6 +170,24 @@ class TestTrainLoop:
                 TrainConfig(seed=0, max_epochs=1, patience=1),
             )
 
+    def test_test_set_shape_mismatch_names_the_test_sample(self):
+        with pytest.raises(ShapeMismatch, match=r"sample \('t', 0\) of shape \(9, 4, 3\)"):
+            train(
+                separable_samples(2),
+                separable_samples(1, window_points=9, name="t"),
+                TINY,
+                TrainConfig(seed=0, max_epochs=1, patience=1),
+            )
+
+    def test_mixed_window_lengths_name_the_odd_sample(self, rng):
+        good = separable_samples(2)
+        mixed = good[:3] + separable_samples(1, window_points=9, name="u")[:1] + good[3:]
+        match = r"sample \('u', 0\) of shape \(9, 4, 3\)"
+        with pytest.raises(ShapeMismatch, match=match):
+            train(mixed, separable_samples(1, name="t"), TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
+        with pytest.raises(ShapeMismatch, match=match):
+            evaluate(build_model(TINY, rng), mixed)
+
     def test_numeric_failure_on_absurd_l2(self):
         config = ModelConfig(
             window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, l2_coeff=1e308
@@ -181,6 +206,64 @@ class TestTrainLoop:
         test_set = separable_samples(2, seed=11, name="t")
         result = train(train_set, test_set, TINY, TrainConfig(seed=2, max_epochs=2, patience=2))
         assert len(result.history) == 2
+
+
+class TestTrainMemory:
+    def test_no_cache_outlives_its_step(self, monkeypatch):
+        caches = []
+
+        def recording_forward(params, batch, **kwargs):
+            assert all(ref() is None for ref in caches), "an earlier step's cache is still alive"
+            probs, cache = forward(params, batch, **kwargs)
+            if cache is not None:
+                caches.append(weakref.ref(cache))
+            return probs, cache
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        train(separable_samples(24), separable_samples(2, name="t"), TINY, TrainConfig(seed=3, max_epochs=2, patience=2))
+        assert len(caches) == 2 * 3  # 72 samples are 3 batches per epoch
+
+    def test_peak_does_not_grow_with_the_training_set(self):
+        # a stacked copy of the training set would add every extra window's bytes
+        def one_epoch_peak(count):
+            rng = np.random.default_rng(count)
+            samples = [WindowSample(rng.normal(size=(8, 4, 3)), i % 3, ("s", i)) for i in range(count)]
+            test_set = separable_samples(2, name="t")
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(samples, test_set, TINY, TrainConfig(seed=4, max_epochs=1, patience=1))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        n = 256
+        extra_bytes = 3 * n * 8 * 4 * 3 * 8
+        assert one_epoch_peak(4 * n) - one_epoch_peak(n) < extra_bytes / 4
+
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_steps_reuse_freed_memory(self):
+        # each step frees its arrays before the next allocates them again; if
+        # the allocator returned them to the kernel, every step would fault
+        # its whole working set back in (about 250 faults per step here)
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from trailgrade.dataset import WindowSample
+            from trailgrade.nn import ModelConfig
+            from trailgrade.training import TrainConfig, train
+
+            rng = np.random.default_rng(0)
+            samples = [WindowSample(rng.normal(size=(25, 4, 3)), i % 3, ("s", i)) for i in range(320)]
+            config = ModelConfig(window_points=25, kernel_len=5)
+            train(samples[:256], samples[256:], config, TrainConfig(seed=1, max_epochs=1, patience=1))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(samples[:256], samples[256:], config, TrainConfig(seed=1, max_epochs=2, patience=2))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        steps = 2 * 256 // BATCH_SIZE
+        assert int(run_fresh_python(code)) < 10 * steps
 
 
 def test_archive_windows_train_as_their_float64_casts(tmp_path):
