@@ -9,7 +9,6 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (
     SessionTooShort,
     TooFewSamples,
 )
-from .framing import Reader
+from .framing import CHUNK_BYTES, Reader
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
 
@@ -178,48 +177,46 @@ _ARCHIVE_VERSION = 1
 
 
 def write_sample_archive(samples, path):
-    """Binary sample container; float32 payload, bit-exact on re-save."""
+    """Binary sample container; float32 payload, bit-exact on re-save.
+
+    Records stream to the file through a CHUNK_BYTES buffer.
+    """
     window_points = {s.data.shape[0] for s in samples}
     if len(window_points) > 1:
         raise ValueError(f"mixed window sizes in one archive: {sorted(window_points)}")
     w = window_points.pop() if window_points else 0
-    buf = bytearray()
-    buf += _ARCHIVE_MAGIC
-    buf.append(_ARCHIVE_VERSION)
-    buf += struct.pack("<II", len(samples), w)
-    for s in samples:
-        name, start_ms = s.origin
-        name_bytes = name.encode("utf-8")
-        buf += struct.pack("<BH", s.label, len(name_bytes))
-        buf += name_bytes
-        buf += struct.pack("<q", int(start_ms))
-        buf += s.data.astype("<f4").tobytes()
-    Path(path).write_bytes(buf)
+    with open(path, "wb", buffering=CHUNK_BYTES) as out:
+        out.write(_ARCHIVE_MAGIC + struct.pack("<BII", _ARCHIVE_VERSION, len(samples), w))
+        for s in samples:
+            name, start_ms = s.origin
+            name_bytes = name.encode("utf-8")
+            record = struct.pack("<BH", s.label, len(name_bytes)) + name_bytes
+            out.write(record + struct.pack("<q", int(start_ms)))
+            out.write(s.data.astype("<f4", order="C"))
 
 
 def read_sample_archive(path):
-    reader = Reader(path, CorruptArchive, "sample archive")
-    if reader.take(4) != _ARCHIVE_MAGIC:
-        raise reader.error("not a sample archive")
-    if reader.take(1)[0] != _ARCHIVE_VERSION:
-        raise reader.error("unsupported sample archive version")
-    count, w = reader.unpack("<II")
-    if count and not w:
-        raise reader.error(f"{count} samples of 0 points")
-    # a record holds at least 11 header bytes and its payload; check before allocating
-    if count * (11 + w * 48) > len(reader.data) - reader.pos:
-        raise reader.error("truncated sample archive")
-    tensors = np.empty((count, w, 4, 3), dtype=np.float32)
-    records = []
-    for i in range(count):
-        label, name_len = reader.unpack("<BH")
-        if label not in LABELS:
-            raise reader.error(f"label {label} is not one of {LABELS}")
-        name = reader.utf8(name_len, "sample name")
-        (start_ms,) = reader.unpack("<q")
-        records.append((int(label), (name, start_ms)))
-        tensors[i] = np.frombuffer(reader.take(w * 48), dtype="<f4").reshape(w, 4, 3)
-    reader.finish()
-    if not np.isfinite(tensors).all():
-        raise reader.error("non-finite sample values")
+    """The samples of a sample archive; each payload is read into its row of one array."""
+    with Reader(path, CorruptArchive, "sample archive") as reader:
+        if reader.take(4) != _ARCHIVE_MAGIC:
+            raise reader.error("not a sample archive")
+        if reader.take(1)[0] != _ARCHIVE_VERSION:
+            raise reader.error("unsupported sample archive version")
+        count, w = reader.unpack("<II")
+        if count and not w:
+            raise reader.error(f"{count} samples of 0 points")
+        # a record holds at least 11 header bytes and its payload; check before allocating
+        reader.require(count * (11 + w * 48))
+        tensors = np.empty((count, w, 4, 3), dtype="<f4")
+        records = []
+        for i in range(count):
+            label, name_len = reader.unpack("<BH")
+            if label not in LABELS:
+                raise reader.error(f"label {label} is not one of {LABELS}")
+            name = reader.utf8(name_len, "sample name")
+            (start_ms,) = reader.unpack("<q")
+            records.append((int(label), (name, start_ms)))
+            reader.readinto(tensors[i])
+        reader.finish()
+        reader.require_finite(tensors, "non-finite sample values")
     return [WindowSample(t, label, origin) for t, (label, origin) in zip(tensors, records)]

@@ -29,7 +29,7 @@ from .errors import (
     TrailgradeError,
     WrongChannelSet,
 )
-from .framing import Reader
+from .framing import CHUNK_BYTES, Reader
 
 #: Every session, window and archive lives on this one lattice.
 TARGET_RATE_HZ = 25.0
@@ -352,34 +352,33 @@ _SESSION_VERSION = 1
 
 
 def write_session_archive(session: SyncedSession, path):
-    buf = bytearray()
-    buf += _SESSION_MAGIC
-    buf.append(_SESSION_VERSION)
+    """The session as a TGSS file; the payload is written straight from its array."""
     name = session.name.encode("utf-8")
-    buf += struct.pack("<H", len(name)) + name
-    buf += struct.pack("<qdI", session.start_time_ms, TARGET_RATE_HZ, session.length_points)
-    buf += memoryview(np.ascontiguousarray(session.data, dtype="<f8"))
-    Path(path).write_bytes(buf)
+    with open(path, "wb", buffering=CHUNK_BYTES) as out:
+        out.write(_SESSION_MAGIC + struct.pack("<BH", _SESSION_VERSION, len(name)) + name)
+        out.write(struct.pack("<qdI", session.start_time_ms, TARGET_RATE_HZ, session.length_points))
+        out.write(np.ascontiguousarray(session.data, dtype="<f8"))
 
 
 def read_session_archive(path) -> SyncedSession:
-    reader = Reader(path, CorruptArchive, "session archive")
-    if reader.take(4) != _SESSION_MAGIC:
-        raise reader.error("not a session archive")
-    if reader.take(1)[0] != _SESSION_VERSION:
-        raise reader.error("unsupported session archive version")
-    (name_len,) = reader.unpack("<H")
-    name = reader.utf8(name_len, "session name")
-    start, rate, length = reader.unpack("<qdI")
-    if rate != TARGET_RATE_HZ:
-        raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
-    if not length:
-        raise reader.error("session has no points")
-    raw = reader.take(length * 4 * 3 * 8)
-    reader.finish()
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(length, 4, 3)
-    if not np.isfinite(values).all():
-        raise reader.error("non-finite sample values")
+    """A TGSS file's session; the payload is read into one (n, 4, 3) array."""
+    with Reader(path, CorruptArchive, "session archive") as reader:
+        if reader.take(4) != _SESSION_MAGIC:
+            raise reader.error("not a session archive")
+        if reader.take(1)[0] != _SESSION_VERSION:
+            raise reader.error("unsupported session archive version")
+        (name_len,) = reader.unpack("<H")
+        name = reader.utf8(name_len, "session name")
+        start, rate, length = reader.unpack("<qdI")
+        if rate != TARGET_RATE_HZ:
+            raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
+        if not length:
+            raise reader.error("session has no points")
+        reader.require(length * 4 * 3 * 8)  # before allocating
+        values = np.empty((length, 4, 3), dtype="<f8")
+        reader.readinto(values)
+        reader.finish()
+        reader.require_finite(values, "non-finite sample values")
     return SyncedSession(name, start, values)
 
 

@@ -35,7 +35,8 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
     LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
     Mutates params and state in place and returns both; params.step is bumped
-    so stale forward caches can be detected.
+    so stale forward caches can be detected. Each float64 gradient is used as
+    scratch, so ``grads`` holds no gradient afterwards.
     """
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
@@ -49,20 +50,20 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
             )
         m, v = state.m[key], state.v[key]
         # every product and quotient below is the one the textbook formula
-        # makes, in its order; only the temporaries are reused
-        scratch = np.multiply(g, 1.0 - BETA1)
-        m *= BETA1
-        m += scratch
-        np.multiply(g, g, out=scratch)
+        # makes, in its order; only the buffers differ: one temporary, and g
+        scratch = np.multiply(g, g)
         scratch *= 1.0 - BETA2
         v *= BETA2
         v += scratch
+        g *= 1.0 - BETA1
+        m *= BETA1
+        m += g
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
         scratch += EPSILON
-        step = m / bc1
-        step *= LEARNING_RATE
-        step /= scratch
-        params.tensors[key] -= step
+        np.divide(m, bc1, out=g)
+        g *= LEARNING_RATE
+        g /= scratch
+        params.tensors[key] -= g
     params.step += 1
     return params, state

@@ -7,17 +7,20 @@ Saving float64 parameters rounds them to float32; a save/load/save cycle is
 bit-identical.
 """
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import CorruptCheckpoint, TrailgradeError, VersionMismatch
-from ..framing import Reader
+from ..framing import CHUNK_BYTES, Reader
 from .model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig, ModelParams, param_shapes
 
 _MAGIC = b"TGM1"
 _VERSION = 2  # 1 stored a bias per conv layer
+#: Values converted between float64 and the stored float32 at once.
+_SPAN = CHUNK_BYTES // 8
 
 #: The fixed network settings the layout still stores, checked on load.
 _FIXED = {
@@ -38,32 +41,44 @@ def _config_text(config: ModelConfig) -> str:
 
 
 def save_checkpoint(params: ModelParams, path):
-    """Write params + config to `path` and a readable config to `path`.txt."""
+    """Write params + config to `path` and a readable config to `path`.txt.
+
+    The file streams through a CHUNK_BYTES buffer, each tensor rounded to
+    float32 a span at a time.
+    """
     cfg = params.config
-    buf = bytearray()
-    buf += _MAGIC
-    buf.append(_VERSION)
-    buf += struct.pack(
-        "<7I",
-        cfg.window_points,
-        cfg.kernel_len,
-        *cfg.filters,
-        cfg.dense_units,
-        CLASSES,
-    )
-    buf += struct.pack("<4d", DROPOUT_RATE, cfg.l2_coeff, BN_MOMENTUM, BN_EPSILON)
     names = list(param_shapes(cfg))
-    buf += struct.pack("<H", len(names))
-    for name in names:
-        arr = params.tensors[name]
-        encoded = name.encode("utf-8")
-        buf += struct.pack("<H", len(encoded)) + encoded
-        buf += struct.pack("<B", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += arr.astype("<f4").tobytes()
-    path = Path(path)
-    path.write_bytes(bytes(buf))
+    with open(path, "wb", buffering=CHUNK_BYTES) as out:
+        sizes = (cfg.window_points, cfg.kernel_len, *cfg.filters, cfg.dense_units, CLASSES)
+        settings = (DROPOUT_RATE, cfg.l2_coeff, BN_MOMENTUM, BN_EPSILON)
+        out.write(struct.pack("<4sB7I4dH", _MAGIC, _VERSION, *sizes, *settings, len(names)))
+        for name in names:
+            arr = params.tensors[name]
+            encoded = name.encode("utf-8")
+            header = f"<H{len(encoded)}sB{arr.ndim}I"
+            out.write(struct.pack(header, len(encoded), encoded, arr.ndim, *arr.shape))
+            flat = arr.reshape(-1)
+            for lo in range(0, flat.size, _SPAN):
+                out.write(flat[lo : lo + _SPAN].astype("<f4"))
     Path(str(path) + ".txt").write_text(_config_text(cfg))
+
+
+def _read_tensor(reader, name, shape):
+    """A stored float32 tensor as float64, converted a span at a time.
+
+    Finiteness is checked on the stored values: casting a signalling NaN to
+    float64 would raise a warning, not the format's error.
+    """
+    size = math.prod(shape)
+    reader.require(4 * size)  # before allocating
+    out = np.empty(size)
+    span = np.empty(min(size, _SPAN), dtype="<f4")
+    for lo in range(0, size, _SPAN):
+        part = span[: size - lo]
+        reader.readinto(part)
+        reader.require_finite(part, f"{name} holds non-finite values")
+        out[lo : lo + part.size] = part
+    return out.reshape(shape)
 
 
 def load_checkpoint(path):
@@ -75,48 +90,44 @@ def load_checkpoint(path):
     tensor value, a negative batchnorm running variance or a structurally
     invalid body raise CorruptCheckpoint.
     """
-    reader = Reader(path, CorruptCheckpoint, "checkpoint")
-    if len(reader.data) < 5 or reader.take(4) != _MAGIC:
-        raise VersionMismatch(f"{path}: not a model checkpoint (bad magic)")
-    if reader.take(1)[0] != _VERSION:
-        raise VersionMismatch(f"{path}: unsupported checkpoint version")
-    ints = reader.unpack("<7I")
-    floats = reader.unpack("<4d")
-    stored = dict(zip(_FIXED, (ints[6], floats[0], floats[2], floats[3])))
-    for name, value in stored.items():
-        if value != _FIXED[name]:
-            raise reader.error(f"stored {name} {value!r}, the network's is {_FIXED[name]!r}")
-    try:
-        config = ModelConfig(
-            window_points=ints[0],
-            kernel_len=ints[1],
-            filters=tuple(ints[2:5]),
-            dense_units=ints[5],
-            l2_coeff=floats[1],
-        )
-    except (TrailgradeError, ValueError) as exc:
-        raise reader.error(f"invalid configuration ({exc})") from None
+    with Reader(path, CorruptCheckpoint, "checkpoint") as reader:
+        if reader.size < 5 or reader.take(4) != _MAGIC:
+            raise VersionMismatch(f"{path}: not a model checkpoint (bad magic)")
+        if reader.take(1)[0] != _VERSION:
+            raise VersionMismatch(f"{path}: unsupported checkpoint version")
+        ints = reader.unpack("<7I")
+        floats = reader.unpack("<4d")
+        stored = dict(zip(_FIXED, (ints[6], floats[0], floats[2], floats[3])))
+        for name, value in stored.items():
+            if value != _FIXED[name]:
+                raise reader.error(f"stored {name} {value!r}, the network's is {_FIXED[name]!r}")
+        try:
+            config = ModelConfig(
+                window_points=ints[0],
+                kernel_len=ints[1],
+                filters=tuple(ints[2:5]),
+                dense_units=ints[5],
+                l2_coeff=floats[1],
+            )
+        except (TrailgradeError, ValueError) as exc:
+            raise reader.error(f"invalid configuration ({exc})") from None
 
-    expected = param_shapes(config)
-    (count,) = reader.unpack("<H")
-    if count != len(expected):
-        raise reader.error(f"expected {len(expected)} tensors, file says {count}")
-    tensors = {}
-    for name in expected:
-        (name_len,) = reader.unpack("<H")
-        stored = reader.utf8(name_len, "tensor name")
-        if stored != name:
-            raise reader.error(f"tensor {stored!r} where {name!r} was expected")
-        (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}I")
-        if shape != expected[name]:
-            raise reader.error(f"{name} has shape {shape}, expected {expected[name]}")
-        size = int(np.prod(shape)) if shape else 1
-        raw = reader.take(4 * size)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        if not np.isfinite(tensors[name]).all():
-            raise reader.error(f"{name} holds non-finite values")
-        if name.endswith("/var") and (tensors[name] < 0).any():
-            raise reader.error(f"{name} holds a negative variance")
-    reader.finish()
+        expected = param_shapes(config)
+        (count,) = reader.unpack("<H")
+        if count != len(expected):
+            raise reader.error(f"expected {len(expected)} tensors, file says {count}")
+        tensors = {}
+        for name in expected:
+            (name_len,) = reader.unpack("<H")
+            stored = reader.utf8(name_len, "tensor name")
+            if stored != name:
+                raise reader.error(f"tensor {stored!r} where {name!r} was expected")
+            (ndim,) = reader.unpack("<B")
+            shape = reader.unpack(f"<{ndim}I")
+            if shape != expected[name]:
+                raise reader.error(f"{name} has shape {shape}, expected {expected[name]}")
+            tensors[name] = _read_tensor(reader, name, shape)
+            if name.endswith("/var") and (tensors[name] < 0).any():
+                raise reader.error(f"{name} holds a negative variance")
+        reader.finish()
     return ModelParams(config, tensors), config

@@ -84,8 +84,9 @@ def conv2d_forward(x, kernels):
     height-padded input xp, which runs through real FFTs along axis 0: per
     frequency it is one product X[f] @ conj(K[f]) of the (B*W, kw*Cin) input
     spectrum and the (kw*Cin, Cout) kernel spectrum. The output is a view of
-    the inverse transform's first H rows. The cache keeps both spectra for the
-    backward.
+    the inverse transform's first H rows. The cache keeps the kernel spectrum
+    and the input spectrum before the unfold, which is kw times smaller; the
+    backward unfolds it again.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch("conv2d expects a 4-d input and 4-d kernels")
@@ -97,12 +98,13 @@ def conv2d_forward(x, kernels):
     n = _conv_fft_len(h, kh)
     pt, _ = _pad_amounts(kh)
     # the width unfold commutes with the height FFT, so transform the narrower input
-    xf = _unfold_width(np.fft.rfft(x, n, axis=0), kw).reshape(n // 2 + 1, b * w, kwc)
+    xs = np.fft.rfft(x, n, axis=0)
+    xf = _unfold_width(xs, kw).reshape(n // 2 + 1, b * w, kwc)
     kc = np.zeros((n, kwc, cout))
     kc[:kh] = kernels.reshape(kh, kwc, cout)
     kf = np.fft.rfft(np.roll(kc, -pt, axis=0), axis=0)
     out = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h].reshape(h, b, w, cout)
-    return out, ((xf, kf), x.shape, kernels)
+    return out, ((xs, kf), x.shape, kernels)
 
 
 def conv2d_backward(cache, grad_out, input_grad=True):
@@ -112,7 +114,7 @@ def conv2d_backward(cache, grad_out, input_grad=True):
     rows; grad-input is the convolution irfft(G @ K^T). A first layer, whose
     input is data, passes input_grad=False and gets None for grad_x.
     """
-    (xf, kf), x_shape, kernels = cache
+    (xs, kf), x_shape, kernels = cache
     kh, kw, cin, cout = kernels.shape
     h, b, w, _ = x_shape
     if grad_out.shape != (h, b, w, cout):
@@ -120,12 +122,16 @@ def conv2d_backward(cache, grad_out, input_grad=True):
     n = _conv_fft_len(h, kh)
     pt, _ = _pad_amounts(kh)
     gf = np.fft.rfft(grad_out, n, axis=0).reshape(n // 2 + 1, b * w, cout)
-    grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf.conj(), n, axis=0)
-    grad_k = np.roll(grad_kc, pt, axis=0)[:kh].reshape(kh, kw, cin, cout)
-    if not input_grad:
-        return None, grad_k
-    gxf = _fold_width((gf @ kf.transpose(0, 2, 1)).reshape(n // 2 + 1, b, w, kw * cin), kw, cin)
-    return np.fft.irfft(gxf, n, axis=0)[:h], grad_k
+    grad_x = None
+    if input_grad:
+        gxf = _fold_width((gf @ kf.transpose(0, 2, 1)).reshape(n // 2 + 1, b, w, kw * cin), kw, cin)
+        grad_x = np.fft.irfft(gxf, n, axis=0)[:h]
+        del gxf  # before the unfold below allocates
+    # the grad-input product is done with G, so conjugate it in place
+    np.conjugate(gf, out=gf)
+    xf = _unfold_width(xs, kw).reshape(n // 2 + 1, b * w, kw * cin)
+    grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf, n, axis=0)
+    return grad_x, np.roll(grad_kc, pt, axis=0)[:kh].reshape(kh, kw, cin, cout)
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum, eps, train=True):

@@ -186,11 +186,13 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
             hits += int(np.count_nonzero(probs.argmax(axis=1) == labels))
-            adam_step(params, backward(cache, labels), state)
             loss_sum += loss * len(idx)
-            # nothing of this step may live through the next step's forward:
-            # the cache holds as many bytes as that forward's activations
+            grads = backward(cache, labels)
+            # the cache holds as many bytes as the forward's activations: free it
+            # before Adam's scratch, and the gradients before the next forward
             del batch, probs, cache
+            adam_step(params, grads, state)
+            del grads
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
         test_sca, test_confusion = _evaluate_checked(params, test_samples, test_labels)

@@ -2,8 +2,10 @@
 
 Both archives raise CorruptArchive. A checkpoint raises VersionMismatch when its
 first five bytes (magic and version) are not those of a valid file, and
-CorruptCheckpoint for anything else.
+CorruptCheckpoint for anything else. No load warns or leaves its file open.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_session
+from trailgrade import framing
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.errors import CorruptArchive, CorruptCheckpoint, TrailgradeError, VersionMismatch
 from trailgrade.ingest import read_session_archive, write_session_archive
@@ -69,11 +72,48 @@ def _loads_or_raises_typed(name, originals, data):
         assert type(exc) is _expected_error(name, original, data), repr(exc)
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file a Reader opens, so a test can check that each was closed."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(framing, "open", recording_open, raising=False)
+    return files
+
+
+def _each_loads_or_raises_typed(name, originals, variants, opened):
+    for data in variants:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _loads_or_raises_typed(name, originals, data)
+        assert opened and all(f.closed for f in opened), "a reader left its file open"
+        opened.clear()
+
+
 @pytest.mark.parametrize("name", FORMATS)
-def test_every_truncation(originals, name):
+def test_every_truncation(originals, opened, name):
     data, _ = originals[name]
-    for n in range(len(data)):
-        _loads_or_raises_typed(name, originals, data[:n])
+    _each_loads_or_raises_typed(name, originals, (data[:n] for n in range(len(data))), opened)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_every_byte_set_to_each_edge_value(originals, opened, name):
+    # 0x7F and 0xFF in the top byte of a float32 make signalling NaNs, which
+    # warn when cast to float64 unless the stored values are checked first
+    data, _ = originals[name]
+
+    def variants():
+        for i in range(len(data)):
+            for value in (0x00, 0x7F, 0x80, 0xFF):
+                changed = bytearray(data)
+                changed[i] = value
+                yield bytes(changed)
+
+    _each_loads_or_raises_typed(name, originals, variants(), opened)
 
 
 @pytest.mark.parametrize("name", FORMATS)

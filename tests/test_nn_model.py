@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -301,6 +303,22 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
+
+    def test_signalling_nan_is_corrupt_not_a_warning(self, tmp_path, rng):
+        # casting a float32 signalling NaN to float64 warns "invalid value";
+        # the stored values are checked before that cast
+        params = build_model(TINY, rng)
+        params.tensors["dense1/weights"][0, 0] = 1.5
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        data = path.read_bytes()
+        marker = struct.pack("<f", 1.5)
+        assert data.count(marker) == 1
+        path.write_bytes(data.replace(marker, struct.pack("<I", 0x7F800001)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptCheckpoint, match="dense1/weights holds non-finite"):
+                load_checkpoint(path)
 
     def test_loaded_model_runs(self, tmp_path, rng):
         params = build_model(TINY, rng)
