@@ -40,7 +40,9 @@ for log in synced:
     print(f"  {log.mount.value:6s} {log.sensor_kind.value:13s} now starts at {log.timestamps[0]} ms")
 
 print("\n== resample everything onto the 25 Hz lattice ==")
-channels = [resample_linear(log) for log in synced]
+# a session keeps nothing after the earliest last sample, so no log is resampled past it
+end_ms = min(int(log.timestamps[-1]) for log in synced)
+channels = [resample_linear(log, end_ms) for log in synced]
 for ch in channels:
     print(f"  {ch.mount.value:6s} {ch.sensor_kind.value:13s} {ch.length} points from {ch.start_time_ms} ms")
 

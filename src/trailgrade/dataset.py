@@ -40,15 +40,15 @@ class WindowConfig:
     def __post_init__(self):
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must be in [0, 1)")
-        points = self.window_ms / PERIOD_MS
-        if points < 1.0 or abs(points - round(points)) > 1e-9:
+        points, off_lattice = divmod(self.window_ms, PERIOD_MS)
+        if points < 1 or off_lattice:
             raise ValueError(
                 f"window_ms={self.window_ms} is not a whole number of samples at {TARGET_RATE_HZ:g} Hz"
             )
 
     @property
     def window_points(self) -> int:
-        return int(round(self.window_ms / PERIOD_MS))
+        return self.window_ms // PERIOD_MS
 
     @property
     def stride(self) -> int:
@@ -87,7 +87,7 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
         )
     out = []
     for p in range(0, session.length_points - w + 1, config.stride):
-        start_ms = session.start_time_ms + int(round(p * PERIOD_MS))
+        start_ms = session.start_time_ms + p * PERIOD_MS
         label = uniform_label(track, start_ms, start_ms + config.window_ms)
         if label is not None:
             out.append(WindowSample(session.data[p : p + w], label, (session.name, start_ms)))

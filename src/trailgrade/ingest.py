@@ -31,9 +31,9 @@ from .errors import (
 )
 from .framing import CHUNK_BYTES, Reader
 
-#: Every session, window and archive lives on this one lattice.
-TARGET_RATE_HZ = 25.0
-PERIOD_MS = 1000.0 / TARGET_RATE_HZ
+#: Every session, window and archive lives on this one lattice of whole milliseconds.
+PERIOD_MS = 40
+TARGET_RATE_HZ = 1000 / PERIOD_MS
 
 CSV_HEADER = "timestamp_ms,x,y,z"
 
@@ -288,25 +288,28 @@ def synchronize(logs):
     return out
 
 
-def resample_linear(log: RawSensorLog) -> SensorChannel:
-    """Interpolate a log onto the regular lattice k * PERIOD_MS.
+def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
+    """Interpolate a log onto the regular lattice k * PERIOD_MS, up to ``end_ms``.
 
     Each axis is interpolated independently between its bracketing samples.
     Lattice points outside [first, last] timestamp are not produced: no data is
-    invented on either side.
+    invented on either side. Nor are points after ``end_ms``, where a session
+    built with the other logs keeps nothing, save the log's first point: a log
+    that starts after ``end_ms`` still yields it, and build_session reports
+    the empty overlap.
     """
     if log.timestamps.size < 2:
         raise TooFewSamples("need at least 2 samples to interpolate")
     t = log.timestamps.astype(np.float64)
-    k0 = int(np.ceil(t[0] / PERIOD_MS - 1e-9))
-    k1 = int(np.floor(t[-1] / PERIOD_MS + 1e-9))
+    k0 = -(-int(log.timestamps[0]) // PERIOD_MS)  # ceiling division
+    k1 = min(int(log.timestamps[-1]) // PERIOD_MS, max(k0, end_ms // PERIOD_MS))
     if k1 < k0:
         raise TooFewSamples("no lattice point falls inside the log's time span")
     grid = np.arange(k0, k1 + 1, dtype=np.float64) * PERIOD_MS
     out = np.empty((grid.size, 3))
     for axis in range(3):
         out[:, axis] = np.interp(grid, t, log.values[:, axis])
-    return SensorChannel(log.sensor_kind, log.mount, int(round(k0 * PERIOD_MS)), out)
+    return SensorChannel(log.sensor_kind, log.mount, k0 * PERIOD_MS, out)
 
 
 def build_session(channels, name: str = "") -> SyncedSession:
@@ -329,9 +332,8 @@ def build_session(channels, name: str = "") -> SyncedSession:
     latest = max(ch.start_time_ms for ch in ordered)
     shifts = []
     for ch in ordered:
-        shift_exact = (latest - ch.start_time_ms) / PERIOD_MS
-        shift = int(round(shift_exact))
-        if abs(shift_exact - shift) > 1e-6:
+        shift, off_lattice = divmod(latest - ch.start_time_ms, PERIOD_MS)
+        if off_lattice:
             raise MismatchedStart(
                 f"start {ch.start_time_ms} ms is not a whole number of periods before {latest} ms"
             )
@@ -374,6 +376,8 @@ def read_session_archive(path) -> SyncedSession:
             raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
         if not length:
             raise reader.error("session has no points")
+        if start + (length - 1) * PERIOD_MS > _INT64_MAX:
+            raise reader.error(f"{length} points from {start} ms end outside int64")
         reader.require(length * 4 * 3 * 8)  # before allocating
         values = np.empty((length, 4, 3), dtype="<f8")
         reader.readinto(values)
@@ -448,5 +452,7 @@ def load_session(manifest_path) -> SyncedSession:
     for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
         csv_path = manifest_path.parent / entries[role]
         logs.append(parse_file(csv_path, lambda text: parse_sensor_csv(text, kind, mount), MalformedLine))
-    channels = [resample_linear(log) for log in synchronize(logs)]
+    synced = synchronize(logs)
+    end_ms = min(int(log.timestamps[-1]) for log in synced)
+    channels = [resample_linear(log, end_ms) for log in synced]
     return build_session(channels, name=entries["name"])

@@ -15,28 +15,27 @@ import numpy as np
 
 from ..errors import CorruptCheckpoint, TrailgradeError, VersionMismatch
 from ..framing import CHUNK_BYTES, Reader
-from .model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig, ModelParams, param_shapes
+from . import model
+from .model import ModelConfig, ModelParams, param_shapes
 
 _MAGIC = b"TGM1"
 _VERSION = 2  # 1 stored a bias per conv layer
 #: Values converted between float64 and the stored float32 at once.
 _SPAN = CHUNK_BYTES // 8
 
-#: The fixed network settings the layout still stores, checked on load.
-_FIXED = {
-    "classes": CLASSES,
-    "dropout_rate": DROPOUT_RATE,
-    "bn_momentum": BN_MOMENTUM,
-    "bn_epsilon": BN_EPSILON,
-}
+
+def _fixed() -> dict:
+    """The fixed network settings the layout still stores, read from ``model`` at each call."""
+    names = ("FILTERS", "DENSE_UNITS", "CLASSES", "DROPOUT_RATE", "BN_MOMENTUM", "BN_EPSILON")
+    return {name.lower(): getattr(model, name) for name in names}
 
 
 def _config_text(config: ModelConfig) -> str:
     lines = [f"window_points = {config.window_points}", f"kernel_len = {config.kernel_len}"]
-    lines.append(f"filters = {config.filters[0]},{config.filters[1]},{config.filters[2]}")
-    lines += [f"dense_units = {config.dense_units}", f"classes = {CLASSES}"]
-    lines += [f"dropout_rate = {DROPOUT_RATE!r}", f"l2_coeff = {config.l2_coeff!r}"]
-    lines += [f"bn_momentum = {BN_MOMENTUM!r}", f"bn_epsilon = {BN_EPSILON!r}"]
+    lines.append(f"filters = {','.join(map(str, model.FILTERS))}")
+    lines += [f"dense_units = {model.DENSE_UNITS}", f"classes = {model.CLASSES}"]
+    lines += [f"dropout_rate = {model.DROPOUT_RATE!r}", f"l2_coeff = {config.l2_coeff!r}"]
+    lines += [f"bn_momentum = {model.BN_MOMENTUM!r}", f"bn_epsilon = {model.BN_EPSILON!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -49,8 +48,8 @@ def save_checkpoint(params: ModelParams, path):
     cfg = params.config
     names = list(param_shapes(cfg))
     with open(path, "wb", buffering=CHUNK_BYTES) as out:
-        sizes = (cfg.window_points, cfg.kernel_len, *cfg.filters, cfg.dense_units, CLASSES)
-        settings = (DROPOUT_RATE, cfg.l2_coeff, BN_MOMENTUM, BN_EPSILON)
+        sizes = (cfg.window_points, cfg.kernel_len, *model.FILTERS, model.DENSE_UNITS, model.CLASSES)
+        settings = (model.DROPOUT_RATE, cfg.l2_coeff, model.BN_MOMENTUM, model.BN_EPSILON)
         out.write(struct.pack("<4sB7I4dH", _MAGIC, _VERSION, *sizes, *settings, len(names)))
         for name in names:
             arr = params.tensors[name]
@@ -85,10 +84,10 @@ def load_checkpoint(path):
     """Read a checkpoint back as (params, config).
 
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
-    an invalid configuration, a stored fixed setting (classes, dropout rate,
-    batchnorm momentum or epsilon) other than the network's, a non-finite
-    tensor value, a negative batchnorm running variance or a structurally
-    invalid body raise CorruptCheckpoint.
+    an invalid configuration, a stored fixed setting (filters, dense units,
+    classes, dropout rate, batchnorm momentum or epsilon) other than the
+    network's, a non-finite tensor value, a negative batchnorm running variance
+    or a structurally invalid body raise CorruptCheckpoint.
     """
     with Reader(path, CorruptCheckpoint, "checkpoint") as reader:
         if reader.size < 5 or reader.take(4) != _MAGIC:
@@ -97,18 +96,13 @@ def load_checkpoint(path):
             raise VersionMismatch(f"{path}: unsupported checkpoint version")
         ints = reader.unpack("<7I")
         floats = reader.unpack("<4d")
-        stored = dict(zip(_FIXED, (ints[6], floats[0], floats[2], floats[3])))
+        fixed = _fixed()
+        stored = dict(zip(fixed, (ints[2:5], *ints[5:], floats[0], floats[2], floats[3])))
         for name, value in stored.items():
-            if value != _FIXED[name]:
-                raise reader.error(f"stored {name} {value!r}, the network's is {_FIXED[name]!r}")
+            if value != fixed[name]:
+                raise reader.error(f"stored {name} {value!r}, the network's is {fixed[name]!r}")
         try:
-            config = ModelConfig(
-                window_points=ints[0],
-                kernel_len=ints[1],
-                filters=tuple(ints[2:5]),
-                dense_units=ints[5],
-                l2_coeff=floats[1],
-            )
+            config = ModelConfig(window_points=ints[0], kernel_len=ints[1], l2_coeff=floats[1])
         except (TrailgradeError, ValueError) as exc:
             raise reader.error(f"invalid configuration ({exc})") from None
 

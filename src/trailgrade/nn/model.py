@@ -26,6 +26,8 @@ from . import ops
 IN_CHANNELS = 3
 SENSOR_ROWS = 4
 KERNEL_WIDTH = 2
+FILTERS = (4, 8, 16)  # output channels of the three conv blocks
+DENSE_UNITS = 128
 CLASSES = len(labeling.LABELS)
 DROPOUT_RATE = 0.3
 BN_MOMENTUM = 0.99
@@ -38,14 +40,11 @@ class ModelConfig:
 
     window_points: int
     kernel_len: int
-    filters: tuple = (4, 8, 16)
-    dense_units: int = 128
     l2_coeff: float = 1e-2
 
     def __post_init__(self):
-        counts = (self.window_points, self.kernel_len, self.dense_units, *self.filters)
-        if any(c < 1 for c in counts) or len(self.filters) != 3:
-            raise ValueError("all sizes must be positive; exactly three conv blocks")
+        if self.window_points < 1 or self.kernel_len < 1:
+            raise ValueError("window_points and kernel_len must be positive")
         if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0.0):
             raise ValueError("l2_coeff must be finite and >= 0")
         if self.kernel_len > self.window_points:
@@ -57,28 +56,28 @@ class ModelConfig:
         """Height after each of the three (2, 1) pools: repeated ceil(h / 2)."""
         h = self.window_points
         out = []
-        for _ in self.filters:
+        for _ in FILTERS:
             h = (h + 1) // 2
             out.append(h)
         return tuple(out)
 
     @property
     def flat_size(self) -> int:
-        return self.pooled_lengths()[-1] * SENSOR_ROWS * self.filters[-1]
+        return self.pooled_lengths()[-1] * SENSOR_ROWS * FILTERS[-1]
 
 
 def param_shapes(config: ModelConfig) -> dict:
     """Canonical name -> shape mapping for every stored tensor, in order."""
     shapes = {}
     cin = IN_CHANNELS
-    for i, cout in enumerate(config.filters, start=1):
+    for i, cout in enumerate(FILTERS, start=1):
         shapes[f"conv{i}/kernel"] = (config.kernel_len, KERNEL_WIDTH, cin, cout)
         for stat in ("gamma", "beta", "mean", "var"):
             shapes[f"bn{i}/{stat}"] = (cout,)
         cin = cout
-    shapes["dense1/weights"] = (config.flat_size, config.dense_units)
-    shapes["dense1/bias"] = (config.dense_units,)
-    shapes["dense2/weights"] = (config.dense_units, CLASSES)
+    shapes["dense1/weights"] = (config.flat_size, DENSE_UNITS)
+    shapes["dense1/bias"] = (DENSE_UNITS,)
+    shapes["dense2/weights"] = (DENSE_UNITS, CLASSES)
     shapes["dense2/bias"] = (CLASSES,)
     return shapes
 

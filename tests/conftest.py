@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session
 from trailgrade.labeling import LabelTrack
+from trailgrade.nn import ModelConfig, model
 
 
 def pytest_runtest_logreport(report):
@@ -50,7 +52,7 @@ def make_session(length, name="sess", start_ms=0, seed=0):
 
 def full_track(session, label=1):
     """A track labeling the session's whole time span with one label."""
-    end = session.start_time_ms + int(round(session.length_points * PERIOD_MS))
+    end = session.start_time_ms + session.length_points * PERIOD_MS
     return LabelTrack(((session.start_time_ms, end, label),))
 
 
@@ -65,6 +67,28 @@ def write_ride(directory, name="ride1"):
     manifest = directory / "session.toml"
     manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in RIDE_ROLES))
     return manifest
+
+
+@contextmanager
+def narrowed_network(filters=(2, 3, 4), dense_units=5):
+    """The network with these widths in place of the paper's, inside the block.
+
+    The paper fixes (4, 8, 16) filters and 128 dense units. The layers read
+    every shape from their tensors, so a narrow network runs the same code,
+    and checking each of its gradient coordinates, or each byte of its
+    checkpoint, takes seconds instead of minutes.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "FILTERS", filters)
+        patch.setattr(model, "DENSE_UNITS", dense_units)
+        yield
+
+
+@pytest.fixture
+def tiny():
+    """A window-8, kernel-3 config of the network narrowed to (2, 3, 4) filters and 5 dense units."""
+    with narrowed_network():
+        yield ModelConfig(window_points=8, kernel_len=3)
 
 
 @pytest.fixture

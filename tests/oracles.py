@@ -168,13 +168,14 @@ def parameter_count(config) -> int:
     """Closed-form count of every stored value (weights, biases, bn stats)."""
     total = 0
     cin = 3  # x, y, z
-    for cout in config.filters:
+    filters, dense_units = (4, 8, 16), 128  # the paper's widths
+    for cout in filters:
         total += config.kernel_len * 2 * cin * cout  # (m, 2) kernel, no bias
         total += 4 * cout  # gamma, beta, running mean, running var
         cin = cout
     classes = 3  # easy, medium, hard
-    total += config.flat_size * config.dense_units + config.dense_units
-    total += config.dense_units * classes + classes
+    total += config.flat_size * dense_units + dense_units
+    total += dense_units * classes + classes
     return total
 
 

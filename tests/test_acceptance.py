@@ -50,10 +50,9 @@ from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import TrainConfig, confusion_matrix, train
 
 
-TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)
 
 
-def test_criterion_1_gradient_fidelity():
+def test_criterion_1_gradient_fidelity(tiny):
     from trailgrade.nn import ops
 
     started = time.monotonic()
@@ -146,16 +145,16 @@ def test_criterion_1_gradient_fidelity():
         assert max_relative_error(grad_logits, finite_difference_gradient(ce_loss, logits)) < layer_tol
 
         # l2 penalty over the conv kernels, whose gradient backward adds
-        l2_params = build_model(TINY, rng)
+        l2_params = build_model(tiny, rng)
         wl2 = l2_params.tensors["conv1/kernel"]
         l2_fd = finite_difference_gradient(lambda: l2_penalty(l2_params), wl2)
-        assert max_relative_error(2.0 * TINY.l2_coeff * wl2, l2_fd) < layer_tol
+        assert max_relative_error(2.0 * tiny.l2_coeff * wl2, l2_fd) < layer_tol
 
     # full tiny network: n=8, m=3, train-mode batchnorm, CE + L2; every pass
     # gets a fresh rng of one seed, so every pass draws the same dropout masks
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
-        params = build_model(TINY, rng)
+        params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = rng.integers(0, 3, size=2)
 
@@ -211,7 +210,7 @@ def test_criterion_3_architecture_arithmetic():
     assert rejected == {(1000, 40), (1000, 60), (2000, 60)}
 
 
-def test_criterion_4_pipeline_laws():
+def test_criterion_4_pipeline_laws(tiny):
     # window-count closed form, every L in [w, w+200]
     for window_ms, w in ((1000, 25), (2000, 50), (5000, 125)):
         config = WindowConfig(window_ms)
@@ -264,8 +263,8 @@ def test_criterion_4_pipeline_laws():
         for i in range(6)
     ]
     config = TrainConfig(seed=17, max_epochs=4, patience=4)
-    run_a = train(train_set, test_set, TINY, config)
-    run_b = train(train_set, test_set, TINY, config)
+    run_a = train(train_set, test_set, tiny, config)
+    run_b = train(train_set, test_set, tiny, config)
     assert run_a.history == run_b.history
     for key in run_a.best_params.tensors:
         a = run_a.best_params.tensors[key]

@@ -4,14 +4,22 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_session, write_ride
+from conftest import RIDE_ROLES, make_session, write_ride
 from oracles import history_from_csv
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import read_session_archive, write_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
-from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM, CLASSES, DROPOUT_RATE, ModelConfig
+from trailgrade.nn.model import (
+    BN_EPSILON,
+    BN_MOMENTUM,
+    CLASSES,
+    DENSE_UNITS,
+    DROPOUT_RATE,
+    FILTERS,
+    ModelConfig,
+)
 
 
 def run(*argv):
@@ -352,6 +360,33 @@ class TestExitCodes:
         path.write_text(path.read_text().replace("\n40,", "\n99999999999999999999,", 1))
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
 
+    def test_far_final_timestamp_resamples_only_the_overlap(self, tmp_path):
+        # helmet_gyro's last stamp lies 10**15 ms out: only the 0 and 40 ms
+        # points that all four logs cover are resampled, not the whole gap
+        manifest = write_ride(tmp_path)
+        for role in RIDE_ROLES:
+            last = 10**15 if role == "helmet_gyro" else 40
+            rows = [f"{t},1.0,2.0,3.0" for t in (0, 10, 20, 30, last)]
+            (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "r.session"
+        assert run("ingest", "--session", str(manifest), "--out", str(out)) == 0
+        session = read_session_archive(out)
+        assert (session.start_time_ms, session.length_points) == (0, 2)
+
+    def test_data_error_window_starts_outside_int64(self, tmp_path):
+        # 200 points from 2**63 - 1000 ms: later windows start past int64
+        start = 2**63 - 1000
+        session_path, track_path = tmp_path / "far.session", tmp_path / "far.labels.csv"
+        write_session_archive(make_session(200, start_ms=start), session_path)
+        track_path.write_text(f"start_ms,end_ms,label\n{start},{2**64},1\n")
+        out = tmp_path / "w.tgds"
+        code = run(
+            "window", "--session", str(session_path), "--track", str(track_path),
+            "--window-ms", "1000", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_data_error_undecodable_csv(self, tmp_path):
         manifest = write_ride(tmp_path)
         path = tmp_path / "frame_gyro.csv"
@@ -530,6 +565,10 @@ class TestExitCodes:
     #: Stored config fields after magic and version: offset, format, and the value
     #: the CLI writes (the l2 default, the network's fixed settings otherwise).
     CONFIG_SLOTS = {
+        "conv1_filters": (13, "<I", FILTERS[0]),
+        "conv2_filters": (17, "<I", FILTERS[1]),
+        "conv3_filters": (21, "<I", FILTERS[2]),
+        "dense_units": (25, "<I", DENSE_UNITS),
         "classes": (29, "<I", CLASSES),
         "dropout_rate": (33, "<d", DROPOUT_RATE),
         "l2_coeff": (41, "<d", ModelConfig.l2_coeff),
@@ -540,6 +579,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("conv1_filters", 1),
+            ("conv2_filters", 16),
+            ("conv3_filters", 0),
+            ("dense_units", 64),
             ("classes", 2),
             ("dropout_rate", 0.5),
             ("l2_coeff", -1.0),

@@ -117,7 +117,7 @@ class TestSliceWindows:
 
 def window_at(session, start, points, label):
     """The window slice_windows cuts at point ``start``, sliding by one point."""
-    config = WindowConfig(int(points * PERIOD_MS), overlap_fraction=1 - 1 / points)
+    config = WindowConfig(points * PERIOD_MS, overlap_fraction=1 - 1 / points)
     assert config.stride == 1
     return slice_windows(session, full_track(session, label), config)[start]
 

@@ -1,8 +1,9 @@
 """The demo scripts keep working as the library's names change.
 
 Every demo's ``trailgrade`` imports must resolve. Demos 01-04 run in about a
-second each, so they run in full; 05 and 06 train networks for 10-20 s and 05
-writes to ``demos/out/``, so those two are only import-checked.
+second each, so they run in full; 05 and 06 train networks and 05 writes to
+``demos/out/``, so here those two are only import-checked (CI runs them end to
+end).
 """
 
 import ast

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_session
+from conftest import make_session, narrowed_network
 from trailgrade import framing
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.errors import CorruptArchive, CorruptCheckpoint, TrailgradeError, VersionMismatch
@@ -32,8 +32,15 @@ def _write_samples(path):
 
 
 def _write_checkpoint(path):
-    config = ModelConfig(window_points=2, kernel_len=1, filters=(1, 1, 1), dense_units=1)
+    config = ModelConfig(window_points=2, kernel_len=1)
     save_checkpoint(build_model(config, np.random.default_rng(0)), path)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def narrowest_network():
+    """One filter per conv block and one dense unit: a 558-byte checkpoint whose every byte is varied."""
+    with narrowed_network((1, 1, 1), 1):
+        yield
 
 
 #: format name -> (writer of one small valid file, reader)

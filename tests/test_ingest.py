@@ -57,9 +57,7 @@ def log_from(timestamps, x_values, kind=ACC, mount=Mount.FRAME):
 
 def channel_to_log(channel):
     """View a resampled channel as a raw log again (for re-resampling checks)."""
-    timestamps = channel.start_time_ms + np.round(
-        np.arange(channel.length) * PERIOD_MS
-    ).astype(np.int64)
+    timestamps = channel.start_time_ms + np.arange(channel.length, dtype=np.int64) * PERIOD_MS
     return RawSensorLog(
         channel.sensor_kind, channel.mount, timestamps, channel.values.copy(), TARGET_RATE_HZ
     )
@@ -429,35 +427,35 @@ class TestSynchronize:
 
 class TestResampleLinear:
     def test_midpoint(self):
-        channel = resample_linear(log_from([0, 80], [0.0, 1.0]))
+        channel = resample_linear(log_from([0, 80], [0.0, 1.0]), 80)
         assert channel.values[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert channel.start_time_ms == 0
 
     def test_identity_on_grid(self):
         log = log_from([0, 40, 80, 120], [1.0, -2.0, 3.0, 0.25])
-        channel = resample_linear(log)
+        channel = resample_linear(log, 120)
         assert np.array_equal(channel.values, log.values)
 
     def test_two_point_line_no_extrapolation(self):
-        channel = resample_linear(log_from([0, 100], [0.0, 1.0]))
+        channel = resample_linear(log_from([0, 100], [0.0, 1.0]), 100)
         assert channel.length == 3  # 0, 40, 80 ms; nothing at 120
         assert np.allclose(channel.values[:, 0], [0.0, 0.4, 0.8])
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            resample_linear(log_from([0], [1.0]))
+            resample_linear(log_from([0], [1.0]), 0)
 
     def test_idempotent_on_grid(self):
         log = log_from(np.arange(50) * 40, np.sin(np.arange(50)))
-        once = resample_linear(log)
-        twice = resample_linear(channel_to_log(once))
+        once = resample_linear(log, 49 * 40)
+        twice = resample_linear(channel_to_log(once), 49 * 40)
         assert np.max(np.abs(once.values - twice.values)) < 1e-12
 
     def test_values_within_bracketing_inputs(self, rng):
         timestamps = np.cumsum(rng.integers(10, 120, size=40))
         values = rng.normal(size=40)
         log = log_from(timestamps, values)
-        channel = resample_linear(log)
+        channel = resample_linear(log, int(timestamps[-1]))
         period = 40.0
         for i in range(channel.length):
             t = channel.start_time_ms + i * period
@@ -470,9 +468,21 @@ class TestResampleLinear:
                 assert lo - 1e-12 <= channel.values[i, axis] <= hi + 1e-12
 
     def test_offset_start_lands_on_lattice(self):
-        channel = resample_linear(log_from([60, 100, 140], [0.0, 1.0, 2.0]))
+        channel = resample_linear(log_from([60, 100, 140], [0.0, 1.0, 2.0]), 140)
         assert channel.start_time_ms == 80
         assert channel.length == 2  # 80 and 120 ms
+
+    def test_stops_at_the_end_it_is_given(self):
+        # a log running on past end_ms yields the same points up to it, and no more
+        log = log_from([0, 30, 10**15], [0.0, 3.0, 1.0])
+        channel = resample_linear(log, 45)
+        assert channel.length == 2  # 0 and 40 ms
+        assert channel.values[:, 0].tolist() == np.interp([0, 40], [0, 30, 10**15], [0.0, 3.0, 1.0]).tolist()
+
+    def test_log_starting_after_the_end_yields_its_first_point(self):
+        channel = resample_linear(log_from([100, 200, 300], [0.0, 1.0, 2.0]), 50)
+        assert channel.start_time_ms == 120
+        assert channel.length == 1
 
 
 class TestBuildSession:
@@ -526,7 +536,9 @@ class TestBuildSession:
             else:
                 t = np.arange(500) * 40
             logs.append(RawSensorLog(kind, mount, t, rng.normal(size=(t.size, 3)), 12.5 if kind is ACC else 25.0))
-        channels = [resample_linear(log) for log in synchronize(logs)]
+        synced = synchronize(logs)
+        end_ms = min(int(log.timestamps[-1]) for log in synced)
+        channels = [resample_linear(log, end_ms) for log in synced]
         session = build_session(channels, name="ride")
         assert session.length_points == 500
 
@@ -669,6 +681,18 @@ class TestSessionArchive:
         path.write_bytes(header + struct.pack("<qdI", 0, TARGET_RATE_HZ, 0))
         with pytest.raises(CorruptArchive, match="no points"):
             read_session_archive(path)
+
+    def test_last_point_outside_int64_rejected(self, tmp_path):
+        # every window start must fit the sample archive's int64 field
+        last_start = 2**63 - 1 - 199 * PERIOD_MS
+        for start, fits in ((last_start, True), (last_start + 1, False)):
+            path = tmp_path / f"{start}.session"
+            write_session_archive(make_session(200, start_ms=start), path)
+            if fits:
+                assert read_session_archive(path).start_time_ms == start
+            else:
+                with pytest.raises(CorruptArchive, match="outside int64"):
+                    read_session_archive(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.session"

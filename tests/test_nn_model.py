@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import warnings
 from dataclasses import fields, replace
@@ -6,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import narrowed_network
 from oracles import finite_difference_gradient, max_relative_error, parameter_count, trainable_keys
 from trailgrade.errors import (
     CorruptCheckpoint,
@@ -29,7 +31,6 @@ from trailgrade.nn import (
 )
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 
-TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)
 
 
 def masks():
@@ -62,7 +63,7 @@ class TestModelConfig:
 
     def test_fields_are_what_a_caller_sets(self):
         names = [f.name for f in fields(ModelConfig)]
-        assert names == ["window_points", "kernel_len", "filters", "dense_units", "l2_coeff"]
+        assert names == ["window_points", "kernel_len", "l2_coeff"]
 
     def test_kernel_too_long(self):
         with pytest.raises(KernelTooLong):
@@ -81,8 +82,8 @@ class TestModelConfig:
 
 
 class TestBuildAndForward:
-    def test_initial_values(self):
-        params = build_model(TINY, np.random.default_rng(3))
+    def test_initial_values(self, tiny):
+        params = build_model(tiny, np.random.default_rng(3))
         assert "conv1/bias" not in params.tensors
         assert (params.tensors["bn2/gamma"] == 1.0).all()
         assert (params.tensors["bn3/var"] == 1.0).all()
@@ -91,27 +92,27 @@ class TestBuildAndForward:
         kernel = params.tensors["conv1/kernel"]
         assert np.abs(kernel).max() <= limit
 
-    def test_rows_sum_to_one(self, rng):
-        params = build_model(TINY, np.random.default_rng(1))
+    def test_rows_sum_to_one(self, rng, tiny):
+        params = build_model(tiny, np.random.default_rng(1))
         probs, cache = forward(params, rng.normal(size=(5, 8, 4, 3)))
         assert probs.shape == (5, 3)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
         assert cache is None
 
-    def test_infer_deterministic(self, rng):
-        params = build_model(TINY, np.random.default_rng(1))
+    def test_infer_deterministic(self, rng, tiny):
+        params = build_model(tiny, np.random.default_rng(1))
         batch = rng.normal(size=(4, 8, 4, 3))
         a, _ = forward(params, batch)
         b, _ = forward(params, batch)
         assert np.array_equal(a, b)
 
-    def test_shape_mismatch(self, rng):
-        params = build_model(TINY, np.random.default_rng(1))
+    def test_shape_mismatch(self, rng, tiny):
+        params = build_model(tiny, np.random.default_rng(1))
         with pytest.raises(ShapeMismatch):
             forward(params, rng.normal(size=(2, 9, 4, 3)))
 
-    def test_train_mode_updates_running_stats(self, rng):
-        params = build_model(TINY, np.random.default_rng(1))
+    def test_train_mode_updates_running_stats(self, rng, tiny):
+        params = build_model(tiny, np.random.default_rng(1))
         before = params.tensors["bn1/mean"].copy()
         forward(params, rng.normal(size=(4, 8, 4, 3)) + 5.0, train=True, rng=rng)
         assert not np.array_equal(params.tensors["bn1/mean"], before)
@@ -124,9 +125,9 @@ class TestBuildAndForward:
 
 class TestFullNetworkGradients:
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_finite_differences(self, seed):
+    def test_matches_finite_differences(self, seed, tiny):
         rng = np.random.default_rng(seed)
-        params = build_model(TINY, rng)
+        params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = rng.integers(0, 3, size=2)
 
@@ -140,24 +141,24 @@ class TestFullNetworkGradients:
             err = max_relative_error(grads[key], fd)
             assert err < 1e-3, f"{key}: {err}"
 
-    def test_l2_contribution_is_additive(self, rng):
-        params = build_model(TINY, rng)
+    def test_l2_contribution_is_additive(self, rng, tiny):
+        params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 2])
         probs, cache = forward(params, batch, train=True, rng=masks())
         grads_with = backward(cache, labels)
 
-        free_config = replace(TINY, l2_coeff=0.0)
+        free_config = replace(tiny, l2_coeff=0.0)
         free_params = ModelParams(free_config, {k: v.copy() for k, v in params.tensors.items()})
         probs2, cache2 = forward(free_params, batch, train=True, rng=masks())
         grads_without = backward(cache2, labels)
         for i in (1, 2, 3):
             key = f"conv{i}/kernel"
-            expected = grads_without[key] + 2.0 * TINY.l2_coeff * params.tensors[key]
+            expected = grads_without[key] + 2.0 * tiny.l2_coeff * params.tensors[key]
             assert np.allclose(grads_with[key], expected, atol=1e-12)
 
-    def test_stale_cache_detected(self, rng):
-        params = build_model(TINY, rng)
+    def test_stale_cache_detected(self, rng, tiny):
+        params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 1])
         _, cache = forward(params, batch, train=True, rng=masks())
@@ -168,20 +169,20 @@ class TestFullNetworkGradients:
 
 
 class TestL2Penalty:
-    def test_zero_coeff(self, rng):
-        params = build_model(replace(TINY, l2_coeff=0.0), rng)
+    def test_zero_coeff(self, rng, tiny):
+        params = build_model(replace(tiny, l2_coeff=0.0), rng)
         assert l2_penalty(params) == 0.0
 
-    def test_single_weight_arithmetic(self, rng):
-        params = build_model(TINY, rng)
+    def test_single_weight_arithmetic(self, rng, tiny):
+        params = build_model(tiny, rng)
         for i in (1, 2, 3):
             params.tensors[f"conv{i}/kernel"][...] = 0.0
         params.tensors["conv2/kernel"][0, 0, 0, 0] = 3.0
         assert l2_penalty(params) == pytest.approx(0.09)
 
-    def test_finite_differences(self, rng):
+    def test_finite_differences(self, rng, tiny):
         # the gradient backward adds to each kernel's is that of l2_penalty
-        params = build_model(replace(TINY, l2_coeff=0.05), rng)
+        params = build_model(replace(tiny, l2_coeff=0.05), rng)
         for i in (1, 2, 3):
             w = params.tensors[f"conv{i}/kernel"]
             fd = finite_difference_gradient(lambda: l2_penalty(params), w)
@@ -190,7 +191,7 @@ class TestL2Penalty:
 
 class TestAdam:
     def make_scalar_params(self, value):
-        return ModelParams(TINY, {"w": np.array([value])})
+        return ModelParams(ModelConfig(window_points=1, kernel_len=1), {"w": np.array([value])})
 
     def test_zero_gradient_keeps_params(self):
         params = self.make_scalar_params(1.5)
@@ -264,16 +265,31 @@ class TestCheckpoint:
             "bn_epsilon = 0.001\n"
         )
 
-    def test_sidecar_written(self, tmp_path, rng):
-        params = build_model(TINY, rng)
+    @pytest.mark.parametrize(
+        "filters, dense_units, message",
+        [
+            ((1, 1, 1), 1, "stored filters (1, 1, 1), the network's is (4, 8, 16)"),
+            ((4, 8, 16), 1, "stored dense_units 1, the network's is 128"),
+        ],
+    )
+    def test_stored_widths_must_be_the_networks(self, tmp_path, filters, dense_units, message):
+        path = tmp_path / "narrow.ckpt"
+        with narrowed_network(filters, dense_units):
+            save_checkpoint(build_model(ModelConfig(2, 1), np.random.default_rng(0)), path)
+            load_checkpoint(path)  # the widths are read at each call, not at import
+        with pytest.raises(CorruptCheckpoint, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_sidecar_written(self, tmp_path, rng, tiny):
+        params = build_model(tiny, rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         sidecar = (tmp_path / "model.ckpt.txt").read_text()
         assert "window_points = 8" in sidecar
         assert "kernel_len = 3" in sidecar
 
-    def test_truncated_rejected(self, tmp_path, rng):
-        params = build_model(TINY, rng)
+    def test_truncated_rejected(self, tmp_path, rng, tiny):
+        params = build_model(tiny, rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes()[:-11])
@@ -286,8 +302,8 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
-    def test_wrong_version_rejected(self, tmp_path, rng):
-        params = build_model(TINY, rng)
+    def test_wrong_version_rejected(self, tmp_path, rng, tiny):
+        params = build_model(tiny, rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
@@ -296,18 +312,18 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
-    def test_trailing_garbage_rejected(self, tmp_path, rng):
-        params = build_model(TINY, rng)
+    def test_trailing_garbage_rejected(self, tmp_path, rng, tiny):
+        params = build_model(tiny, rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
-    def test_signalling_nan_is_corrupt_not_a_warning(self, tmp_path, rng):
+    def test_signalling_nan_is_corrupt_not_a_warning(self, tmp_path, rng, tiny):
         # casting a float32 signalling NaN to float64 warns "invalid value";
         # the stored values are checked before that cast
-        params = build_model(TINY, rng)
+        params = build_model(tiny, rng)
         params.tensors["dense1/weights"][0, 0] = 1.5
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
@@ -320,8 +336,8 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint, match="dense1/weights holds non-finite"):
                 load_checkpoint(path)
 
-    def test_loaded_model_runs(self, tmp_path, rng):
-        params = build_model(TINY, rng)
+    def test_loaded_model_runs(self, tmp_path, rng, tiny):
+        params = build_model(tiny, rng)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         loaded, _ = load_checkpoint(path)

@@ -2,11 +2,12 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import run_fresh_python
+from conftest import narrowed_network, run_fresh_python
 from oracles import accuracy_loop, history_from_csv, sparse_categorical_accuracy
 from trailgrade import training
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
@@ -30,7 +31,6 @@ from trailgrade.training import (
     train,
 )
 
-TINY = ModelConfig(window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5)
 
 
 def separable_samples(n_per_class, window_points=8, seed=0, name="s", scales=(0.2, 1.0, 3.0)):
@@ -102,37 +102,37 @@ class TestConfusionMatrix:
 
 
 class TestTrainLoop:
-    def test_patience_one_stops_at_epoch_two(self):
+    def test_patience_one_stops_at_epoch_two(self, tiny):
         train_set = separable_samples(10, seed=0)
         test_set = separable_samples(2, seed=1, name="t")
-        result = train(train_set, test_set, TINY, TrainConfig(seed=0, max_epochs=6, patience=1))
+        result = train(train_set, test_set, tiny, TrainConfig(seed=0, max_epochs=6, patience=1))
         assert result.best_epoch == 1
         assert len(result.history) == 2
         assert result.stopped_early
 
-    def test_descent_on_separable_data(self):
+    def test_descent_on_separable_data(self, tiny):
         train_set = separable_samples(10, seed=2)
         test_set = separable_samples(3, seed=3, name="t")
-        result = train(train_set, test_set, TINY, TrainConfig(seed=1, max_epochs=50, patience=50))
+        result = train(train_set, test_set, tiny, TrainConfig(seed=1, max_epochs=50, patience=50))
         assert len(result.history) == 50
         assert result.history[49].train_loss < result.history[0].train_loss
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tiny):
         train_set = separable_samples(6, seed=4)
         test_set = separable_samples(2, seed=5, name="t")
         config = TrainConfig(seed=11, max_epochs=5, patience=5)
-        a = train(train_set, test_set, TINY, config)
-        b = train(train_set, test_set, TINY, config)
+        a = train(train_set, test_set, tiny, config)
+        b = train(train_set, test_set, tiny, config)
         assert a.history == b.history
         for key in a.best_params.tensors:
             assert np.array_equal(a.best_params.tensors[key], b.best_params.tensors[key])
         assert np.array_equal(a.confusion.counts, b.confusion.counts)
 
-    def test_early_stopping_law_and_snapshot(self):
+    def test_early_stopping_law_and_snapshot(self, tiny):
         train_set = separable_samples(8, seed=6)
         test_set = separable_samples(2, seed=7, name="t")
         config = TrainConfig(seed=3, max_epochs=12, patience=4)
-        result = train(train_set, test_set, TINY, config)
+        result = train(train_set, test_set, tiny, config)
         last = result.history[-1].epoch
         assert (last - result.best_epoch >= config.patience) or last == config.max_epochs
         assert result.best_test_sca == max(r.test_sca for r in result.history)
@@ -145,53 +145,51 @@ class TestTrainLoop:
         assert np.array_equal(confusion.counts, result.confusion.counts)
         assert confusion.total == len(test_set)
 
-    def test_metrics_bounded(self):
+    def test_metrics_bounded(self, tiny):
         train_set = separable_samples(5, seed=8)
         test_set = separable_samples(2, seed=9, name="t")
-        result = train(train_set, test_set, TINY, TrainConfig(seed=5, max_epochs=4, patience=4))
+        result = train(train_set, test_set, tiny, TrainConfig(seed=5, max_epochs=4, patience=4))
         for record in result.history:
             assert 0.0 <= record.train_sca <= 1.0
             assert 0.0 <= record.test_sca <= 1.0
             assert record.train_loss >= 0.0
 
-    def test_empty_dataset(self):
+    def test_empty_dataset(self, tiny):
         samples = separable_samples(2)
         with pytest.raises(EmptyDataset):
-            train([], samples, TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
+            train([], samples, tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
         with pytest.raises(EmptyDataset):
-            train(samples, [], TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
+            train(samples, [], tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, tiny):
         with pytest.raises(ShapeMismatch):
             train(
                 separable_samples(2, window_points=9),
                 separable_samples(1, window_points=9, name="t"),
-                TINY,
+                tiny,
                 TrainConfig(seed=0, max_epochs=1, patience=1),
             )
 
-    def test_test_set_shape_mismatch_names_the_test_sample(self):
+    def test_test_set_shape_mismatch_names_the_test_sample(self, tiny):
         with pytest.raises(ShapeMismatch, match=r"sample \('t', 0\) of shape \(9, 4, 3\)"):
             train(
                 separable_samples(2),
                 separable_samples(1, window_points=9, name="t"),
-                TINY,
+                tiny,
                 TrainConfig(seed=0, max_epochs=1, patience=1),
             )
 
-    def test_mixed_window_lengths_name_the_odd_sample(self, rng):
+    def test_mixed_window_lengths_name_the_odd_sample(self, rng, tiny):
         good = separable_samples(2)
         mixed = good[:3] + separable_samples(1, window_points=9, name="u")[:1] + good[3:]
         match = r"sample \('u', 0\) of shape \(9, 4, 3\)"
         with pytest.raises(ShapeMismatch, match=match):
-            train(mixed, separable_samples(1, name="t"), TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
+            train(mixed, separable_samples(1, name="t"), tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
         with pytest.raises(ShapeMismatch, match=match):
-            evaluate(build_model(TINY, rng), mixed)
+            evaluate(build_model(tiny, rng), mixed)
 
-    def test_numeric_failure_on_absurd_l2(self):
-        config = ModelConfig(
-            window_points=8, kernel_len=3, filters=(2, 3, 4), dense_units=5, l2_coeff=1e308
-        )
+    def test_numeric_failure_on_absurd_l2(self, tiny):
+        config = replace(tiny, l2_coeff=1e308)
         with pytest.raises(NumericFailure):
             train(
                 separable_samples(3),
@@ -200,16 +198,16 @@ class TestTrainLoop:
                 TrainConfig(seed=0, max_epochs=2, patience=2),
             )
 
-    def test_final_short_batch_is_trained(self):
+    def test_final_short_batch_is_trained(self, tiny):
         # 35 samples with batch 32 leaves a 3-sample tail; it must still count
         train_set = separable_samples(12, seed=10)[:35]
         test_set = separable_samples(2, seed=11, name="t")
-        result = train(train_set, test_set, TINY, TrainConfig(seed=2, max_epochs=2, patience=2))
+        result = train(train_set, test_set, tiny, TrainConfig(seed=2, max_epochs=2, patience=2))
         assert len(result.history) == 2
 
 
 class TestTrainMemory:
-    def test_no_cache_outlives_its_step(self, monkeypatch):
+    def test_no_cache_outlives_its_step(self, monkeypatch, tiny):
         caches = []
 
         def recording_forward(params, batch, **kwargs):
@@ -220,10 +218,10 @@ class TestTrainMemory:
             return probs, cache
 
         monkeypatch.setattr(training, "forward", recording_forward)
-        train(separable_samples(24), separable_samples(2, name="t"), TINY, TrainConfig(seed=3, max_epochs=2, patience=2))
+        train(separable_samples(24), separable_samples(2, name="t"), tiny, TrainConfig(seed=3, max_epochs=2, patience=2))
         assert len(caches) == 2 * 3  # 72 samples are 3 batches per epoch
 
-    def test_no_cache_is_alive_during_adam(self, monkeypatch):
+    def test_no_cache_is_alive_during_adam(self, monkeypatch, tiny):
         caches, steps = [], []
 
         def recording_forward(params, batch, **kwargs):
@@ -238,7 +236,7 @@ class TestTrainMemory:
 
         monkeypatch.setattr(training, "forward", recording_forward)
         monkeypatch.setattr(training, "adam_step", checking_adam_step)
-        train(separable_samples(24), separable_samples(2, name="t"), TINY, TrainConfig(seed=3, max_epochs=2, patience=2))
+        train(separable_samples(24), separable_samples(2, name="t"), tiny, TrainConfig(seed=3, max_epochs=2, patience=2))
         assert steps == [True] * 6, "a forward cache was alive while Adam ran"
 
     def test_step_peak_at_long_windows(self):
@@ -265,7 +263,7 @@ class TestTrainMemory:
             tracemalloc.stop()
         assert peak < 42.5e6
 
-    def test_peak_does_not_grow_with_the_training_set(self):
+    def test_peak_does_not_grow_with_the_training_set(self, tiny):
         # a stacked copy of the training set would add every extra window's bytes
         def one_epoch_peak(count):
             rng = np.random.default_rng(count)
@@ -274,7 +272,7 @@ class TestTrainMemory:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                train(samples, test_set, TINY, TrainConfig(seed=4, max_epochs=1, patience=1))
+                train(samples, test_set, tiny, TrainConfig(seed=4, max_epochs=1, patience=1))
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -308,7 +306,7 @@ class TestTrainMemory:
         assert int(run_fresh_python(code)) < 10 * steps
 
 
-def test_archive_windows_train_as_their_float64_casts(tmp_path):
+def test_archive_windows_train_as_their_float64_casts(tmp_path, tiny):
     # forward casts each batch to float64, so float32 archive windows train
     # to the same bytes as the same values held as float64
     path = tmp_path / "a.tgds"
@@ -316,8 +314,8 @@ def test_archive_windows_train_as_their_float64_casts(tmp_path):
     archived = read_sample_archive(path)
     widened = [WindowSample(s.data.astype(np.float64), s.label, s.origin) for s in archived]
     config = TrainConfig(seed=13, max_epochs=2, patience=2)
-    a = train(archived[:14], archived[14:], TINY, config)
-    b = train(widened[:14], widened[14:], TINY, config)
+    a = train(archived[:14], archived[14:], tiny, config)
+    b = train(widened[:14], widened[14:], tiny, config)
     assert a.history == b.history
     for key, tensor in a.best_params.tensors.items():
         assert tensor.tobytes() == b.best_params.tensors[key].tobytes()
@@ -378,7 +376,9 @@ class TestTrainAgainstRescoringLoop:
         train_set = separable_samples(12, seed=16, scales=(0.5, 1.0, 1.5))
         test_set = separable_samples(4, seed=17, name="t", scales=(0.5, 1.0, 1.5))
         config = TrainConfig(seed=11, max_epochs=3, patience=3)
-        return train(train_set, test_set, TINY, config), rescoring_train(train_set, test_set, TINY, config)
+        with narrowed_network():
+            tiny = ModelConfig(window_points=8, kernel_len=3)
+            return train(train_set, test_set, tiny, config), rescoring_train(train_set, test_set, tiny, config)
 
     def test_weights_test_sca_and_loss_unchanged(self, runs):
         result, (rows, best_params, best_epoch, counts) = runs
@@ -397,52 +397,52 @@ class TestTrainAgainstRescoringLoop:
 
 
 class TestEvaluate:
-    def test_untrained_is_chance_level(self, rng):
-        params = build_model(TINY, rng)
+    def test_untrained_is_chance_level(self, rng, tiny):
+        params = build_model(tiny, rng)
         samples = separable_samples(200, seed=12, scales=(0.5, 1.0, 1.5))
         accuracy, _ = evaluate(params, samples)
         assert abs(accuracy - 1.0 / 3.0) < 0.1
 
-    def test_repeatable(self, rng):
-        params = build_model(TINY, rng)
+    def test_repeatable(self, rng, tiny):
+        params = build_model(tiny, rng)
         samples = separable_samples(5, seed=13)
         first = evaluate(params, samples)
         second = evaluate(params, samples)
         assert first[0] == second[0]
         assert np.array_equal(first[1].counts, second[1].counts)
 
-    def test_single_sample(self, rng):
-        params = build_model(TINY, rng)
+    def test_single_sample(self, rng, tiny):
+        params = build_model(tiny, rng)
         accuracy, _ = evaluate(params, separable_samples(1)[:1])
         assert accuracy in (0.0, 1.0)
 
-    def test_empty(self, rng):
+    def test_empty(self, rng, tiny):
         with pytest.raises(EmptyDataset):
-            evaluate(build_model(TINY, rng), [])
+            evaluate(build_model(tiny, rng), [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_sample(self, rng, value):
+    def test_non_finite_sample(self, rng, value, tiny):
         # argmax of a NaN row is 0, which would score this window as a hit
         samples = separable_samples(2, seed=18)
         samples[0].data[3, 1, 2] = value
         with pytest.raises(NumericFailure):
-            evaluate(build_model(TINY, rng), samples)
+            evaluate(build_model(tiny, rng), samples)
         with pytest.raises(NumericFailure):
-            train(separable_samples(2), samples, TINY, TrainConfig(seed=0, max_epochs=1, patience=1))
+            train(separable_samples(2), samples, tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
 
-    def test_non_finite_probabilities(self, rng):
+    def test_non_finite_probabilities(self, rng, tiny):
         # a negative running variance gives NaN probabilities, whose argmax is 0
-        params = build_model(TINY, rng)
+        params = build_model(tiny, rng)
         params.tensors["bn1/var"][...] = -5.0
         with pytest.raises(NumericFailure), np.errstate(invalid="ignore"):
             evaluate(params, separable_samples(2, seed=19))
 
 
 class TestHistoryCsv:
-    def test_roundtrip_exact(self):
+    def test_roundtrip_exact(self, tiny):
         train_set = separable_samples(4, seed=14)
         test_set = separable_samples(2, seed=15, name="t")
-        result = train(train_set, test_set, TINY, TrainConfig(seed=8, max_epochs=3, patience=3))
+        result = train(train_set, test_set, tiny, TrainConfig(seed=8, max_epochs=3, patience=3))
         text = history_to_csv(result.history)
         assert text.splitlines()[0] == "epoch,train_sca,test_sca,train_loss"
         assert history_from_csv(text) == result.history
