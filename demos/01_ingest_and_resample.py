@@ -5,6 +5,9 @@ units never start at exactly the same instant. This script fabricates such a
 recording, then shows each pipeline stage doing its job.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from trailgrade.ingest import (
@@ -18,6 +21,9 @@ from trailgrade.ingest import (
 )
 
 rng = np.random.default_rng(0)
+# the logs are written to files, as a recording's are, and parsed from there
+scratch = tempfile.TemporaryDirectory()
+workdir = Path(scratch.name)
 
 print("== fabricate four raw logs (one per sensor) ==")
 logs = []
@@ -27,7 +33,9 @@ for mount, kind in CHANNEL_ORDER:
     timestamps = offset + np.arange(0, 10_000, step)
     rows = ["timestamp_ms,x,y,z"]
     rows += [f"{t},{rng.normal()!r},{rng.normal()!r},{rng.normal()!r}" for t in timestamps]
-    log = parse_sensor_csv("\n".join(rows), kind, mount)
+    path = workdir / f"{mount.value}_{kind.value}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    log = parse_sensor_csv(path, kind, mount)
     logs.append(log)
     print(
         f"  {mount.value:6s} {kind.value:13s} start {log.timestamps[0]:4d} ms, "
@@ -54,6 +62,8 @@ print(f"\nsession '{session.name}': {session.length_points} points, stacked shap
 print("row order:", [f"{m.value}/{k.value}" for m, k in CHANNEL_ORDER])
 
 print("\n== CSV round-trip is exact ==")
-text = write_sensor_csv(logs[0])
-again = parse_sensor_csv(text, logs[0].sensor_kind, logs[0].mount)
+path = workdir / "roundtrip.csv"
+path.write_text(write_sensor_csv(logs[0]))
+again = parse_sensor_csv(path, logs[0].sensor_kind, logs[0].mount)
 print("re-parsed equals original:", np.array_equal(again.values, logs[0].values))
+scratch.cleanup()

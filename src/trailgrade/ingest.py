@@ -7,8 +7,8 @@ common start and linearly interpolated onto a constant-rate grid so the four
 channels can be stacked into one session.
 """
 
-import io
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -153,33 +153,102 @@ _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: Whitespace to ``str.strip`` and numpy, but not around an ``int`` or ``float``.
-_SEPARATOR_CONTROLS = "\x1c\x1d\x1e\x1f"
+_SEPARATOR_CONTROLS = b"\x1c\x1d\x1e\x1f"
 
-_NON_SPACE = re.compile(r"\S")
+_NON_SPACE = re.compile(rb"\S")
 
 
-def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
-    """Parse ``timestamp_ms,x,y,z`` CSV text (LF or CRLF) into a RawSensorLog.
+def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
+    """Parse the ``timestamp_ms,x,y,z`` CSV file at ``path`` into a RawSensorLog.
 
-    The nominal rate is inferred from the median timestamp gap. Blank lines are
-    skipped; anything else that does not parse, a timestamp outside int64 or a
-    non-finite value raises MalformedLine with its 1-based line number, and a
-    timestamp not after the one before it raises NonMonotonicTimestamp naming
-    its line.
+    The file is read as ``read_utf8`` reads it: UTF-8, LF, CRLF or lone-CR line
+    ends. The nominal rate is inferred from the median timestamp gap. Blank
+    lines are skipped; anything else that does not parse, a timestamp outside
+    int64 or a non-finite value raises MalformedLine with its 1-based line
+    number, and a timestamp not after the one before it raises
+    NonMonotonicTimestamp naming its line. Every error names the file at the
+    front: ``<path>: line N: reason``.
 
-    The rows are parsed in one numpy pass. numpy accepts a subset of what the
-    line loop accepts, with the same values, so the line loop only runs on text
-    that pass rejects: it decides whether the text is valid after all (for
-    example, it has whitespace-only lines) and names the first bad line.
+    The bytes are read once; numpy then reads the file itself where
+    ``_parse_rows_vectorised`` allows. numpy accepts a subset of what the line
+    loop accepts, with the same values, so the line loop only runs, on the
+    bytes already read, where numpy does not: it decides whether the file is
+    valid after all (it may have whitespace-only lines) and names the first
+    bad line.
     """
+    try:
+        data = Path(path).read_bytes()
+        rows = _parse_rows_vectorised(path, data)
+        if rows is not None:
+            try:
+                return RawSensorLog(sensor_kind, mount, *rows, _infer_rate_hz(rows[0]))
+            except NonMonotonicTimestamp:
+                pass  # the line loop names the line
+        return _parse_text(_decode_utf8(data, MalformedLine), sensor_kind, mount)
+    except TrailgradeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+#: Suffixes that numpy's path opener decompresses instead of reading as text.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+_LINE_END = re.compile(rb"[\r\n]")
+
+
+def _parse_rows_vectorised(path, data: bytes):
+    """(timestamps, values) of the rows numpy reads from the file at ``path``, or None if it cannot.
+
+    ``data``, the file's bytes, must be ASCII without the separator controls
+    0x1C..0x1F: numpy strips those controls around a field where ``int`` and
+    ``float`` do not, and numpy 2.4.6 at times segfaults rejecting a field that
+    holds a character outside the Basic Multilingual Plane. They must start
+    with the header and hold a row, as numpy warns on a file without one.
+    The file must be a regular one, which reads the same twice: read again, a
+    pipe would give numpy nothing. numpy opens the resolved absolute path as
+    ASCII text, so universal newlines read CRLF and CR as ``read_utf8`` does,
+    and no path reads as a URL. ``comments=None`` matters too: numpy's default
+    would cut ``5,1,2,3 # c`` to a valid row, which the line loop rejects.
+    """
+    resolved = str(Path(path).resolve())
+    header = _LINE_END.search(data)
+    header_end = header.start() if header else len(data)
+    if (
+        os.path.splitext(resolved)[1] in _COMPRESSED_SUFFIXES
+        or not os.path.isfile(resolved)
+        or not data.isascii()
+        or any(c in data for c in _SEPARATOR_CONTROLS)
+        or data[:header_end].strip() != CSV_HEADER.encode()
+        or _NON_SPACE.search(data, header_end) is None
+    ):
+        return None
+    try:
+        rows = np.loadtxt(
+            resolved,
+            dtype=_CSV_ROW,
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            ndmin=1,
+            encoding="ascii",
+        )
+    except (ValueError, OSError):
+        return None
+    values = np.ascontiguousarray(rows["v"])
+    if not np.isfinite(values).all():
+        return None
+    return rows["t"].copy(), values
+
+
+def _parse_text(text: str, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
+    """The log of CSV ``text``, parsed one line at a time."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     header_end = text.find("\n")
     if header_end < 0:
         header_end = len(text)
     if text[:header_end].strip() != CSV_HEADER:
         raise MalformedLine(1, f"expected header {CSV_HEADER!r}")
-    body_start = header_end + 1
-    parsed = _parse_rows_vectorised(text, body_start)
-    timestamps, values = parsed if parsed is not None else _parse_rows_by_line(text[body_start:])
+    timestamps, values = _parse_rows_by_line(text[header_end + 1 :])
     try:
         return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
     except NonMonotonicTimestamp as exc:
@@ -187,41 +256,6 @@ def parse_sensor_csv(text, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
         row_lines = [n for n, raw in enumerate(text.split("\n"), start=1) if n > 1 and raw.strip()]
         stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
         raise NonMonotonicTimestamp(f"line {row_lines[stall]}: {exc}") from None
-
-
-def _parse_rows_vectorised(text: str, body_start: int):
-    """(timestamps, values) of the rows after the header line, or None if numpy rejects the text.
-
-    numpy reads the text's ASCII bytes, so the parse holds one byte per
-    character, not the four of a ``str`` buffer, and skips the header itself.
-    Only ASCII text without the separator controls U+001C..U+001F is tried:
-    numpy strips those controls around a field where ``int`` and ``float`` do
-    not, and numpy 2.4.6 at times segfaults rejecting a field that holds a
-    character outside the Basic Multilingual Plane.
-    ``comments=None`` matters too: numpy's default would cut ``5,1,2,3 # c`` to
-    a valid row, which the line loop rejects.
-    """
-    if (
-        _NON_SPACE.search(text, body_start) is None  # numpy warns on input without rows
-        or not text.isascii()
-        or any(c in text for c in _SEPARATOR_CONTROLS)
-    ):
-        return None
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(text.encode("ascii")),
-            dtype=_CSV_ROW,
-            delimiter=",",
-            comments=None,
-            skiprows=1,
-            ndmin=1,
-        )
-    except ValueError:
-        return None
-    values = np.ascontiguousarray(rows["v"])
-    if not np.isfinite(values).all():
-        return None
-    return rows["t"].copy(), values
 
 
 def _parse_rows_by_line(body: str):
@@ -351,6 +385,8 @@ def build_session(channels, name: str = "") -> SyncedSession:
 
 _SESSION_MAGIC = b"TGSS"
 _SESSION_VERSION = 1
+#: A TGSS file stores the session name's UTF-8 length in two bytes.
+_SESSION_NAME_MAX_BYTES = 0xFFFF
 
 
 def write_session_archive(session: SyncedSession, path):
@@ -393,7 +429,7 @@ _MANIFEST_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
 
 
 def parse_session_manifest(text) -> dict:
-    """Parse key=value manifest text: a session name plus four CSV paths."""
+    """Parse key=value manifest text: a session name that fits a TGSS file plus four CSV paths."""
     entries = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -405,11 +441,31 @@ def parse_session_manifest(text) -> dict:
         key = key.strip()
         if key in entries:
             raise MalformedManifest(f"line {line_no}: duplicate key {key!r}")
-        entries[key] = value.strip().strip('"')
+        value = value.strip().strip('"')
+        if key == "name" and (size := len(value.encode("utf-8"))) > _SESSION_NAME_MAX_BYTES:
+            raise MalformedManifest(
+                f"line {line_no}: name is {size} UTF-8 bytes, "
+                f"a session archive holds at most {_SESSION_NAME_MAX_BYTES}"
+            )
+        entries[key] = value
     missing = [k for k in ("name", *_MANIFEST_ROLES) if k not in entries]
     if missing:
         raise MalformedManifest(f"missing keys: {', '.join(missing)}")
     return entries
+
+
+def _decode_utf8(data: bytes, malformed) -> str:
+    """``data`` decoded as UTF-8, line ends as they are.
+
+    A byte that is not UTF-8 raises ``malformed(line_no, reason)`` for the
+    1-based line that holds it, counting LF, CRLF and CR as line ends.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise malformed(line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def read_utf8(path, malformed) -> str:
@@ -419,12 +475,7 @@ def read_utf8(path, malformed) -> str:
     1-based line that holds it.
     """
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise malformed(line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    text = _decode_utf8(data, malformed)
     del data  # normalise without the raw bytes alive: a CRLF file is held at most twice
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -450,8 +501,7 @@ def load_session(manifest_path) -> SyncedSession:
     )
     logs = []
     for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
-        csv_path = manifest_path.parent / entries[role]
-        logs.append(parse_file(csv_path, lambda text: parse_sensor_csv(text, kind, mount), MalformedLine))
+        logs.append(parse_sensor_csv(manifest_path.parent / entries[role], kind, mount))
     synced = synchronize(logs)
     end_ms = min(int(log.timestamps[-1]) for log in synced)
     channels = [resample_linear(log, end_ms) for log in synced]

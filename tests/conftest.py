@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session
+from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session, parse_sensor_csv
 from trailgrade.labeling import LabelTrack
 from trailgrade.nn import ModelConfig, model
 
@@ -56,6 +57,14 @@ def full_track(session, label=1):
     return LabelTrack(((session.start_time_ms, end, label),))
 
 
+def parse_csv_text(text, kind, mount):
+    """``parse_sensor_csv`` of a file that holds ``text`` as UTF-8, line ends untouched."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "sensor.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return parse_sensor_csv(path, kind, mount)
+
+
 RIDE_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
 
 
@@ -65,7 +74,7 @@ def write_ride(directory, name="ride1"):
         rows = ["timestamp_ms,x,y,z"] + [f"{t},{i},{t / 1000},-1.5" for t in range(0, 4001, 40)]
         (directory / f"{role}.csv").write_text("\n".join(rows) + "\n")
     manifest = directory / "session.toml"
-    manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in RIDE_ROLES))
+    manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in RIDE_ROLES), encoding="utf-8")
     return manifest
 
 

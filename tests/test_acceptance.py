@@ -324,7 +324,9 @@ def test_criterion_7_formats(tmp_path):
         12.5,
     )
     text = write_sensor_csv(log)
-    again = parse_sensor_csv(text, log.sensor_kind, log.mount)
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text(text)
+    again = parse_sensor_csv(csv_path, log.sensor_kind, log.mount)
     assert np.array_equal(again.timestamps, log.timestamps)
     assert np.array_equal(again.values, log.values)
     assert write_sensor_csv(again) == text

@@ -196,6 +196,21 @@ class TestDataErrorsNameTheFile:
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
         assert self.error_line(capsys) == f"error: {manifest}: line 5: expected key=value\n"
 
+    def test_manifest_name_longer_than_an_archive_holds(self, tmp_path, capsys):
+        # a session archive stores the name's UTF-8 length in two bytes
+        out = tmp_path / "r.session"
+        manifest = write_ride(tmp_path, name="\u00e9" * 32_767 + "n")  # 65,535 bytes
+        assert run("ingest", "--session", str(manifest), "--out", str(out)) == 0
+        assert read_session_archive(out).name == "\u00e9" * 32_767 + "n"
+        out.unlink()
+        capsys.readouterr()
+        manifest = write_ride(tmp_path, name="\u00e9" * 32_768)  # 65,536 bytes
+        assert run("ingest", "--session", str(manifest), "--out", str(out)) == 2
+        assert self.error_line(capsys) == (
+            f"error: {manifest}: line 1: name is 65536 UTF-8 bytes, a session archive holds at most 65535\n"
+        )
+        assert not out.exists()
+
     @staticmethod
     def bad_track_beside_a_session(synth_dir, tmp_path, text):
         session = sorted(synth_dir.glob("*.session"))[0]

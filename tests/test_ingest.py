@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
+import os
 import pickle
 import struct
+import threading
+import time
 import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
-from conftest import RIDE_ROLES, make_session, write_ride
+from conftest import RIDE_ROLES, make_session, parse_csv_text, write_ride
 from oracles import parse_sensor_csv_lines
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,36 +69,38 @@ def channel_to_log(channel):
 
 class TestParseSensorCsv:
     def test_two_samples(self):
-        log = parse_sensor_csv("timestamp_ms,x,y,z\n0,0.0,1.0,-0.5\n80,0.2,1.0,-0.4", ACC, Mount.FRAME)
+        log = parse_csv_text("timestamp_ms,x,y,z\n0,0.0,1.0,-0.5\n80,0.2,1.0,-0.4", ACC, Mount.FRAME)
         assert log.timestamps.tolist() == [0, 80]
         assert log.timestamps[-1] - log.timestamps[0] == 80
         assert log.values[1].tolist() == [0.2, 1.0, -0.4]
 
     def test_equal_timestamps_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
-            parse_sensor_csv("timestamp_ms,x,y,z\n0,0,0,0\n0,1,1,1", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,0,0,0\n0,1,1,1", ACC, Mount.FRAME)
 
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
-            parse_sensor_csv("timestamp_ms,x,y,z\n10,0,0,0\n5,1,1,1", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n10,0,0,0\n5,1,1,1", ACC, Mount.FRAME)
 
     @pytest.mark.parametrize("blank", ["", " \t"])
     def test_repeated_timestamp_names_its_line(self, blank):
         # blank lines hold no row; a whitespace-only one sends the text to the line loop
         text = f"timestamp_ms,x,y,z\n0,0,0,0\n{blank}\n40,1,1,1\n40,2,2,2\n80,3,3,3\n"
-        with pytest.raises(NonMonotonicTimestamp, match="^line 5: "):
-            parse_sensor_csv(text, ACC, Mount.FRAME)
+        with pytest.raises(NonMonotonicTimestamp, match=r"sensor\.csv: line 5: "):
+            parse_csv_text(text, ACC, Mount.FRAME)
 
-    def test_parse_holds_the_text_once_as_bytes(self):
-        # numpy reads the text's ASCII bytes (1x) into rows of 32 bytes (about
-        # 0.6x here); a UCS-4 copy of the text alone would be 4x
+    def test_parse_holds_the_text_once_as_bytes(self, tmp_path):
+        # the file's bytes (1x) and numpy's rows of 32 bytes (about 0.6x
+        # here); a UCS-4 copy of the text alone would be 4x
         rng = np.random.default_rng(3)
         rows = zip(range(1_500_000_000_000, 1_500_000_400_000, 10), *rng.normal(size=(3, 40_000)).tolist())
         text = ingest.CSV_HEADER + "\n" + "".join(map("%d,%.9f,%.9f,%.9f\n".__mod__, rows))
         assert len(text) > 2_000_000
+        path = tmp_path / "ride.csv"
+        path.write_bytes(text.encode("ascii"))
         tracemalloc.start()
         try:
-            log = parse_sensor_csv(text, ACC, Mount.FRAME)
+            log = parse_sensor_csv(path, ACC, Mount.FRAME)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -104,41 +110,41 @@ class TestParseSensorCsv:
     def test_rate_inferred_from_12hz_file(self):
         # 101 samples at 0, 80, ..., 8000 ms
         lines = ["timestamp_ms,x,y,z"] + [f"{i * 80},{i * 0.1},0.0,0.0" for i in range(101)]
-        log = parse_sensor_csv("\n".join(lines), ACC, Mount.FRAME)
+        log = parse_csv_text("\n".join(lines), ACC, Mount.FRAME)
         assert log.timestamps.size == 101
         assert log.timestamps[-1] - log.timestamps[0] == 8000
         assert log.nominal_rate_hz == pytest.approx(12.5)
 
     def test_crlf_accepted(self):
-        log = parse_sensor_csv("timestamp_ms,x,y,z\r\n0,1,2,3\r\n40,4,5,6\r\n", GYRO, Mount.HELMET)
+        log = parse_csv_text("timestamp_ms,x,y,z\r\n0,1,2,3\r\n40,4,5,6\r\n", GYRO, Mount.HELMET)
         assert log.timestamps.tolist() == [0, 40]
         assert log.nominal_rate_hz == pytest.approx(25.0)
 
     def test_bad_header(self):
         with pytest.raises(MalformedLine) as err:
-            parse_sensor_csv("time,x,y,z\n0,1,2,3", ACC, Mount.FRAME)
+            parse_csv_text("time,x,y,z\n0,1,2,3", ACC, Mount.FRAME)
         assert err.value.line_no == 1
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(MalformedLine) as err:
-            parse_sensor_csv("timestamp_ms,x,y,z\n0,1,2,3\n40,nope,2,3", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3\n40,nope,2,3", ACC, Mount.FRAME)
         assert err.value.line_no == 3
 
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLine):
-            parse_sensor_csv("timestamp_ms,x,y,z\n0,1,2", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2", ACC, Mount.FRAME)
 
     def test_non_finite_rejected(self):
         with pytest.raises(MalformedLine):
-            parse_sensor_csv("timestamp_ms,x,y,z\n0,nan,2,3", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,nan,2,3", ACC, Mount.FRAME)
 
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
-            parse_sensor_csv("timestamp_ms,x,y,z\n", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n", ACC, Mount.FRAME)
 
     def test_roundtrip_exact(self):
         log = log_from([0, 80, 160, 240], [0.1, 1 / 3, -2.5e-7, 1e9])
-        again = parse_sensor_csv(write_sensor_csv(log), ACC, Mount.FRAME)
+        again = parse_csv_text(write_sensor_csv(log), ACC, Mount.FRAME)
         assert np.array_equal(again.timestamps, log.timestamps)
         assert np.array_equal(again.values, log.values)
 
@@ -152,37 +158,37 @@ class TestParseSensorCsv:
     )
     def test_roundtrip_property(self, xs):
         log = log_from(np.arange(len(xs)) * 40, xs)
-        again = parse_sensor_csv(write_sensor_csv(log), ACC, Mount.FRAME)
+        again = parse_csv_text(write_sensor_csv(log), ACC, Mount.FRAME)
         assert np.array_equal(again.values, log.values)
         assert np.array_equal(again.timestamps, log.timestamps)
 
     def test_int64_overflow_timestamp_names_line(self):
         for t in ("99999999999999999999", "9223372036854775808", "-9223372036854775809"):
             with pytest.raises(MalformedLine) as err:
-                parse_sensor_csv(f"timestamp_ms,x,y,z\n0,1,2,3\n{t},1,2,3\n", ACC, Mount.FRAME)
+                parse_csv_text(f"timestamp_ms,x,y,z\n0,1,2,3\n{t},1,2,3\n", ACC, Mount.FRAME)
             assert err.value.line_no == 3
 
     def test_int64_bounds_accepted(self):
         for t in (-(2**63), 2**63 - 41):
-            log = parse_sensor_csv(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n", ACC, Mount.FRAME)
+            log = parse_csv_text(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n", ACC, Mount.FRAME)
             assert log.timestamps.tolist() == [t, t + 40]
 
     def test_int64_wrapping_step_rejected(self):
         # the int64 difference of these two timestamps wraps around to +1
         text = "timestamp_ms,x,y,z\n9223372036854775807,1,2,3\n-9223372036854775808,1,2,3\n"
         with pytest.raises(NonMonotonicTimestamp):
-            parse_sensor_csv(text, ACC, Mount.FRAME)
+            parse_csv_text(text, ACC, Mount.FRAME)
 
     def test_gap_beyond_int64_gets_its_rate(self):
         # the gap of 1.8e19 ms exceeds int64, so an int64 difference wraps negative
         text = "timestamp_ms,x,y,z\n-9000000000000000000,1,2,3\n9000000000000000000,1,2,3\n"
-        log = parse_sensor_csv(text, ACC, Mount.FRAME)
+        log = parse_csv_text(text, ACC, Mount.FRAME)
         assert log.nominal_rate_hz == pytest.approx(1000.0 / 18e18)
 
     def test_trailing_comment_rejected(self):
         # numpy's loadtxt would cut this to "0,1,2,3" with its default comments="#"
         with pytest.raises(MalformedLine) as err:
-            parse_sensor_csv("timestamp_ms,x,y,z\n0,1,2,3 # c\n40,1,2,3\n", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3 # c\n40,1,2,3\n", ACC, Mount.FRAME)
         assert err.value.line_no == 2
 
     def test_clean_file_skips_line_loop(self, monkeypatch):
@@ -190,9 +196,70 @@ class TestParseSensorCsv:
             raise AssertionError("the line loop ran on a clean file")
 
         monkeypatch.setattr(ingest, "_parse_rows_by_line", refuse)
-        rows = [f"{t},{t * 1e-3!r},{-t * 0.5:.9f},1.0" for t in range(0, 4000, 10)]
-        log = parse_sensor_csv("timestamp_ms,x,y,z\r\n" + "\r\n".join(rows) + "\r\n", ACC, Mount.FRAME)
-        assert log.timestamps.size == 400
+        lines = ["timestamp_ms,x,y,z"] + [f"{t},{t * 1e-3!r},{-t * 0.5:.9f},1.0" for t in range(0, 4000, 10)]
+        for ends in (["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]):  # LF, CRLF, lone CR, mixed
+            text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+            want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(lf_line_ends(text)))
+            log = parse_csv_text(text, ACC, Mount.FRAME)
+            assert log.timestamps.tolist() == want.timestamps.tolist()
+            assert log.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch, suffix):
+        # numpy would decompress a file of this name, so the line loop reads it
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"numpy opened a {suffix} file")
+
+        text = "timestamp_ms,x,y,z\n0,1,2,3\n40,4.5,-5,6e-3\n"
+        path = tmp_path / f"ride.csv{suffix}"
+        path.write_bytes(text.encode("ascii"))
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        log = parse_sensor_csv(path, ACC, Mount.FRAME)
+        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(text))
+        assert log.timestamps.tolist() == want.timestamps.tolist()
+        assert log.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "ride.csv"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def write():
+            fifo.write_bytes(b"timestamp_ms,x,y,z\n0,1,2,3\n40,4,5,6\n")
+            # any later reader of the pipe, such as numpy opening the path
+            # again, finds a writer that sends nothing
+            while not done.is_set():
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # no reader yet
+                    time.sleep(0.01)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            log = parse_sensor_csv(fifo, ACC, Mount.FRAME)
+        finally:
+            done.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert log.timestamps.tolist() == [0, 40]
+        assert log.values.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_path_that_looks_like_a_url_is_read_from_disk(self, tmp_path, monkeypatch):
+        # "http://localhost/ride.csv" names the file http:/localhost/ride.csv
+        # here; numpy given that string would try to download it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSV path was opened as a URL")
+
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "ride.csv").write_text("timestamp_ms,x,y,z\n0,1,2,3\n40,4,5,6\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.setattr(ingest, "_parse_rows_by_line", refuse)
+        log = parse_sensor_csv("http://localhost/ride.csv", ACC, Mount.FRAME)
+        assert log.timestamps.tolist() == [0, 40]
+        assert log.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 #: Padding around fields and blank lines. numpy takes the plain kind. Unicode
@@ -263,17 +330,22 @@ def mangle_row(fields, how, k):
     return fields
 
 
+def lf_line_ends(text):
+    """``text`` as a file read with universal newlines holds it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def assert_matches_line_loop(text):
-    """parse_sensor_csv gives what the original line loop gives, bit for bit."""
+    """parse_sensor_csv of a file holding ``text`` gives what the original line loop gives, bit for bit."""
     try:
-        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(text))
+        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(lf_line_ends(text)))
     except TrailgradeError as want_err:
         with pytest.raises(TrailgradeError) as got_err:
-            parse_sensor_csv(text, ACC, Mount.FRAME)
+            parse_csv_text(text, ACC, Mount.FRAME)
         assert type(got_err.value) is type(want_err)
         assert getattr(got_err.value, "line_no", None) == getattr(want_err, "line_no", None)
         return
-    log = parse_sensor_csv(text, ACC, Mount.FRAME)
+    log = parse_csv_text(text, ACC, Mount.FRAME)
     assert log.timestamps.dtype == np.int64
     assert log.timestamps.tolist() == want.timestamps.tolist()
     assert log.values.shape == want.values.shape
@@ -302,8 +374,9 @@ class TestParseMatchesLineLoop:
             with pytest.raises(OverflowError):
                 parse_sensor_csv_lines(text)
             with pytest.raises(MalformedLine) as err:
-                parse_sensor_csv(text, ACC, Mount.FRAME)
-            assert err.value.line_no == row + 1
+                parse_csv_text(text, ACC, Mount.FRAME)
+            # a blank line "\r" before a CRLF is a line of its own in a file
+            assert err.value.line_no == lf_line_ends(render_csv(lines[:row], newlines, True)).count("\n") + 1
         else:
             with pytest.raises(MalformedLine) as err:
                 parse_sensor_csv_lines(text)
@@ -355,7 +428,7 @@ class TestAnyTextParsesOrRaisesTyped:
     @given(st.one_of(st.text(), st.text(_CSV_CHARS).map(lambda body: ingest.CSV_HEADER + "\n" + body)))
     def test_sensor_csv(self, text):
         try:
-            log = parse_sensor_csv(text, ACC, Mount.FRAME)
+            log = parse_csv_text(text, ACC, Mount.FRAME)
         except TrailgradeError:
             return
         assert log.timestamps.size == log.values.shape[0] > 0
