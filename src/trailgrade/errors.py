@@ -39,6 +39,10 @@ class MismatchedStart(TrailgradeError):
     """Channel start times of one session must lie a whole number of periods apart."""
 
 
+class SessionTooLong(TrailgradeError):
+    """A session spans more lattice points than a session archive can hold."""
+
+
 class MalformedManifest(TrailgradeError):
     """A session manifest is missing keys or is not key=value text."""
 

@@ -156,16 +156,22 @@ def prepare_splits(samples, seed: int):
     return shuffle(balanced, seed=seed + 2), split.test
 
 
+def _windows(data, config: WindowConfig):
+    """Every session's windows at one size; a session shorter than a window gives none."""
+    samples = []
+    for session, track in data:
+        if session.length_points >= config.window_points:
+            samples.extend(slice_windows(session, track, config))
+    return samples
+
+
 def _run_cell(data, spec, window_ms, kernel_len):
     config = WindowConfig(window_ms)
     points = config.window_points
     if kernel_len > points:
         return ExperimentResult(window_ms, kernel_len, SKIPPED_KERNEL_TOO_LONG)
     base = cell_seed(spec.seed, window_ms, kernel_len)
-    samples = []
-    for session, track in data:
-        if session.length_points >= points:
-            samples.extend(slice_windows(session, track, config))
+    samples = _windows(data, config)
     train_set, test_set = prepare_splits(samples, base)
     model_config = ModelConfig(window_points=points, kernel_len=kernel_len)
     result = train(train_set, test_set, model_config, replace(spec.train_config, seed=base + 3))
@@ -197,16 +203,23 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     """Every (window, kernel) cell in row-major order.
 
     `data` is a sequence of (SyncedSession, LabelTrack) pairs; sessions too
-    short for a cell's window simply contribute no samples to it. Cells are
-    independent (own derived seed each) so they may run in parallel, on at most
-    one worker per cell; each pool worker receives `data` once, not per cell.
+    short for a cell's window simply contribute no samples to it. Before any
+    cell trains, each window size that some kernel fits is checked to yield
+    the 2 windows a train/test split needs. Cells are independent (own
+    derived seed each) so they may run in parallel, on at most one worker per
+    cell; each pool worker receives `data` once, not per cell.
     """
     data = list(data)
     if not data:
         raise NoUsableSessions("no sessions provided")
-    largest = max(WindowConfig(w).window_points for w in spec.window_ms_list)
-    if not any(session.length_points >= largest for session, _ in data):
-        raise NoUsableSessions(f"no session reaches the largest window of {largest} points")
+    for window_ms in spec.window_ms_list:
+        config = WindowConfig(window_ms)
+        if min(spec.kernel_len_list) <= config.window_points:
+            count = len(_windows(data, config))
+            if count < 2:
+                raise NoUsableSessions(
+                    f"{window_ms} ms windows: the sessions yield {count}, a train/test split needs at least 2"
+                )
     cells = [
         (spec, window_ms, kernel_len)
         for window_ms in spec.window_ms_list

@@ -25,6 +25,7 @@ from .errors import (
     MalformedManifest,
     MismatchedStart,
     NonMonotonicTimestamp,
+    SessionTooLong,
     TooFewSamples,
     TrailgradeError,
     WrongChannelSet,
@@ -330,7 +331,8 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     invented on either side. Nor are points after ``end_ms``, where a session
     built with the other logs keeps nothing, save the log's first point: a log
     that starts after ``end_ms`` still yields it, and build_session reports
-    the empty overlap.
+    the empty overlap. More points than a session archive holds raise
+    SessionTooLong before anything is allocated.
     """
     if log.timestamps.size < 2:
         raise TooFewSamples("need at least 2 samples to interpolate")
@@ -339,6 +341,11 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     k1 = min(int(log.timestamps[-1]) // PERIOD_MS, max(k0, end_ms // PERIOD_MS))
     if k1 < k0:
         raise TooFewSamples("no lattice point falls inside the log's time span")
+    if k1 - k0 + 1 > _SESSION_POINTS_MAX:
+        raise SessionTooLong(
+            f"{log.mount.value} {log.sensor_kind.value}: {k1 - k0 + 1} lattice points "
+            f"up to {end_ms} ms, a session archive holds at most {_SESSION_POINTS_MAX}"
+        )
     grid = np.arange(k0, k1 + 1, dtype=np.float64) * PERIOD_MS
     out = np.empty((grid.size, 3))
     for axis in range(3):
@@ -387,6 +394,8 @@ _SESSION_MAGIC = b"TGSS"
 _SESSION_VERSION = 1
 #: A TGSS file stores the session name's UTF-8 length in two bytes.
 _SESSION_NAME_MAX_BYTES = 0xFFFF
+#: A TGSS file stores the session's point count in four bytes.
+_SESSION_POINTS_MAX = 0xFFFFFFFF
 
 
 def write_session_archive(session: SyncedSession, path):

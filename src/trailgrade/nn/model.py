@@ -123,11 +123,16 @@ def build_model(config: ModelConfig, rng) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one train-mode forward pass, consumed by backward()."""
+    """Intermediates of one train-mode forward pass, consumed by backward().
+
+    backward() pops each block's cache off ``block_caches`` before running
+    that block, so the cache serves one backward pass: a second one raises
+    StaleCache.
+    """
 
     params: ModelParams
     params_step: int
-    block_caches: list  # per block: (conv, bn, relu mask, pool, dropout mask)
+    block_caches: list  # per block, in forward order: (conv, bn, relu mask, pool, dropout mask)
     pre_flatten_shape: tuple  # height-major
     dense1_cache: tuple
     relu4_mask: np.ndarray
@@ -189,29 +194,37 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
 def backward(cache: ForwardCache, labels) -> dict:
     """Gradients of mean cross-entropy plus the conv-kernel L2 penalty.
 
-    Covers every trainable tensor. Raises StaleCache when the parameters were
-    updated after the forward pass that produced this cache.
+    Covers every trainable tensor. The pass consumes its cache: each block's
+    intermediates leave it before that block's backward and are freed once it
+    is done, and the dense layers' weight gradients (dense1's is the largest
+    array the pass makes) are built only after the conv blocks. Raises
+    StaleCache when the cache was already consumed, or when the parameters
+    were updated after the forward pass that produced it.
     """
+    if len(cache.block_caches) != len(FILTERS):
+        raise StaleCache("this cache was already consumed by a backward pass")
     params = cache.params
     if params.step != cache.params_step:
         raise StaleCache("parameters changed since this cache's forward pass")
     cfg = params.config
-    _, dx = ops.sparse_categorical_crossentropy(cache.probs, labels)
+    _, grad_logits = ops.sparse_categorical_crossentropy(cache.probs, labels)
 
-    grads = {}
-    dx, grads["dense2/weights"], grads["dense2/bias"] = ops.dense_backward(cache.dense2_cache, dx)
-    dx = ops.relu_backward(cache.relu4_mask, dx)
-    dx, grads["dense1/weights"], grads["dense1/bias"] = ops.dense_backward(cache.dense1_cache, dx)
+    grad_hidden = ops.relu_backward(cache.relu4_mask, ops.dense_backward(cache.dense2_cache, grad_logits))
+    dx = ops.dense_backward(cache.dense1_cache, grad_hidden)
     h, b, w, c = cache.pre_flatten_shape
     dx = dx.reshape(b, h, w, c).transpose(1, 0, 2, 3)
+    grads = {}
     for i in (3, 2, 1):
-        conv_c, bn_c, relu_mask, pool_c, drop_mask = cache.block_caches[i - 1]
+        conv_c, bn_c, relu_mask, pool_c, drop_mask = cache.block_caches.pop()
         dx = ops.dropout_backward(drop_mask, dx, DROPOUT_RATE)
         dx = ops.maxpool_backward(pool_c, dx)
         dx = ops.relu_backward(relu_mask, dx)
         dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)
+        del drop_mask, pool_c, relu_mask, bn_c  # before the conv backward's spectra
         dx, grad_kernel = ops.conv2d_backward(conv_c, dx, input_grad=i > 1)
         grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * cfg.l2_coeff * params.tensors[f"conv{i}/kernel"]
+    grads["dense1/weights"], grads["dense1/bias"] = ops.dense_param_grads(cache.dense1_cache, grad_hidden)
+    grads["dense2/weights"], grads["dense2/bias"] = ops.dense_param_grads(cache.dense2_cache, grad_logits)
     return grads
 
 

@@ -246,8 +246,19 @@ def dense_forward(x, weights, bias):
 
 
 def dense_backward(cache, grad_out):
-    x, weights = cache
-    return grad_out @ weights.T, x.T @ grad_out, grad_out.sum(axis=0)
+    """Gradient of dense_forward's input; dense_param_grads gives the rest.
+
+    The two halves are apart so that a backward pass can propagate through
+    the layer first and build its (large) weight gradient later.
+    """
+    _, weights = cache
+    return grad_out @ weights.T
+
+
+def dense_param_grads(cache, grad_out):
+    """Gradients (grad_weights, grad_bias) of dense_forward."""
+    x, _ = cache
+    return x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def softmax(logits):

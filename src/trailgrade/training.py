@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyDataset, NumericFailure, ShapeMismatch
+from .errors import EmptyBatch, EmptyDataset, LabelOutOfRange, NumericFailure, ShapeMismatch
 from .nn.adam import adam_step, init_adam
 from .nn.model import CLASSES, ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
 from .nn.ops import sparse_categorical_crossentropy
@@ -94,13 +94,17 @@ def confusion_matrix(probs, labels) -> ConfusionMatrix:
 
 
 def _checked_labels(samples, config: ModelConfig):
-    """The samples' labels, after checking each window's shape and values.
+    """The samples' labels, after checking each window's shape, values and label.
 
-    Raises on the first sample that does not fit the model input or holds a
-    non-finite value, naming its origin; no window is copied.
+    Raises on the first sample that does not fit the model input, holds a
+    non-finite value or carries a label outside [0, CLASSES), naming its
+    origin; no window is copied.
     """
     expected = (config.window_points, 4, 3)
     for s in samples:
+        # a confusion matrix would count -1 in its last row and fail on CLASSES
+        if not 0 <= s.label < CLASSES:
+            raise LabelOutOfRange(f"sample {s.origin} has label {s.label}, outside [0, {CLASSES})")
         if s.data.shape != expected:
             raise ShapeMismatch(
                 f"sample {s.origin} of shape {s.data.shape} does not match the {expected} model input"
@@ -181,16 +185,17 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             # each batch is gathered from its samples, the only copy made of them
             batch = np.stack([train_samples[i].data for i in idx])
             probs, cache = forward(params, batch, train=True, rng=rng)
+            del batch  # the conv1 cache holds the input's spectrum, not the batch
             ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
             loss = ce_loss + l2_penalty(params)
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
             hits += int(np.count_nonzero(probs.argmax(axis=1) == labels))
             loss_sum += loss * len(idx)
+            # backward consumes the cache's block intermediates as it goes; free
+            # the rest before Adam's scratch, and the gradients before the next forward
             grads = backward(cache, labels)
-            # the cache holds as many bytes as the forward's activations: free it
-            # before Adam's scratch, and the gradients before the next forward
-            del batch, probs, cache
+            del probs, cache
             adam_step(params, grads, state)
             del grads
         # evaluating at the training batch size keeps buffer shapes uniform,

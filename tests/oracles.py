@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (explicit loops,
 linear scans, finite differences) and shares no code with the package apart
-from its exception types and the record types the history CSV holds.
+from its exception types, the record types the history CSV holds, and the nn
+ops that the network-backward reference composes in its own order.
 """
 
 import numpy as np
 
 from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
+from trailgrade.nn import ops
+from trailgrade.nn.model import DROPOUT_RATE
 from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
 
 
@@ -64,6 +67,35 @@ def batchnorm_two_pass(x, gamma, beta, running_mean, running_var, momentum, eps)
         return grad_x, grad_gamma, grad_beta
 
     return out, new_mean, new_var, backward
+
+
+def backward_keeping_every_cache(cache, labels):
+    """The network's gradients from a ForwardCache, which is left as it was.
+
+    The ops run in the order of the first backward pass the model had: each
+    dense layer's weight and bias gradients are built as soon as its output
+    gradient exists, and every block reads its cache in place. Each product
+    is the same op call on the same operands as in ``model.backward``, so
+    the two must agree bit for bit.
+    """
+    _, dx = ops.sparse_categorical_crossentropy(cache.probs, labels)
+    grads = {}
+    grads["dense2/weights"], grads["dense2/bias"] = ops.dense_param_grads(cache.dense2_cache, dx)
+    dx = ops.relu_backward(cache.relu4_mask, ops.dense_backward(cache.dense2_cache, dx))
+    grads["dense1/weights"], grads["dense1/bias"] = ops.dense_param_grads(cache.dense1_cache, dx)
+    dx = ops.dense_backward(cache.dense1_cache, dx)
+    h, b, w, c = cache.pre_flatten_shape
+    dx = dx.reshape(b, h, w, c).transpose(1, 0, 2, 3)
+    for i in (3, 2, 1):
+        conv_c, bn_c, relu_mask, pool_c, drop_mask = cache.block_caches[i - 1]
+        dx = ops.dropout_backward(drop_mask, dx, DROPOUT_RATE)
+        dx = ops.maxpool_backward(pool_c, dx)
+        dx = ops.relu_backward(relu_mask, dx)
+        dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)
+        dx, grad_kernel = ops.conv2d_backward(conv_c, dx, input_grad=i > 1)
+        kernel = cache.params.tensors[f"conv{i}/kernel"]
+        grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * cache.params.config.l2_coeff * kernel
+    return grads
 
 
 def finite_difference_gradient(loss_fn, x, h=1e-5):

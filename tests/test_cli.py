@@ -388,6 +388,21 @@ class TestExitCodes:
         session = read_session_archive(out)
         assert (session.start_time_ms, session.length_points) == (0, 2)
 
+    def test_data_error_overlap_longer_than_a_session_archive_holds(self, tmp_path, capsys):
+        # the four logs overlap until 9e17 ms: 2.25e16 lattice points, where a
+        # session archive stores the point count in four bytes
+        manifest = write_ride(tmp_path)
+        for role in RIDE_ROLES:
+            (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n0,1,2,3\n40,1,2,3\n900000000000000000,1,2,3\n")
+        out = tmp_path / "r.session"
+        assert run("ingest", "--session", str(manifest), "--out", str(out)) == 2
+        _, err = capsys.readouterr()
+        assert err == (
+            "error: frame accelerometer: 22500000000000001 lattice points up to 900000000000000000 ms, "
+            "a session archive holds at most 4294967295\n"
+        )
+        assert not out.exists()
+
     def test_data_error_window_starts_outside_int64(self, tmp_path):
         # 200 points from 2**63 - 1000 ms: later windows start past int64
         start = 2**63 - 1000

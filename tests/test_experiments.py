@@ -1,4 +1,5 @@
 import concurrent.futures
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from trailgrade.experiments import (
     report_table,
     run_grid,
 )
+from trailgrade.ingest import SyncedSession
 from trailgrade.training import EpochRecord, TrainConfig
 
 
@@ -230,6 +232,25 @@ class TestRunGrid:
         short = generate_synthetic(SyntheticSpec(1, 1, seed=1))  # 25-point sessions
         with pytest.raises(NoUsableSessions):
             run_grid(short, tiny_grid_spec())
+
+    def test_too_few_windows_fail_before_any_cell_trains(self, monkeypatch):
+        # one 500-point session and two of 400: the 20000 ms row has a single
+        # window, which no train/test split can take
+        calls = []
+
+        def counting_train(*args):
+            calls.append(args)
+            return SimpleNamespace(best_test_sca=1.0, best_epoch=1)
+
+        monkeypatch.setattr(experiments, "train", counting_train)
+        sessions = generate_synthetic(SyntheticSpec(1, 20, seed=1))
+        data = [sessions[0]] + [
+            (SyncedSession(s.name, s.start_time_ms, s.data[:400]), track) for s, track in sessions[1:]
+        ]
+        spec = GridSpec(train_config=TrainConfig(seed=1, max_epochs=2, patience=2), seed=1)
+        with pytest.raises(NoUsableSessions, match="^20000 ms windows: the sessions yield 1, "):
+            run_grid(data, spec)
+        assert len(calls) == 0
 
 
 class TestReports:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import re
 import struct
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import narrowed_network
-from oracles import finite_difference_gradient, max_relative_error, parameter_count, trainable_keys
+from oracles import (
+    backward_keeping_every_cache,
+    finite_difference_gradient,
+    max_relative_error,
+    parameter_count,
+    trainable_keys,
+)
 from trailgrade.errors import (
     CorruptCheckpoint,
     KernelTooLong,
@@ -166,6 +173,31 @@ class TestFullNetworkGradients:
         adam_step(params, grads, init_adam(params))
         with pytest.raises(StaleCache):
             backward(cache, labels)
+
+    def test_backward_consumes_its_cache(self, rng, tiny):
+        params = build_model(tiny, rng)
+        labels = np.array([0, 1])
+        _, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
+        backward(cache, labels)
+        with pytest.raises(StaleCache):
+            backward(cache, labels)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("narrow", [True, False], ids=["tiny", "full-width"])
+    def test_bit_equal_to_the_cache_keeping_order(self, seed, narrow):
+        # backward builds the dense weight gradients last and frees each
+        # block's cache as it goes; no product may differ from the reference's
+        with narrowed_network() if narrow else contextlib.nullcontext():
+            config = ModelConfig(window_points=8, kernel_len=3) if narrow else ModelConfig(25, 5)
+            rng = np.random.default_rng(seed)
+            params = build_model(config, rng)
+            labels = rng.integers(0, 3, size=4)
+            _, cache = forward(params, rng.normal(size=(4, config.window_points, 4, 3)), train=True, rng=rng)
+            want = backward_keeping_every_cache(cache, labels)
+            got = backward(cache, labels)
+        assert set(got) == set(want) == set(trainable_keys())
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
 
 class TestL2Penalty:
