@@ -7,7 +7,8 @@ common start and linearly interpolated onto a constant-rate grid so the four
 channels can be stacked into one session.
 """
 
-import math
+import io
+import itertools
 import os
 import re
 import struct
@@ -16,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from numpy import loadtxt
 
 from .errors import (
     CorruptArchive,
@@ -148,44 +150,38 @@ def _infer_rate_hz(timestamps: np.ndarray) -> float:
     return 1000.0 / gap
 
 
-#: One CSV data row as numpy parses it: an int64 timestamp and three float64s.
+#: One sensor CSV row: an int64 timestamp and three float64s.
 _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-#: Whitespace to ``str.strip`` and numpy, but not around an ``int`` or ``float``.
-_SEPARATOR_CONTROLS = b"\x1c\x1d\x1e\x1f"
-
-_NON_SPACE = re.compile(rb"\S")
+_INT64_MAX = 2**63 - 1
 
 
 def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
     """Parse the ``timestamp_ms,x,y,z`` CSV file at ``path`` into a RawSensorLog.
 
-    The file is read as ``read_utf8`` reads it: UTF-8, LF, CRLF or lone-CR line
-    ends. The nominal rate is inferred from the median timestamp gap. Blank
-    lines are skipped; anything else that does not parse, a timestamp outside
-    int64 or a non-finite value raises MalformedLine with its 1-based line
-    number, and a timestamp not after the one before it raises
-    NonMonotonicTimestamp naming its line. Every error names the file at the
-    front: ``<path>: line N: reason``.
+    ``read_numeric_csv`` reads its rows: an int64 timestamp and three finite
+    float64 values each. A timestamp not after the one before it raises
+    NonMonotonicTimestamp naming its line. The nominal rate is inferred from
+    the median timestamp gap. Every error names the file at the front:
+    ``<path>: line N: reason``.
 
-    The bytes are read once; numpy then reads the file itself where
-    ``_parse_rows_vectorised`` allows. numpy accepts a subset of what the line
-    loop accepts, with the same values, so the line loop only runs, on the
-    bytes already read, where numpy does not: it decides whether the file is
-    valid after all (it may have whitespace-only lines) and names the first
-    bad line.
+    The bytes are read once. numpy reads the file again from its resolved
+    absolute path, so no path reads as a URL, unless it is not a regular
+    file (a pipe would give numpy nothing) or its suffix would make numpy
+    decompress it: those are read from the bytes already read.
     """
     try:
         data = Path(path).read_bytes()
-        rows = _parse_rows_vectorised(path, data)
-        if rows is not None:
-            try:
-                return RawSensorLog(sensor_kind, mount, *rows, _infer_rate_hz(rows[0]))
-            except NonMonotonicTimestamp:
-                pass  # the line loop names the line
-        return _parse_text(_decode_utf8(data, MalformedLine), sensor_kind, mount)
+        resolved = str(Path(path).resolve())
+        by_path = os.path.isfile(resolved) and os.path.splitext(resolved)[1] not in _COMPRESSED_SUFFIXES
+        rows = read_numeric_csv(data, _CSV_ROW, CSV_HEADER, resolved if by_path else None)
+        timestamps, values = rows["t"].copy(), np.ascontiguousarray(rows["v"])
+        del rows
+        try:
+            return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
+        except NonMonotonicTimestamp as exc:
+            stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
+            raise NonMonotonicTimestamp(f"line {line_of_row(data, stall)}: {exc}") from None
     except TrailgradeError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -194,95 +190,100 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
 #: Suffixes that numpy's path opener decompresses instead of reading as text.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
+#: Whitespace to numpy around a field, and a separator in no sensor export.
+_SEPARATOR_CONTROLS = b"\x1c\x1d\x1e\x1f"
+
+#: A character no numeric CSV holds: one outside ASCII, or a separator control.
+_FORBIDDEN = re.compile("[^\x00-\x1b\x20-\x7f]")
+
 _LINE_END = re.compile(rb"[\r\n]")
+_NOT_LINE_END = re.compile(rb"[^\r\n]")
 
 
-def _parse_rows_vectorised(path, data: bytes):
-    """(timestamps, values) of the rows numpy reads from the file at ``path``, or None if it cannot.
+def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np.ndarray:
+    """The rows of the numeric CSV file whose bytes are ``data``, one ``dtype`` record each.
 
-    ``data``, the file's bytes, must be ASCII without the separator controls
-    0x1C..0x1F: numpy strips those controls around a field where ``int`` and
-    ``float`` do not, and numpy 2.4.6 at times segfaults rejecting a field that
-    holds a character outside the Basic Multilingual Plane. They must start
-    with the header and hold a row, as numpy warns on a file without one.
-    The file must be a regular one, which reads the same twice: read again, a
-    pipe would give numpy nothing. numpy opens the resolved absolute path as
-    ASCII text, so universal newlines read CRLF and CR as ``read_utf8`` does,
-    and no path reads as a URL. ``comments=None`` matters too: numpy's default
-    would cut ``5,1,2,3 # c`` to a valid row, which the line loop rejects.
+    This is the one grammar of every numeric text file (sensor CSVs, label
+    tracks, overrides), and numpy's ``loadtxt`` is its one reader:
+    - the file is ASCII without the separator controls 0x1C..0x1F, which
+      numpy strips around a field (numpy 2.4.6 also at times segfaults
+      rejecting a field that holds a character outside the Basic
+      Multilingual Plane);
+    - its first line strips to ``header``;
+    - every later line is empty, and skipped, or one row: comma-separated
+      fields that numpy reads as ``dtype``'s int64 and float64 fields, with
+      finite floats. A whitespace-only line is a row of one field, which
+      numpy rejects. There are no comments (numpy's default would cut
+      ``5,1,2,3 # c`` to a row) and no quoting.
+
+    numpy reads ``path``, the resolved name of the regular file that holds
+    ``data``, if given, else ``data``; either way with universal newlines.
+    A file without rows gives none. A file that breaks the grammar raises
+    MalformedLine for its first bad line.
     """
-    resolved = str(Path(path).resolve())
-    header = _LINE_END.search(data)
-    header_end = header.start() if header else len(data)
-    if (
-        os.path.splitext(resolved)[1] in _COMPRESSED_SUFFIXES
-        or not os.path.isfile(resolved)
-        or not data.isascii()
-        or any(c in data for c in _SEPARATOR_CONTROLS)
-        or data[:header_end].strip() != CSV_HEADER.encode()
-        or _NON_SPACE.search(data, header_end) is None
-    ):
-        return None
-    try:
-        rows = np.loadtxt(
-            resolved,
-            dtype=_CSV_ROW,
-            delimiter=",",
-            comments=None,
-            skiprows=1,
-            ndmin=1,
-            encoding="ascii",
-        )
-    except (ValueError, OSError):
-        return None
-    values = np.ascontiguousarray(rows["v"])
-    if not np.isfinite(values).all():
-        return None
-    return rows["t"].copy(), values
-
-
-def _parse_text(text: str, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
-    """The log of CSV ``text``, parsed one line at a time."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header_end = text.find("\n")
-    if header_end < 0:
-        header_end = len(text)
-    if text[:header_end].strip() != CSV_HEADER:
-        raise MalformedLine(1, f"expected header {CSV_HEADER!r}")
-    timestamps, values = _parse_rows_by_line(text[header_end + 1 :])
-    try:
-        return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
-    except NonMonotonicTimestamp as exc:
-        # name the line of the first timestamp not after the one before it
-        row_lines = [n for n, raw in enumerate(text.split("\n"), start=1) if n > 1 and raw.strip()]
-        stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
-        raise NonMonotonicTimestamp(f"line {row_lines[stall]}: {exc}") from None
-
-
-def _parse_rows_by_line(body: str):
-    """Parse the data rows one line at a time; raise on the first bad line."""
-    ts, vals = [], []
-    for line_no, raw in enumerate(body.split("\n"), start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise MalformedLine(line_no, f"expected 4 fields, got {len(parts)}")
+    header_match = _LINE_END.search(data)
+    header_end = header_match.start() if header_match else len(data)
+    if data[:header_end].strip() != header.encode():
+        raise MalformedLine(1, f"expected header {header!r}")
+    if _NOT_LINE_END.search(data, header_end) is None:
+        return np.empty(0, dtype)
+    if data.isascii() and not any(c in data for c in _SEPARATOR_CONTROLS):
         try:
-            t = int(parts[0])
-            xyz = [float(p) for p in parts[1:]]
+            with _text(data, "ascii") as text:
+                rows = _loadtxt(path or text, dtype, skiprows=1)
         except ValueError:
-            raise MalformedLine(line_no, f"unparseable record {line!r}") from None
-        if not _INT64_MIN <= t <= _INT64_MAX:
-            raise MalformedLine(line_no, f"timestamp {t} outside int64")
-        if not all(map(math.isfinite, xyz)):
-            raise MalformedLine(line_no, "non-finite sensor value")
-        ts.append(t)
-        vals.append(xyz)
-    if not ts:
-        raise EmptyLog("no data rows")
-    return np.array(ts, dtype=np.int64), np.array(vals)
+            pass
+        else:
+            if _finite(rows):
+                return rows
+    _raise_first_bad_line(data, dtype, header)
+
+
+def _loadtxt(source, dtype, skiprows):
+    return loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows, ndmin=1, encoding="ascii")
+
+
+def _finite(rows) -> bool:
+    return all(np.isfinite(rows[name]).all() for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
+
+
+def _text(data: bytes, encoding: str):
+    """``data`` as a text stream with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline=None)
+
+
+def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
+    """Raise MalformedLine for the first line after the header of ``data`` that breaks the grammar.
+
+    It only names the line, and returns nothing: each line goes alone to the
+    same numpy call that reads a whole file, so the two agree on every line.
+    """
+    columns = header.count(",") + 1
+    with _text(data, "latin-1") as lines:  # one character per byte
+        for line_no, line in enumerate(lines, start=1):
+            if line_no == 1 or line == "\n":
+                continue
+            bad = _FORBIDDEN.search(line)
+            if bad:
+                what = "is not ASCII" if bad[0] > "\x7f" else "is a separator control"
+                raise MalformedLine(line_no, f"byte {ord(bad[0]):#04x} {what}")
+            try:
+                row = _loadtxt([line], dtype, skiprows=0)
+            except ValueError:
+                fields = line.count(",") + 1
+                if fields != columns:
+                    raise MalformedLine(line_no, f"expected {columns} fields, got {fields}") from None
+                raise MalformedLine(line_no, f"unparseable record {line.strip()!r}") from None
+            if not _finite(row):
+                raise MalformedLine(line_no, "non-finite value")
+    raise TrailgradeError("numpy rejects the file but reads each of its lines")
+
+
+def line_of_row(data: bytes, row: int) -> int:
+    """The 1-based line of row ``row`` (0-based) of numeric CSV ``data``: its non-empty lines after the header."""
+    with _text(data, "latin-1") as lines:
+        row_lines = (n for n, line in enumerate(lines, start=1) if n > 1 and line != "\n")
+        return next(itertools.islice(row_lines, row, None))
 
 
 def write_sensor_csv(log: RawSensorLog) -> str:
@@ -463,20 +464,6 @@ def parse_session_manifest(text) -> dict:
     return entries
 
 
-def _decode_utf8(data: bytes, malformed) -> str:
-    """``data`` decoded as UTF-8, line ends as they are.
-
-    A byte that is not UTF-8 raises ``malformed(line_no, reason)`` for the
-    1-based line that holds it, counting LF, CRLF and CR as line ends.
-    """
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise malformed(line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
-
-
 def read_utf8(path, malformed) -> str:
     """Read a file as UTF-8 with universal newlines, as ``Path.read_text`` does.
 
@@ -484,7 +471,12 @@ def read_utf8(path, malformed) -> str:
     1-based line that holds it.
     """
     data = Path(path).read_bytes()
-    text = _decode_utf8(data, malformed)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise malformed(line_no, f"byte {data[exc.start]:#04x} is not UTF-8") from None
     del data  # normalise without the raw bytes alive: a CRLF file is held at most twice
     return text.replace("\r\n", "\n").replace("\r", "\n")
 

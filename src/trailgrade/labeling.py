@@ -9,6 +9,8 @@ unlabeled time.
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DuplicateWayId,
     InvalidInterval,
@@ -16,6 +18,7 @@ from .errors import (
     MalformedXml,
     UnknownGrade,
 )
+from .ingest import line_of_row, read_numeric_csv
 
 EASY, MEDIUM, HARD = 0, 1, 2
 LABELS = (EASY, MEDIUM, HARD)
@@ -29,6 +32,10 @@ _GRADE_MAP = {
 }
 
 TRACK_CSV_HEADER = "start_ms,end_ms,label"
+
+#: One label track or overrides row, and an OSM way id, in the numeric CSV grammar.
+_TRACK_ROW = np.dtype([("start_ms", "<i8"), ("end_ms", "<i8"), ("label", "<i8")])
+_WAY_ID = np.dtype([("id", "<i8")])
 
 
 def map_grade(raw_grade: str) -> int:
@@ -48,7 +55,8 @@ def map_grade(raw_grade: str) -> int:
 def parse_osm_difficulties(xml_text) -> dict:
     """Extract {way_id: raw mtb:scale value} from an OSM XML export.
 
-    Ways without the grade tag are omitted; values are kept verbatim.
+    Ways without the grade tag are omitted; values are kept verbatim. A way
+    id is read as the one int64 row of a CSV, by the numeric CSV grammar.
     """
     import xml.etree.ElementTree as ET  # only OSM input needs the XML parser
 
@@ -64,8 +72,8 @@ def parse_osm_difficulties(xml_text) -> dict:
         if raw_id is None:
             raise MalformedXml("way element without id attribute")
         try:
-            way_id = int(raw_id)
-        except ValueError:
+            (way_id,) = read_numeric_csv(f"id\n{raw_id}".encode(), _WAY_ID, "id")["id"].tolist()
+        except (MalformedLine, ValueError):
             raise MalformedXml(f"way id {raw_id!r} is not an integer") from None
         for tag in way.findall("tag"):
             if tag.get("k") == OSM_GRADE_KEY:
@@ -76,11 +84,11 @@ def parse_osm_difficulties(xml_text) -> dict:
     return entries
 
 
-def _check_segment(start_ms, end_ms, label, where=""):
+def _check_segment(start_ms, end_ms, label):
     if start_ms >= end_ms:
-        raise InvalidInterval(f"{where}interval [{start_ms}, {end_ms}) is empty or reversed")
+        raise InvalidInterval(f"interval [{start_ms}, {end_ms}) is empty or reversed")
     if label not in LABELS:
-        raise InvalidInterval(f"{where}label {label!r} not in {LABELS}")
+        raise InvalidInterval(f"label {label!r} not in {LABELS}")
 
 
 @dataclass
@@ -151,37 +159,30 @@ def apply_overrides(track: LabelTrack, overrides) -> LabelTrack:
 
 def read_label_track_csv(text) -> LabelTrack:
     """Parse `start_ms,end_ms,label` CSV into a LabelTrack."""
-    segments = []
-    for line_no, row in _read_rows(text):
-        if segments and row[0] < segments[-1][1]:
-            raise InvalidInterval(f"line {line_no}: segments overlap or are unsorted")
-        segments.append(row)
-    return LabelTrack(tuple(segments))
+    return LabelTrack(tuple(_read_rows(text, disjoint=True)))
 
 
 def read_overrides_csv(text):
     """Parse `start_ms,end_ms,label` CSV into a list of interval tuples."""
-    return [row for _, row in _read_rows(text)]
+    return _read_rows(text, disjoint=False)
 
 
-def _read_rows(text):
-    """(line_no, (start_ms, end_ms, label)) per data row, each interval checked."""
-    lines = text.split("\n")
-    if not lines or lines[0].strip() != TRACK_CSV_HEADER:
-        raise MalformedLine(1, f"expected header {TRACK_CSV_HEADER!r}")
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedLine(line_no, f"expected 3 fields, got {len(parts)}")
+def _read_rows(text, disjoint):
+    """(start_ms, end_ms, label) per data row, read by ``read_numeric_csv``.
+
+    Each interval is checked and, with ``disjoint``, must not start before
+    the one above it ends; a row that fails names its line.
+    """
+    data = text.encode()
+    rows = read_numeric_csv(data, _TRACK_ROW, TRACK_CSV_HEADER).tolist()
+    for i, (start, end, label) in enumerate(rows):
         try:
-            row = (int(parts[0]), int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise MalformedLine(line_no, f"unparseable record {line!r}") from None
-        _check_segment(*row, where=f"line {line_no}: ")
-        yield line_no, row
+            _check_segment(start, end, label)
+            if disjoint and i and start < rows[i - 1][1]:
+                raise InvalidInterval("segments overlap or are unsorted")
+        except InvalidInterval as exc:
+            raise InvalidInterval(f"line {line_of_row(data, i)}: {exc}") from None
+    return rows
 
 
 def write_label_track_csv(track: LabelTrack) -> str:

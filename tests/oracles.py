@@ -6,6 +6,9 @@ from its exception types, the record types the history CSV holds, and the nn
 ops that the network-backward reference composes in its own order.
 """
 
+import math
+import re
+
 import numpy as np
 
 from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
@@ -229,8 +232,46 @@ def skipped_cells(window_ms_list, kernel_len_list):
     return skipped
 
 
+_PAD = "[ \t\x0b\x0c]*"
+_INT_FIELD = re.compile(f"{_PAD}[+-]?[0-9]+{_PAD}")
+_FLOAT_FIELD = re.compile(f"{_PAD}[+-]?(?:[0-9]+\\.?[0-9]*|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?{_PAD}")
+
+
+def sensor_csv_grammar_violation(text):
+    """The 1-based line where sensor CSV ``text`` first breaks the README's grammar, or None.
+
+    Written from the README, not from numpy: ASCII without 0x1C..0x1F;
+    LF, CRLF and lone CR end a line; the header, padded; then empty lines
+    and rows of an int64 and three finite floats, each a sign, digits, a
+    point and an exponent padded with spaces, tabs, vertical tabs or form
+    feeds. Values are not read here: ``parse_sensor_csv_lines`` reads them.
+    """
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[0].strip(" \t\x0b\x0c") != "timestamp_ms,x,y,z":
+        return 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if (
+            not line.isascii()
+            or re.search("[\x1c-\x1f]", line)
+            or len(fields) != 4
+            or not _INT_FIELD.fullmatch(fields[0])
+            or not all(_FLOAT_FIELD.fullmatch(f) for f in fields[1:])
+            or not -(2**63) <= int(fields[0]) < 2**63
+            or not all(math.isfinite(float(f)) for f in fields[1:])
+        ):
+            return line_no
+    return None
+
+
 def parse_sensor_csv_lines(text):
     """The original line-at-a-time sensor CSV parser: (timestamps, values, rate).
+
+    It reads more than the grammar allows (PEP 515 underscores, any Unicode
+    digit or whitespace, whitespace-only lines): it is the value reference
+    for files that ``sensor_csv_grammar_violation`` accepts.
 
     Kept as it was, including its one known fault: a timestamp outside int64
     escapes as OverflowError from ``np.array`` after every line has parsed.

@@ -188,7 +188,7 @@ class TestDataErrorsNameTheFile:
         path = tmp_path / "frame_gyro.csv"
         path.write_bytes(path.read_bytes().replace(b"\n40,", b"\n4\x800,", 1))
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
-        assert self.error_line(capsys) == f"error: {path}: line 3: byte 0x80 is not UTF-8\n"
+        assert self.error_line(capsys) == f"error: {path}: line 3: byte 0x80 is not ASCII\n"
 
     def test_manifest(self, tmp_path, capsys):
         manifest = write_ride(tmp_path)
@@ -263,6 +263,14 @@ class TestDataErrorsNameTheFile:
         )
         assert code == 2
         assert self.error_line(capsys) == f"error: {overrides}: {reason}\n"
+
+    def test_underscore_in_a_sensor_value(self, tmp_path, capsys):
+        # Python's float reads "1_0" as 10.0; the CSV grammar does not
+        manifest = write_ride(tmp_path)
+        path = tmp_path / "frame_accel.csv"
+        path.write_text(path.read_text().replace("\n0,0,0.0,-1.5\n", "\n0,1_0,2,3\n", 1))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert self.error_line(capsys) == f"error: {path}: line 2: unparseable record '0,1_0,2,3'\n"
 
     def test_osm(self, tmp_path, capsys):
         osm = tmp_path / "area.osm"

@@ -11,7 +11,7 @@ import urllib.request
 import numpy as np
 import pytest
 from conftest import RIDE_ROLES, make_session, parse_csv_text, write_ride
-from oracles import parse_sensor_csv_lines
+from oracles import parse_sensor_csv_lines, sensor_csv_grammar_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,10 +84,14 @@ class TestParseSensorCsv:
 
     @pytest.mark.parametrize("blank", ["", " \t"])
     def test_repeated_timestamp_names_its_line(self, blank):
-        # blank lines hold no row; a whitespace-only one sends the text to the line loop
+        # an empty line holds no row; a whitespace-only one is a row of one field
         text = f"timestamp_ms,x,y,z\n0,0,0,0\n{blank}\n40,1,1,1\n40,2,2,2\n80,3,3,3\n"
-        with pytest.raises(NonMonotonicTimestamp, match=r"sensor\.csv: line 5: "):
-            parse_csv_text(text, ACC, Mount.FRAME)
+        if blank:
+            with pytest.raises(MalformedLine, match=r"sensor\.csv: line 3: expected 4 fields, got 1$"):
+                parse_csv_text(text, ACC, Mount.FRAME)
+        else:
+            with pytest.raises(NonMonotonicTimestamp, match=r"sensor\.csv: line 5: "):
+                parse_csv_text(text, ACC, Mount.FRAME)
 
     def test_parse_holds_the_text_once_as_bytes(self, tmp_path):
         # the file's bytes (1x) and numpy's rows of 32 bytes (about 0.6x
@@ -192,10 +196,10 @@ class TestParseSensorCsv:
         assert err.value.line_no == 2
 
     def test_clean_file_skips_line_loop(self, monkeypatch):
-        def refuse(body):
-            raise AssertionError("the line loop ran on a clean file")
+        def refuse(*args):
+            raise AssertionError("the bad-line locator ran on a clean file")
 
-        monkeypatch.setattr(ingest, "_parse_rows_by_line", refuse)
+        monkeypatch.setattr(ingest, "_raise_first_bad_line", refuse)
         lines = ["timestamp_ms,x,y,z"] + [f"{t},{t * 1e-3!r},{-t * 0.5:.9f},1.0" for t in range(0, 4000, 10)]
         for ends in (["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]):  # LF, CRLF, lone CR, mixed
             text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
@@ -256,15 +260,17 @@ class TestParseSensorCsv:
         (tmp_path / "http:" / "localhost" / "ride.csv").write_text("timestamp_ms,x,y,z\n0,1,2,3\n40,4,5,6\n")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
-        monkeypatch.setattr(ingest, "_parse_rows_by_line", refuse)
+        monkeypatch.setattr(ingest, "_raise_first_bad_line", refuse)
         log = parse_sensor_csv("http://localhost/ride.csv", ACC, Mount.FRAME)
         assert log.timestamps.tolist() == [0, 40]
         assert log.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
-#: Padding around fields and blank lines. numpy takes the plain kind. Unicode
-#: whitespace (stripped by ``str.strip``, ``int`` and ``float`` alike) and
-#: whitespace-only lines send a file to the line loop.
+#: Padding around fields and blank lines. The grammar takes the plain kind,
+#: a vertical tab around a field and a lone CR, which ends an empty line. It
+#: rejects the rest, which the original line loop read: Unicode whitespace
+#: (stripped by ``str.strip``, ``int`` and ``float`` alike) and
+#: whitespace-only lines.
 _PLAIN_PADS = ["", "", " ", "\t", "  "]
 _ODD_PADS = ["\x0b", "\xa0", "\u2002"]
 _PLAIN_BLANKS = [""]
@@ -275,10 +281,11 @@ _MANGLES = ("extra field", "empty field", "nan", "inf", "timestamp 1.5",
 
 @st.composite
 def sensor_csv_files(draw):
-    """Valid sensor CSV text, plus its body lines and which of them are rows.
+    """Sensor CSV text that the original line loop reads, plus its body lines and which of them are rows.
 
-    Returns (lines, row_indices, newlines, final_newline): ``lines[0]`` is the
-    header, and a row's 1-based line number is its index + 1.
+    Returns (lines, row_indices, newlines, final_newline, odd): ``lines[0]``
+    is the header, a row's 1-based line number is its index + 1, and only an
+    ``odd`` file may pad or blank with ``_ODD_PADS`` or ``_ODD_BLANKS``.
     """
     odd = draw(st.booleans())
     pads = st.sampled_from(_PLAIN_PADS + _ODD_PADS if odd else _PLAIN_PADS)
@@ -297,7 +304,7 @@ def sensor_csv_files(draw):
         lines.append([draw(pads) + f + draw(pads) for f in fields])
         t += draw(st.integers(1, 1000))
     newlines = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
-    return lines, rows, newlines, draw(st.booleans())
+    return lines, rows, newlines, draw(st.booleans()), odd
 
 
 def render_csv(lines, newlines, final_newline):
@@ -336,7 +343,18 @@ def lf_line_ends(text):
 
 
 def assert_matches_line_loop(text):
-    """parse_sensor_csv of a file holding ``text`` gives what the original line loop gives, bit for bit."""
+    """parse_sensor_csv of a file holding ``text`` against the grammar and the original line loop.
+
+    A file that breaks the grammar raises MalformedLine for its first bad
+    line. On any other, the parse gives what the line loop gives, bit for
+    bit, or raises the same error.
+    """
+    bad_line = sensor_csv_grammar_violation(text)
+    if bad_line is not None:
+        with pytest.raises(MalformedLine) as err:
+            parse_csv_text(text, ACC, Mount.FRAME)
+        assert err.value.line_no == bad_line
+        return
     try:
         want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(lf_line_ends(text)))
     except TrailgradeError as want_err:
@@ -354,34 +372,31 @@ def assert_matches_line_loop(text):
 
 
 class TestParseMatchesLineLoop:
-    """The vectorised parse against the original line loop in tests/oracles.py."""
+    """The parse against the grammar and the original line loop in tests/oracles.py."""
 
     @settings(max_examples=200, deadline=None)
     @given(sensor_csv_files())
     def test_valid_files_identical(self, case):
-        lines, _, newlines, final_newline = case
-        assert_matches_line_loop(render_csv(lines, newlines, final_newline))
+        lines, _, newlines, final_newline, odd = case
+        text = render_csv(lines, newlines, final_newline)
+        if not odd:
+            assert sensor_csv_grammar_violation(text) is None
+        assert_matches_line_loop(text)
 
     @settings(max_examples=200, deadline=None)
     @given(sensor_csv_files(), st.sampled_from(_MANGLES), st.data())
     def test_mangled_line_same_error(self, case, how, data):
-        lines, rows, newlines, final_newline = case
+        lines, rows, newlines, final_newline, _ = case
         row = data.draw(st.sampled_from(rows))
         lines[row] = mangle_row(lines[row], how, data.draw(st.integers(1, 3)))
         text = render_csv(lines, newlines, final_newline)
-        if how == "int64 overflow":
-            # the line loop lets this escape as OverflowError; it is now a MalformedLine
-            with pytest.raises(OverflowError):
-                parse_sensor_csv_lines(text)
-            with pytest.raises(MalformedLine) as err:
-                parse_csv_text(text, ACC, Mount.FRAME)
-            # a blank line "\r" before a CRLF is a line of its own in a file
-            assert err.value.line_no == lf_line_ends(render_csv(lines[:row], newlines, True)).count("\n") + 1
-        else:
-            with pytest.raises(MalformedLine) as err:
-                parse_sensor_csv_lines(text)
-            assert err.value.line_no == row + 1
-            assert_matches_line_loop(text)
+        # a blank line "\r" before a CRLF is a line of its own in a file
+        row_line = lf_line_ends(render_csv(lines[:row], newlines, True)).count("\n") + 1
+        earlier = sensor_csv_grammar_violation(render_csv(lines[:row], newlines, True))
+        with pytest.raises(MalformedLine) as err:
+            parse_csv_text(text, ACC, Mount.FRAME)
+        assert err.value.line_no == (row_line if earlier is None else earlier)
+        assert_matches_line_loop(text)
 
     @pytest.mark.parametrize(
         "char",
@@ -405,6 +420,38 @@ class TestParseMatchesLineLoop:
     )
     def test_edge_bodies(self, body):
         assert_matches_line_loop("timestamp_ms,x,y,z\n" + body)
+
+
+class TestNumberGrammar:
+    """Spellings Python's ``int`` and ``float`` read, but the grammar does not, name their line."""
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("0,1_0,2,3", "unparseable record '0,1_0,2,3'"),
+            ("\u0664\u0660,1,2,3", "byte 0xd9 is not ASCII"),  # Arabic-Indic 40
+            ("\uff14\uff10,1,2,3", "byte 0xef is not ASCII"),  # fullwidth 40
+        ],
+    )
+    def test_spelling_names_its_line(self, row, reason):
+        text = f"timestamp_ms,x,y,z\n-40,1,2,3\n\n{row}\n80,1,2,3\n"
+        with pytest.raises(MalformedLine, match=f"sensor\\.csv: line 4: {reason}$") as err:
+            parse_csv_text(text, ACC, Mount.FRAME)
+        assert err.value.line_no == 4
+
+    def test_whitespace_only_line_is_malformed(self):
+        text = "timestamp_ms,x,y,z\n0,1,2,3\n \t \n40,1,2,3\n"
+        with pytest.raises(MalformedLine, match=r"line 3: expected 4 fields, got 1$") as err:
+            parse_csv_text(text, ACC, Mount.FRAME)
+        assert err.value.line_no == 3
+
+    def test_last_of_90000_rows_named(self, tmp_path):
+        rows = [f"{40 * i},{i},0.5,-1.5\n" for i in range(89_999)]
+        path = tmp_path / "ride.csv"
+        path.write_text(ingest.CSV_HEADER + "\n" + "".join(rows) + "3599960,1_0,2,3\n")
+        with pytest.raises(MalformedLine) as err:
+            parse_sensor_csv(path, ACC, Mount.FRAME)
+        assert err.value.line_no == 90_001
 
 
 #: Characters a CSV body is drawn from: the valid ones, plus separators,

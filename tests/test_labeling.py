@@ -217,6 +217,27 @@ class TestApplyOverrides:
             assert uniform_label(result, t, t + 1) == overlay_label(base_segments, overrides, t), t
 
 
+class TestNumberGrammar:
+    """Label rows and way ids are read by the sensor CSVs' grammar, not by Python's ``int``."""
+
+    @pytest.mark.parametrize("row", ["10,1_000,2", "10,1000,\uff12"])
+    def test_track_spelling_names_its_line(self, row):
+        with pytest.raises(MalformedLine) as err:
+            read_label_track_csv(f"start_ms,end_ms,label\n0,10,1\n\n{row}\n")
+        assert err.value.line_no == 4
+
+    def test_overrides_spelling_names_its_line(self):
+        with pytest.raises(MalformedLine, match="^line 2: unparseable record '400,6_00,0'$") as err:
+            read_overrides_csv("start_ms,end_ms,label\n400,6_00,0\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("way_id", ["1_000", "\u0663", "\uff13"])
+    def test_way_id_spelling(self, way_id):
+        xml = f'<osm><way id="{way_id}"><tag k="mtb:scale" v="2"/></way></osm>'
+        with pytest.raises(MalformedXml, match=f"^way id {way_id!r} is not an integer$"):
+            parse_osm_difficulties(xml)
+
+
 class TestTrackCsv:
     def test_roundtrip(self):
         track = LabelTrack(((0, 100, 1), (100, 250, 2), (400, 500, 0)))
