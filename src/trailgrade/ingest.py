@@ -17,7 +17,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from numpy import loadtxt
 
 from .errors import (
     CorruptArchive,
@@ -229,8 +228,11 @@ def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np
         return np.empty(0, dtype)
     if data.isascii() and not any(c in data for c in _SEPARATOR_CONTROLS):
         try:
-            with _text(data, "ascii") as text:
-                rows = _loadtxt(path or text, dtype, skiprows=1)
+            if path:
+                rows = _loadtxt(path, dtype, skiprows=1)
+            else:
+                with io.TextIOWrapper(io.BytesIO(data), "ascii") as text:  # universal newlines
+                    rows = _loadtxt(text, dtype, skiprows=1)
         except ValueError:
             pass
         else:
@@ -240,16 +242,11 @@ def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np
 
 
 def _loadtxt(source, dtype, skiprows):
-    return loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows, ndmin=1, encoding="ascii")
+    return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows, ndmin=1, encoding="ascii")
 
 
 def _finite(rows) -> bool:
     return all(np.isfinite(rows[name]).all() for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
-
-
-def _text(data: bytes, encoding: str):
-    """``data`` as a text stream with universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline=None)
 
 
 def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
@@ -259,7 +256,7 @@ def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
     same numpy call that reads a whole file, so the two agree on every line.
     """
     columns = header.count(",") + 1
-    with _text(data, "latin-1") as lines:  # one character per byte
+    with io.TextIOWrapper(io.BytesIO(data), "latin-1") as lines:  # one character per byte
         for line_no, line in enumerate(lines, start=1):
             if line_no == 1 or line == "\n":
                 continue
@@ -281,7 +278,7 @@ def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
 
 def line_of_row(data: bytes, row: int) -> int:
     """The 1-based line of row ``row`` (0-based) of numeric CSV ``data``: its non-empty lines after the header."""
-    with _text(data, "latin-1") as lines:
+    with io.TextIOWrapper(io.BytesIO(data), "latin-1") as lines:
         row_lines = (n for n, line in enumerate(lines, start=1) if n > 1 and line != "\n")
         return next(itertools.islice(row_lines, row, None))
 

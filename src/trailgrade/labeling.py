@@ -55,8 +55,9 @@ def map_grade(raw_grade: str) -> int:
 def parse_osm_difficulties(xml_text) -> dict:
     """Extract {way_id: raw mtb:scale value} from an OSM XML export.
 
-    Ways without the grade tag are omitted; values are kept verbatim. A way
-    id is read as the one int64 row of a CSV, by the numeric CSV grammar.
+    Ways without the grade tag are omitted; values are kept verbatim. The
+    way ids are read as the int64 rows of one CSV, by the numeric CSV
+    grammar, one id a line.
     """
     import xml.etree.ElementTree as ET  # only OSM input needs the XML parser
 
@@ -66,15 +67,19 @@ def parse_osm_difficulties(xml_text) -> dict:
         raise MalformedXml(str(exc)) from None
     if root.tag != "osm":
         raise MalformedXml(f"expected <osm> root, got <{root.tag}>")
-    entries = {}
-    for way in root.iter("way"):
-        raw_id = way.get("id")
+    ways = list(root.iter("way"))
+    raw_ids = [way.get("id") for way in ways]
+    for raw_id in raw_ids:
         if raw_id is None:
             raise MalformedXml("way element without id attribute")
-        try:
-            (way_id,) = read_numeric_csv(f"id\n{raw_id}".encode(), _WAY_ID, "id")["id"].tolist()
-        except (MalformedLine, ValueError):
-            raise MalformedXml(f"way id {raw_id!r} is not an integer") from None
+        if not raw_id or "\r" in raw_id or "\n" in raw_id:
+            raise MalformedXml(f"way id {raw_id!r} is not an integer")
+    try:
+        way_ids = read_numeric_csv("\n".join(["id", *raw_ids]).encode(), _WAY_ID, "id")["id"].tolist()
+    except MalformedLine as exc:
+        raise MalformedXml(f"way id {raw_ids[exc.line_no - 2]!r} is not an integer") from None
+    entries = {}
+    for way, way_id in zip(ways, way_ids):
         for tag in way.findall("tag"):
             if tag.get("k") == OSM_GRADE_KEY:
                 if way_id in entries:

@@ -210,9 +210,14 @@ class TestParseSensorCsv:
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch, suffix):
-        # numpy would decompress a file of this name, so the line loop reads it
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"numpy opened a {suffix} file")
+        # numpy would decompress a file of this name, so it must read the
+        # bytes already read, never the name
+        real_loadtxt = np.loadtxt
+
+        def refuse(source, *args, **kwargs):
+            if isinstance(source, (str, os.PathLike)) and os.fspath(source).endswith(suffix):
+                raise AssertionError(f"numpy opened a {suffix} file")
+            return real_loadtxt(source, *args, **kwargs)
 
         text = "timestamp_ms,x,y,z\n0,1,2,3\n40,4.5,-5,6e-3\n"
         path = tmp_path / f"ride.csv{suffix}"

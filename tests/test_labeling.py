@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,22 @@ class TestNumberGrammar:
         xml = f'<osm><way id="{way_id}"><tag k="mtb:scale" v="2"/></way></osm>'
         with pytest.raises(MalformedXml, match=f"^way id {way_id!r} is not an integer$"):
             parse_osm_difficulties(xml)
+
+    @pytest.mark.parametrize("way_id", ["1_0", "", " ", "5&#10;6", "5&#13;", "5,6"])
+    def test_bad_way_id_among_good_ones_is_named(self, way_id):
+        xml = "<osm>" + "".join(
+            f'<way id="{i}"><tag k="mtb:scale" v="2"/></way>' for i in ("1", "2", way_id, "4")
+        ) + "</osm>"
+        raw_id = way_id.replace("&#10;", "\n").replace("&#13;", "\r")
+        with pytest.raises(MalformedXml, match=f"^way id {re.escape(repr(raw_id))} is not an integer$"):
+            parse_osm_difficulties(xml)
+
+    def test_parse_error_wins_over_an_earlier_interval_error(self):
+        # the whole file is parsed before any interval is checked
+        text = "start_ms,end_ms,label\n10,0,1\n20,30,1\n40,4x,1\n"
+        with pytest.raises(MalformedLine) as err:
+            read_label_track_csv(text)
+        assert err.value.line_no == 4
 
 
 class TestTrackCsv:
