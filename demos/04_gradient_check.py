@@ -8,7 +8,7 @@ windows.
 
 import numpy as np
 
-from trailgrade.nn import ModelConfig, backward, build_model, forward, l2_penalty
+from trailgrade.nn.model import ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import conv2d_backward, conv2d_forward, sparse_categorical_crossentropy
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from trailgrade.dataset import WindowConfig, slice_windows
 from trailgrade.experiments import SyntheticSpec, export_curves, generate_synthetic, prepare_splits
-from trailgrade.nn import ModelConfig, save_checkpoint
+from trailgrade.nn.checkpoint import save_checkpoint
+from trailgrade.nn.model import ModelConfig
 from trailgrade.training import TrainConfig, evaluate, train
 
 out_dir = Path(__file__).parent / "out"

@@ -1,7 +1,7 @@
 """Command-line interface covering the whole pipeline.
 
 Subcommands: ingest, label, window, train, eval, grid, synth.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory, 3 numeric failure.
 """
 
 import argparse
@@ -240,16 +240,11 @@ def _cmd_synth(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -258,6 +253,9 @@ def main(argv=None) -> int:
         return 3
     except (TrailgradeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ from .dataset import (
     split_train_test,
 )
 from .errors import EmptyHistory, InvalidSpec, NoUsableSessions
-from .ingest import CHANNEL_ORDER, TARGET_RATE_HZ, Mount, SensorChannel, SensorKind, build_session
+from .ingest import CHANNEL_ORDER, SESSION_POINTS_MAX, TARGET_RATE_HZ, Mount, SensorChannel, SensorKind, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
 from .training import TrainConfig, history_to_csv, train
@@ -69,6 +69,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.sessions_per_class < 1 or self.session_seconds < 1:
             raise InvalidSpec("sessions_per_class and session_seconds must be positive")
+        if self.session_seconds * TARGET_RATE_HZ > SESSION_POINTS_MAX:
+            raise InvalidSpec(
+                f"session_seconds {self.session_seconds}: a session archive holds at most {SESSION_POINTS_MAX} points"
+            )
 
 
 def _impulse_train(rng, n, per_second, amplitude):

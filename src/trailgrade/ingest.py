@@ -218,7 +218,8 @@ def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np
     numpy reads ``path``, the resolved name of the regular file that holds
     ``data``, if given, else ``data``; either way with universal newlines.
     A file without rows gives none. A file that breaks the grammar raises
-    MalformedLine for its first bad line.
+    MalformedLine for its first bad line: if numpy reads every row, that is
+    the line of the first row with a non-finite float.
     """
     header_match = _LINE_END.search(data)
     header_end = header_match.start() if header_match else len(data)
@@ -238,6 +239,7 @@ def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np
         else:
             if _finite(rows):
                 return rows
+            raise MalformedLine(line_of_row(data, _first_nonfinite_row(rows)), "non-finite value")
     _raise_first_bad_line(data, dtype, header)
 
 
@@ -247,6 +249,12 @@ def _loadtxt(source, dtype, skiprows):
 
 def _finite(rows) -> bool:
     return all(np.isfinite(rows[name]).all() for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
+
+
+def _first_nonfinite_row(rows) -> int:
+    """The index of the first of ``rows`` with a non-finite float field, for ``rows`` that are not ``_finite``."""
+    floats = (np.isfinite(rows[name]) for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
+    return min(int(np.argmin(f.reshape(len(rows), -1).all(axis=1))) for f in floats if not f.all())
 
 
 def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
@@ -339,10 +347,10 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     k1 = min(int(log.timestamps[-1]) // PERIOD_MS, max(k0, end_ms // PERIOD_MS))
     if k1 < k0:
         raise TooFewSamples("no lattice point falls inside the log's time span")
-    if k1 - k0 + 1 > _SESSION_POINTS_MAX:
+    if k1 - k0 + 1 > SESSION_POINTS_MAX:
         raise SessionTooLong(
             f"{log.mount.value} {log.sensor_kind.value}: {k1 - k0 + 1} lattice points "
-            f"up to {end_ms} ms, a session archive holds at most {_SESSION_POINTS_MAX}"
+            f"up to {end_ms} ms, a session archive holds at most {SESSION_POINTS_MAX}"
         )
     grid = np.arange(k0, k1 + 1, dtype=np.float64) * PERIOD_MS
     out = np.empty((grid.size, 3))
@@ -393,7 +401,7 @@ _SESSION_VERSION = 1
 #: A TGSS file stores the session name's UTF-8 length in two bytes.
 _SESSION_NAME_MAX_BYTES = 0xFFFF
 #: A TGSS file stores the session's point count in four bytes.
-_SESSION_POINTS_MAX = 0xFFFFFFFF
+SESSION_POINTS_MAX = 0xFFFFFFFF
 
 
 def write_session_archive(session: SyncedSession, path):

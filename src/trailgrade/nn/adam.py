@@ -18,7 +18,6 @@ EPSILON = 1e-8
 class AdamState:
     m: dict
     v: dict
-    t: int = 0
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -34,13 +33,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
     """One update: m, v <- moving moments of g, g^2; step by
     LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
-    Mutates params and state in place and returns both; params.step is bumped
-    so stale forward caches can be detected. Each float64 gradient is used as
-    scratch, so ``grads`` holds no gradient afterwards.
+    Mutates params and state in place and returns both; params.step counts
+    updates, for the bias correction and to detect stale forward caches. Each
+    float64 gradient is used as scratch, so ``grads`` holds no gradient afterwards.
     """
-    state.t += 1
-    bc1 = 1.0 - BETA1 ** state.t
-    bc2 = 1.0 - BETA2 ** state.t
+    t = params.step + 1
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for key, g in grads.items():
         if key not in state.m:
             raise ShapeMismatch(f"gradient for unknown parameter {key!r}")

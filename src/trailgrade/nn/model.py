@@ -89,7 +89,7 @@ def is_trainable(name: str) -> bool:
 
 @dataclass
 class ModelParams:
-    """All stored tensors plus a step counter bumped by each optimizer update."""
+    """All stored tensors plus the count of optimizer updates applied to them (Adam's step)."""
 
     config: ModelConfig
     tensors: dict

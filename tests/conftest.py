@@ -10,7 +10,8 @@ import pytest
 
 from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session, parse_sensor_csv
 from trailgrade.labeling import LabelTrack
-from trailgrade.nn import ModelConfig, model
+from trailgrade.nn import model
+from trailgrade.nn.model import ModelConfig
 
 
 def pytest_runtest_logreport(report):

@@ -36,16 +36,8 @@ from trailgrade.dataset import (
 from trailgrade.errors import CorruptCheckpoint, KernelTooLong, VersionMismatch
 from trailgrade.ingest import Mount, RawSensorLog, SensorKind, parse_sensor_csv, write_sensor_csv
 from trailgrade.labeling import map_grade
-from trailgrade.nn import (
-    ModelConfig,
-    build_model,
-    backward,
-    forward,
-    l2_penalty,
-    load_checkpoint,
-    save_checkpoint,
-)
-from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM
+from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
+from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM, ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import TrainConfig, confusion_matrix, train
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import RIDE_ROLES, make_session, write_ride
 from oracles import history_from_csv
+from trailgrade import experiments
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import read_session_archive, write_session_archive
@@ -411,6 +412,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 111. GiB for an array with shape (1250000000, 4, 3)")
+
+        monkeypatch.setattr(experiments, "generate_synthetic", exhausted)
+        out = tmp_path / "s"
+        flags = ["--sessions-per-class", "1", "--seconds", "50000000", "--seed", "1"]
+        assert run("synth", "--out", str(out), *flags) == 2
+        assert capsys.readouterr() == (
+            "", "error: out of memory: Unable to allocate 111. GiB for an array with shape (1250000000, 4, 3)\n"
+        )
+
     def test_data_error_window_starts_outside_int64(self, tmp_path):
         # 200 points from 2**63 - 1000 ms: later windows start past int64
         start = 2**63 - 1000
@@ -660,6 +673,8 @@ class TestExitCodes:
             pytest.param("grid", ["--jobs", "0"], id="grid-jobs-0"),
             pytest.param("grid", ["--jobs", "-4"], id="grid-jobs-minus-4"),
             pytest.param("synth", ["--seconds", "0"], id="synth-seconds-0"),
+            # one second more than a session archive's 2**32 - 1 points hold at 25 Hz
+            pytest.param("synth", ["--seconds", "171798692"], id="synth-seconds-over-archive"),
             pytest.param("synth", ["--sessions-per-class", "0"], id="synth-sessions-0"),
             pytest.param("synth", ["--seed", "-1"], id="synth-seed-minus-1"),
             pytest.param("train", ["--kernel-len", "5", "--seed", "-1"], id="train-seed-minus-1"),

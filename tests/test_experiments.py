@@ -35,6 +35,20 @@ def test_import_loads_no_process_pool_or_xml_parser():
     # run_grid's pool and the OSM parser import their modules when first used
     code = "import sys, trailgrade; print(sorted({'multiprocessing', 'xml.etree.ElementTree'} & set(sys.modules)))"
     assert run_fresh_python(code).strip() == "[]"
+    # the package loads every library module but the CLI, and each package
+    # namespace binds only its own submodules: every name has one import path
+    code = """
+import sys, types, trailgrade
+print(sorted(m for m in sys.modules if m.split(".")[0] == "trailgrade"))
+for package in (trailgrade, trailgrade.nn):
+    for name, value in vars(package).items():
+        if not (name.startswith("__") and name.endswith("__")):
+            assert isinstance(value, types.ModuleType) and value.__name__ == f"{package.__name__}.{name}", name
+    assert not {"__all__", "__version__"} & set(vars(package)), package
+"""
+    loaded = ["dataset", "errors", "experiments", "framing", "ingest", "labeling", "nn",
+              "nn.adam", "nn.checkpoint", "nn.model", "nn.ops", "training"]
+    assert run_fresh_python(code).strip() == str(["trailgrade"] + [f"trailgrade.{m}" for m in loaded])
 
 
 class TestSkipRule:
@@ -62,6 +76,12 @@ class TestSyntheticSpec:
     def test_validation(self):
         with pytest.raises(InvalidSpec):
             SyntheticSpec(0, 20, seed=1)
+        # a session archive counts its points in four bytes: 2**32 - 1 points
+        # are 171,798,691.8 s at 25 Hz; the spec is checked before anything
+        # is generated
+        SyntheticSpec(1, 171_798_691, 0)
+        with pytest.raises(InvalidSpec, match="171798692: a session archive holds at most 4294967295 points"):
+            SyntheticSpec(1, 171_798_692, 0)
 
 
 class TestGenerateSynthetic:

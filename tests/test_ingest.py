@@ -208,6 +208,28 @@ class TestParseSensorCsv:
             assert log.timestamps.tolist() == want.timestamps.tolist()
             assert log.values.tobytes() == want.values.tobytes()
 
+    def test_non_finite_value_named_without_line_loop(self, monkeypatch):
+        # numpy reads every row of these files, so the first non-finite row
+        # names the line, and the per-line locator never runs
+        def refuse(*args):
+            raise AssertionError("the bad-line locator ran on a file numpy reads")
+
+        monkeypatch.setattr(ingest, "_raise_first_bad_line", refuse)
+        for value in ("nan", "inf", "-inf"):
+            for bad in (0, 2, 4):  # the first, a middle and the last row
+                for blanks in (0, 2):
+                    for end in ("\n", "\r\n"):
+                        rows = [f"{40 * i},{i},{value if i == bad else 0.5},-1.5" for i in range(5)]
+                        lines = [ingest.CSV_HEADER, *[""] * blanks, *rows[:bad], *[""] * blanks, *rows[bad:]]
+                        text = end.join(lines) + end
+                        want = lines.index(rows[bad]) + 1
+                        with pytest.raises(MalformedLine, match=f"line {want}: non-finite value$") as err:
+                            parse_csv_text(text, ACC, Mount.FRAME)
+                        assert err.value.line_no == want
+                        with pytest.raises(MalformedLine) as err:  # numpy reads the bytes, not a path
+                            ingest.read_numeric_csv(text.encode(), ingest._CSV_ROW, ingest.CSV_HEADER)
+                        assert err.value.line_no == want
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch, suffix):
         # numpy would decompress a file of this name, so it must read the

@@ -23,18 +23,16 @@ from trailgrade.errors import (
     StaleCache,
     VersionMismatch,
 )
-from trailgrade.nn import (
+from trailgrade.nn.adam import adam_step, init_adam
+from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
+from trailgrade.nn.model import (
     ModelConfig,
     ModelParams,
-    adam_step,
     backward,
     build_model,
     forward,
-    init_adam,
     l2_penalty,
-    load_checkpoint,
     param_shapes,
-    save_checkpoint,
 )
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 
@@ -230,7 +228,6 @@ class TestAdam:
         state = init_adam(params)
         adam_step(params, {"w": np.zeros(1)}, state)
         assert params.tensors["w"].item() == 1.5
-        assert state.t == 1
         assert params.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
@@ -268,7 +265,7 @@ class TestAdam:
         adam_step(params, {"w": np.array([g2])}, state)
         assert state.m["w"].item() == pytest.approx(0.9 * (0.1 * g1) + 0.1 * g2)
         assert state.v["w"].item() == pytest.approx(0.999 * (0.001 * g1 ** 2) + 0.001 * g2 ** 2)
-        assert state.t == 2
+        assert params.step == 2
 
 
 class TestCheckpoint:

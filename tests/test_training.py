@@ -18,9 +18,8 @@ from trailgrade.errors import (
     NumericFailure,
     ShapeMismatch,
 )
-from trailgrade.nn import ModelConfig, build_model
 from trailgrade.nn.adam import adam_step, init_adam
-from trailgrade.nn.model import backward, forward, l2_penalty
+from trailgrade.nn.model import ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import (
     BATCH_SIZE,
@@ -324,7 +323,7 @@ class TestTrainMemory:
             import resource
             import numpy as np
             from trailgrade.dataset import WindowSample
-            from trailgrade.nn import ModelConfig
+            from trailgrade.nn.model import ModelConfig
             from trailgrade.training import TrainConfig, train
 
             rng = np.random.default_rng(0)
