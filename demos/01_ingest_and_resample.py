@@ -39,7 +39,7 @@ for mount, kind in CHANNEL_ORDER:
     logs.append(log)
     print(
         f"  {mount.value:6s} {kind.value:13s} start {log.timestamps[0]:4d} ms, "
-        f"{log.timestamps.size} samples, inferred rate {log.nominal_rate_hz:.2f} Hz"
+        f"{log.timestamps.size} samples, {step} ms apart"
     )
 
 print("\n== synchronize to the latest starting unit ==")

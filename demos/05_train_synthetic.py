@@ -11,10 +11,10 @@ Artifacts land in demos/out/.
 from pathlib import Path
 
 from trailgrade.dataset import WindowConfig, slice_windows
-from trailgrade.experiments import SyntheticSpec, export_curves, generate_synthetic, prepare_splits
+from trailgrade.experiments import SyntheticSpec, curves_svg, generate_synthetic, prepare_splits
 from trailgrade.nn.checkpoint import save_checkpoint
 from trailgrade.nn.model import ModelConfig
-from trailgrade.training import TrainConfig, evaluate, train
+from trailgrade.training import TrainConfig, evaluate, history_to_csv, train
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -43,8 +43,7 @@ accuracy, confusion = evaluate(result.best_params, test_set)
 print(f"accuracy {accuracy:.4f}; confusion matrix (rows true, cols predicted):")
 print(confusion.counts)
 
-csv_text, svg_text = export_curves(result.history)
-(out_dir / "history.csv").write_text(csv_text)
-(out_dir / "curves.svg").write_text(svg_text)
+(out_dir / "history.csv").write_text(history_to_csv(result.history))
+(out_dir / "curves.svg").write_text(curves_svg(result.history))
 save_checkpoint(result.best_params, out_dir / "model.ckpt")
 print(f"\nwrote {out_dir}/history.csv, curves.svg, model.ckpt (+ .txt sidecar)")

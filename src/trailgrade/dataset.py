@@ -7,7 +7,6 @@ label. Only windows whose whole time span sits under a single label are kept.
 
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,37 +93,18 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     return out
 
 
-def split_train_test(samples, seed: int, by_session: bool = False) -> DatasetSplit:
+def split_train_test(samples, seed: int) -> DatasetSplit:
     """Seeded uniform split; the first round(TRAIN_FRACTION * N) go to train.
 
-    Both sides are kept non-empty. With by_session=True whole recordings are
-    assigned to one side (leakage-aware mode, off by default).
+    Both sides are kept non-empty.
     """
     n = len(samples)
     if n < 2:
         raise TooFewSamples("need at least 2 samples to split")
     n_train = min(max(int(round(TRAIN_FRACTION * n)), 1), n - 1)
-    rng = np.random.default_rng(seed)
-    if not by_session:
-        perm = rng.permutation(n)
-        train = [samples[i] for i in perm[:n_train]]
-        test = [samples[i] for i in perm[n_train:]]
-        return DatasetSplit(train, test)
-
-    per_session = Counter(s.origin[0] for s in samples)
-    names = sorted(per_session)
-    if len(names) < 2:
-        raise TooFewSamples("per-recording split needs at least 2 sessions")
-    order = rng.permutation(len(names))
-    train_names = set()
-    count = 0
-    for idx in order[:-1]:  # always leave at least one session for test
-        if count >= n_train:
-            break
-        train_names.add(names[idx])
-        count += per_session[names[idx]]
-    train = [s for s in samples if s.origin[0] in train_names]
-    test = [s for s in samples if s.origin[0] not in train_names]
+    perm = np.random.default_rng(seed).permutation(n)
+    train = [samples[i] for i in perm[:n_train]]
+    test = [samples[i] for i in perm[n_train:]]
     return DatasetSplit(train, test)
 
 

@@ -22,7 +22,7 @@ from .errors import EmptyHistory, InvalidSpec, NoUsableSessions
 from .ingest import CHANNEL_ORDER, SESSION_POINTS_MAX, TARGET_RATE_HZ, Mount, SensorChannel, SensorKind, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
-from .training import TrainConfig, history_to_csv, train
+from .training import TrainConfig, train
 
 WINDOW_MS_GRID = (1000, 2000, 5000, 10000, 20000)
 KERNEL_LEN_GRID = (5, 10, 20, 40, 60)
@@ -282,14 +282,10 @@ def report_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_curves(history):
-    """History as (csv_text, svg_text); the SVG holds train and test polylines."""
+def curves_svg(history) -> str:
+    """The history's train and test accuracy as two SVG polylines over the epochs."""
     if not history:
         raise EmptyHistory("no epochs recorded")
-    return history_to_csv(history), _curves_svg(history)
-
-
-def _curves_svg(history):
     width, height, margin = 640, 400, 50
     max_epoch = history[-1].epoch
     span = max(1, max_epoch - 1)

@@ -68,7 +68,6 @@ class RawSensorLog:
     mount: Mount
     timestamps: np.ndarray  # (n,) int64
     values: np.ndarray  # (n, 3) float64
-    nominal_rate_hz: float
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
@@ -138,17 +137,6 @@ class SyncedSession:
         )
 
 
-def _infer_rate_hz(timestamps: np.ndarray) -> float:
-    if timestamps.size < 2:
-        return float("nan")
-    # Modulo 2**64, the uint64 difference of increasing int64 stamps is exact,
-    # where the int64 difference wraps once a gap exceeds int64.
-    gap = float(np.median(np.diff(timestamps.view(np.uint64))))
-    if gap == 0:  # repeated stamp; the log constructor rejects it
-        return float("nan")
-    return 1000.0 / gap
-
-
 #: One sensor CSV row: an int64 timestamp and three float64s.
 _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 
@@ -160,9 +148,8 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
 
     ``read_numeric_csv`` reads its rows: an int64 timestamp and three finite
     float64 values each. A timestamp not after the one before it raises
-    NonMonotonicTimestamp naming its line. The nominal rate is inferred from
-    the median timestamp gap. Every error names the file at the front:
-    ``<path>: line N: reason``.
+    NonMonotonicTimestamp naming its line. Every error names the file at the
+    front: ``<path>: line N: reason``.
 
     The bytes are read once. numpy reads the file again from its resolved
     absolute path, so no path reads as a URL, unless it is not a regular
@@ -177,7 +164,7 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
         timestamps, values = rows["t"].copy(), np.ascontiguousarray(rows["v"])
         del rows
         try:
-            return RawSensorLog(sensor_kind, mount, timestamps, values, _infer_rate_hz(timestamps))
+            return RawSensorLog(sensor_kind, mount, timestamps, values)
         except NonMonotonicTimestamp as exc:
             stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
             raise NonMonotonicTimestamp(f"line {line_of_row(data, stall)}: {exc}") from None
@@ -303,28 +290,26 @@ def synchronize(logs):
     """Align recordings on the latest first timestamp.
 
     Samples before t0 = max(first timestamps) are dropped and the survivors are
-    rebased so time 0 means t0; a sample exactly at t0 is kept. Returns new logs
-    in the input order, whose values are views of the input logs' values.
+    rebased so time 0 means t0; a sample exactly at t0 is kept. Samples more
+    than 2**63 - 1 ms after t0 are dropped too: their rebased time would leave
+    int64, and they lie past every lattice point a session archive holds.
+    Returns new logs in the input order, whose values are views of the input
+    logs' values.
     """
     if not logs:
         raise EmptyLog("nothing to synchronize")
     t0 = max(int(log.timestamps[0]) for log in logs)
     out = []
     for log in logs:
-        # timestamps strictly increase, so the kept samples are a suffix
+        # timestamps strictly increase, so the kept samples are one contiguous run
         first = int(np.searchsorted(log.timestamps, t0))
-        if first == log.timestamps.size:
+        stop = int(np.searchsorted(log.timestamps, min(t0 + _INT64_MAX, _INT64_MAX), side="right"))
+        if first == stop:
             raise EmptyAfterSync(
                 f"{log.mount.value} {log.sensor_kind.value}: no samples at or after {t0} ms"
             )
         out.append(
-            RawSensorLog(
-                log.sensor_kind,
-                log.mount,
-                log.timestamps[first:] - t0,
-                log.values[first:],
-                log.nominal_rate_hz,
-            )
+            RawSensorLog(log.sensor_kind, log.mount, log.timestamps[first:stop] - t0, log.values[first:stop])
         )
     return out
 
@@ -457,6 +442,8 @@ def parse_session_manifest(text) -> dict:
         if key in entries:
             raise MalformedManifest(f"line {line_no}: duplicate key {key!r}")
         value = value.strip().strip('"')
+        if key in _MANIFEST_ROLES and not value:
+            raise MalformedManifest(f"line {line_no}: {key} names no CSV file")
         if key == "name" and (size := len(value.encode("utf-8"))) > _SESSION_NAME_MAX_BYTES:
             raise MalformedManifest(
                 f"line {line_no}: name is {size} UTF-8 bytes, "

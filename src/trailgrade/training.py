@@ -4,9 +4,10 @@ Each epoch shuffles the training set and runs batches of BATCH_SIZE through
 train-mode forward / backward / Adam. Its train accuracy is the running train-mode
 accuracy over those batches, as Keras reports it: dropout is on and the
 weights change from batch to batch, and the training set is not re-scored.
-The test split is then scored in infer mode. The weights and confusion matrix
-of the best test epoch are snapshotted and returned; training stops after
-`patience` epochs without strict improvement or at `max_epochs`.
+The test split is then scored in infer mode. The weights of the best test
+epoch are snapshotted and returned; training stops after `patience` epochs
+without strict improvement or at `max_epochs`. `evaluate` of those weights
+gives that epoch's confusion matrix.
 """
 
 import sys
@@ -77,7 +78,6 @@ class TrainResult:
     best_epoch: int
     best_test_sca: float
     history: list
-    confusion: ConfusionMatrix
     stopped_early: bool
 
 
@@ -173,7 +173,7 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
     # No degenerate-batch merging is needed here: batchnorm reduces over
     # B * n * 4 values per channel, which is >= 8 even for a 1-sample batch.
     history = []
-    best_sca, best_epoch, best_params, confusion = -1.0, 0, None, None
+    best_sca, best_epoch, best_params = -1.0, 0, None
     stopped_early = False
     for epoch in range(1, train_config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -200,15 +200,15 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             del grads
         # evaluating at the training batch size keeps buffer shapes uniform,
         # which the allocator rewards
-        test_sca, test_confusion = _evaluate_checked(params, test_samples, test_labels)
+        test_sca, _ = _evaluate_checked(params, test_samples, test_labels)
         history.append(EpochRecord(epoch, hits / n, test_sca, loss_sum / n))
         if test_sca > best_sca:
             best_sca, best_epoch = test_sca, epoch
-            best_params, confusion = params.copy(), test_confusion
+            best_params = params.copy()
         if epoch - best_epoch >= train_config.patience:
             stopped_early = True
             break
-    return TrainResult(best_params, best_epoch, best_sca, history, confusion, stopped_early)
+    return TrainResult(best_params, best_epoch, best_sca, history, stopped_early)
 
 
 def history_to_csv(history) -> str:

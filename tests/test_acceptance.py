@@ -309,13 +309,7 @@ def test_criterion_6_metric_identities():
 def test_criterion_7_formats(tmp_path):
     # sensor CSV
     rng = np.random.default_rng(3)
-    log = RawSensorLog(
-        SensorKind.ACCELEROMETER,
-        Mount.FRAME,
-        np.arange(40) * 80,
-        rng.normal(size=(40, 3)),
-        12.5,
-    )
+    log = RawSensorLog(SensorKind.ACCELEROMETER, Mount.FRAME, np.arange(40) * 80, rng.normal(size=(40, 3)))
     text = write_sensor_csv(log)
     csv_path = tmp_path / "log.csv"
     csv_path.write_text(text)

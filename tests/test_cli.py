@@ -197,6 +197,13 @@ class TestDataErrorsNameTheFile:
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
         assert self.error_line(capsys) == f"error: {manifest}: line 5: expected key=value\n"
 
+    @pytest.mark.parametrize("value", ["", '""'])
+    def test_manifest_empty_csv_path(self, tmp_path, capsys, value):
+        manifest = write_ride(tmp_path)
+        manifest.write_text(manifest.read_text().replace("frame_gyro=frame_gyro.csv", f"frame_gyro={value}"))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert self.error_line(capsys) == f"error: {manifest}: line 3: frame_gyro names no CSV file\n"
+
     def test_manifest_name_longer_than_an_archive_holds(self, tmp_path, capsys):
         # a session archive stores the name's UTF-8 length in two bytes
         out = tmp_path / "r.session"
@@ -396,6 +403,22 @@ class TestExitCodes:
         assert run("ingest", "--session", str(manifest), "--out", str(out)) == 0
         session = read_session_archive(out)
         assert (session.start_time_ms, session.length_points) == (0, 2)
+
+    def test_sample_past_int64_after_the_start_is_ignored(self, tmp_path):
+        # helmet_gyro's extra stamp lies 1.8e19 ms after the common start, which
+        # int64 cannot hold: the ride ingests as if the row were not there
+        manifest = write_ride(tmp_path)
+        rows = ["-9000000000000000000,0,0,0", "-8999999999999996000,1,1,1"]
+        for role in RIDE_ROLES:
+            (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + "\n".join(rows) + "\n")
+        near = tmp_path / "near.session"
+        assert run("ingest", "--session", str(manifest), "--out", str(near)) == 0
+        with open(tmp_path / "helmet_gyro.csv", "a") as f:
+            f.write("9000000000000000000,1,1,1\n")
+        far = tmp_path / "far.session"
+        assert run("ingest", "--session", str(manifest), "--out", str(far)) == 0
+        assert far.read_bytes() == near.read_bytes()
+        assert read_session_archive(far).length_points == 101
 
     def test_data_error_overlap_longer_than_a_session_archive_holds(self, tmp_path, capsys):
         # the four logs overlap until 9e17 ms: 2.25e16 lattice points, where a

@@ -204,16 +204,6 @@ class TestSplit:
         with pytest.raises(TooFewSamples):
             split_train_test(make_samples([0]), seed=0)
 
-    def test_by_session_keeps_recordings_whole(self):
-        samples = []
-        for name in "abcdef":
-            samples += make_samples([0, 1], name=name)
-        split = split_train_test(samples, seed=5, by_session=True)
-        train_names = {s.origin[0] for s in split.train}
-        test_names = {s.origin[0] for s in split.test}
-        assert not train_names & test_names
-        assert split.train and split.test
-
 
 class TestOversample:
     def test_spec_example_counts(self):

@@ -1,9 +1,9 @@
 """The demo scripts keep working as the library's names change.
 
 Every demo's ``trailgrade`` imports must resolve. Demos 01-04 run in about a
-second each, so they run in full; 05 and 06 train networks and 05 writes to
-``demos/out/``, so here those two are only import-checked (CI runs them end to
-end).
+second each, so they run in full, with warnings as errors as in the tests; 05
+and 06 train networks and 05 writes to ``demos/out/``, so here those two are
+only import-checked (CI runs them end to end).
 """
 
 import ast
@@ -49,7 +49,7 @@ def test_demo_imports_resolve(path):
 def test_fast_demo_runs(path, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, str(path)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(path)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

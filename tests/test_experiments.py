@@ -21,14 +21,14 @@ from trailgrade.experiments import (
     GridSpec,
     SyntheticSpec,
     cell_seed,
-    export_curves,
+    curves_svg,
     generate_synthetic,
     report_csv,
     report_table,
     run_grid,
 )
 from trailgrade.ingest import SyncedSession
-from trailgrade.training import EpochRecord, TrainConfig
+from trailgrade.training import EpochRecord, TrainConfig, history_to_csv
 
 
 def test_import_loads_no_process_pool_or_xml_parser():
@@ -323,24 +323,22 @@ class TestExportCurves:
         return [EpochRecord(i + 1, 0.3 + 0.1 * i, 0.25 + 0.1 * i, 1.0 / (i + 1)) for i in range(n)]
 
     def test_single_epoch(self):
-        csv_text, svg = export_curves(self.history(1))
-        assert len(csv_text.strip().splitlines()) == 2
-        assert svg.count("<polyline") == 2
+        assert len(history_to_csv(self.history(1)).strip().splitlines()) == 2
+        assert curves_svg(self.history(1)).count("<polyline") == 2
 
     def test_csv_roundtrip(self):
         history = self.history(5)
-        csv_text, _ = export_curves(history)
-        assert history_from_csv(csv_text) == history
+        assert history_from_csv(history_to_csv(history)) == history
 
     def test_monotone_history_gives_monotone_polyline(self):
-        _, svg = export_curves(self.history(6))
+        svg = curves_svg(self.history(6))
         train_line = [ln for ln in svg.splitlines() if "polyline" in ln][0]
         points = train_line.split('points="')[1].split('"')[0].split()
         ys = [float(p.split(",")[1]) for p in points]
         assert all(b < a for a, b in zip(ys, ys[1:]))  # higher accuracy plots higher
 
     def test_scaling_bounds(self):
-        _, svg = export_curves(
+        svg = curves_svg(
             [EpochRecord(1, 0.0, 1.0, 0.5), EpochRecord(2, 1.0, 0.0, 0.4)]
         )
         lines = [ln for ln in svg.splitlines() if "polyline" in ln]
@@ -355,4 +353,4 @@ class TestExportCurves:
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
-            export_curves([])
+            curves_svg([])

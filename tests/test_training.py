@@ -2,7 +2,7 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from trailgrade.training import (
     BATCH_SIZE,
     ConfusionMatrix,
     TrainConfig,
+    TrainResult,
     confusion_matrix,
     evaluate,
     history_to_csv,
@@ -102,6 +103,10 @@ class TestConfusionMatrix:
 
 
 class TestTrainLoop:
+    def test_result_fields_hold_no_confusion_matrix(self):
+        names = [f.name for f in fields(TrainResult)]
+        assert names == ["best_params", "best_epoch", "best_test_sca", "history", "stopped_early"]
+
     def test_patience_one_stops_at_epoch_two(self, tiny):
         train_set = separable_samples(10, seed=0)
         test_set = separable_samples(2, seed=1, name="t")
@@ -126,7 +131,6 @@ class TestTrainLoop:
         assert a.history == b.history
         for key in a.best_params.tensors:
             assert np.array_equal(a.best_params.tensors[key], b.best_params.tensors[key])
-        assert np.array_equal(a.confusion.counts, b.confusion.counts)
 
     def test_early_stopping_law_and_snapshot(self, tiny):
         train_set = separable_samples(8, seed=6)
@@ -142,7 +146,6 @@ class TestTrainLoop:
         # the snapshot reproduces the best accuracy exactly
         accuracy, confusion = evaluate(result.best_params, test_set)
         assert accuracy == result.best_test_sca
-        assert np.array_equal(confusion.counts, result.confusion.counts)
         assert confusion.total == len(test_set)
 
     def test_metrics_bounded(self, tiny):
@@ -410,19 +413,20 @@ class TestTrainAgainstRescoringLoop:
         config = TrainConfig(seed=11, max_epochs=3, patience=3)
         with narrowed_network():
             tiny = ModelConfig(window_points=8, kernel_len=3)
-            return train(train_set, test_set, tiny, config), rescoring_train(train_set, test_set, tiny, config)
+            result = train(train_set, test_set, tiny, config)
+            return result, rescoring_train(train_set, test_set, tiny, config), evaluate(result.best_params, test_set)
 
     def test_weights_test_sca_and_loss_unchanged(self, runs):
-        result, (rows, best_params, best_epoch, counts) = runs
+        result, (rows, best_params, best_epoch, counts), (_, confusion) = runs
         assert [(r.test_sca, r.train_loss) for r in result.history] == [(t, loss) for _, _, t, loss in rows]
         assert result.best_epoch == best_epoch
         assert result.best_params.tensors.keys() == best_params.tensors.keys()
         for key, value in best_params.tensors.items():
             assert result.best_params.tensors[key].tobytes() == value.tobytes(), key
-        assert np.array_equal(result.confusion.counts, counts)
+        assert np.array_equal(confusion.counts, counts)
 
     def test_train_sca_is_running_train_mode_accuracy(self, runs):
-        result, (rows, _, _, _) = runs
+        result, (rows, _, _, _), _ = runs
         assert [r.train_sca for r in result.history] == [running for _, running, _, _ in rows]
         # a re-score in infer mode after the epoch is a different number
         assert [r.train_sca for r in result.history] != [rescored for rescored, _, _, _ in rows]
