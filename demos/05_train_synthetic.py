@@ -41,7 +41,7 @@ print(f"best test sca {result.best_test_sca:.4f} at epoch {result.best_epoch}")
 print("\n== evaluation of the snapshotted best weights ==")
 accuracy, confusion = evaluate(result.best_params, test_set)
 print(f"accuracy {accuracy:.4f}; confusion matrix (rows true, cols predicted):")
-print(confusion.counts)
+print(confusion)
 
 (out_dir / "history.csv").write_text(history_to_csv(result.history))
 (out_dir / "curves.svg").write_text(curves_svg(result.history))

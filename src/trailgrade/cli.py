@@ -196,7 +196,7 @@ def _cmd_eval(args):
     params, _ = load_checkpoint(args.model)
     samples = dataset.read_sample_archive(args.samples)
     accuracy, confusion = training.evaluate(params, samples)
-    Path(args.out_confusion).write_text(confusion.to_csv())
+    Path(args.out_confusion).write_text(training.confusion_to_csv(confusion))
     print(f"accuracy {accuracy:.4f} on {len(samples)} samples -> {args.out_confusion}")
     return 0
 

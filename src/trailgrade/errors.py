@@ -24,7 +24,7 @@ class EmptyLog(TrailgradeError):
 
 
 class EmptyAfterSync(TrailgradeError):
-    """A log has no samples at or after the common start time."""
+    """A log has no samples in the span kept from the common start time."""
 
 
 class TooFewSamples(TrailgradeError):
@@ -112,7 +112,7 @@ class VersionMismatch(TrailgradeError):
 # training / experiments
 
 class EmptyBatch(TrailgradeError):
-    """A metric asked to summarize zero predictions."""
+    """`nn.ops.sparse_categorical_crossentropy` was given zero predictions."""
 
 
 class EmptyDataset(TrailgradeError):

@@ -299,14 +299,15 @@ def synchronize(logs):
     if not logs:
         raise EmptyLog("nothing to synchronize")
     t0 = max(int(log.timestamps[0]) for log in logs)
+    end = min(t0 + _INT64_MAX, _INT64_MAX)
     out = []
     for log in logs:
         # timestamps strictly increase, so the kept samples are one contiguous run
         first = int(np.searchsorted(log.timestamps, t0))
-        stop = int(np.searchsorted(log.timestamps, min(t0 + _INT64_MAX, _INT64_MAX), side="right"))
+        stop = int(np.searchsorted(log.timestamps, end, side="right"))
         if first == stop:
             raise EmptyAfterSync(
-                f"{log.mount.value} {log.sensor_kind.value}: no samples at or after {t0} ms"
+                f"{log.mount.value} {log.sensor_kind.value}: no samples in [{t0}, {end}] ms"
             )
         out.append(
             RawSensorLog(log.sensor_kind, log.mount, log.timestamps[first:stop] - t0, log.values[first:stop])

@@ -6,8 +6,8 @@ accuracy over those batches, as Keras reports it: dropout is on and the
 weights change from batch to batch, and the training set is not re-scored.
 The test split is then scored in infer mode. The weights of the best test
 epoch are snapshotted and returned; training stops after `patience` epochs
-without strict improvement or at `max_epochs`. `evaluate` of those weights
-gives that epoch's confusion matrix.
+without strict improvement or at `max_epochs`. Training builds no confusion
+matrix: `evaluate` of those weights gives that epoch's accuracy and counts.
 """
 
 import sys
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyDataset, LabelOutOfRange, NumericFailure, ShapeMismatch
+from .errors import EmptyDataset, LabelOutOfRange, NumericFailure, ShapeMismatch
 from .nn.adam import adam_step, init_adam
 from .nn.model import CLASSES, ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
 from .nn.ops import sparse_categorical_crossentropy
@@ -49,29 +49,6 @@ class EpochRecord:
     train_loss: float
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[true][predicted] over one evaluation."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / self.total
-
-    def to_csv(self) -> str:
-        k = self.counts.shape[0]
-        header = "," + ",".join(str(j) for j in range(k))
-        rows = [header]
-        for i in range(k):
-            rows.append(f"{i}," + ",".join(str(int(c)) for c in self.counts[i]))
-        return "\n".join(rows) + "\n"
-
-
 @dataclass
 class TrainResult:
     best_params: ModelParams
@@ -81,16 +58,11 @@ class TrainResult:
     stopped_early: bool
 
 
-def confusion_matrix(probs, labels) -> ConfusionMatrix:
-    probs = np.asarray(probs)
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise EmptyBatch("need at least one prediction row")
-    if labels.shape != (probs.shape[0],):
-        raise ShapeMismatch(f"labels {labels.shape} do not match batch of {probs.shape[0]}")
-    counts = np.zeros((CLASSES, CLASSES), dtype=np.int64)
-    np.add.at(counts, (labels, probs.argmax(axis=1)), 1)
-    return ConfusionMatrix(counts)
+def confusion_matrix(predicted, labels) -> np.ndarray:
+    """counts[true][predicted] of two int arrays, as a (CLASSES, CLASSES) int64 array."""
+    if predicted.shape != labels.shape:
+        raise ShapeMismatch(f"predictions {predicted.shape} do not match labels {labels.shape}")
+    return np.bincount(labels * CLASSES + predicted, minlength=CLASSES**2).reshape(CLASSES, CLASSES)
 
 
 def _checked_labels(samples, config: ModelConfig):
@@ -102,7 +74,7 @@ def _checked_labels(samples, config: ModelConfig):
     """
     expected = (config.window_points, 4, 3)
     for s in samples:
-        # a confusion matrix would count -1 in its last row and fail on CLASSES
+        # neither the loss nor a confusion matrix has a row for such a label
         if not 0 <= s.label < CLASSES:
             raise LabelOutOfRange(f"sample {s.origin} has label {s.label}, outside [0, {CLASSES})")
         if s.data.shape != expected:
@@ -115,27 +87,30 @@ def _checked_labels(samples, config: ModelConfig):
     return np.array([s.label for s in samples], dtype=np.int64)
 
 
-def _evaluate_checked(params, samples, labels):
-    probs = np.empty((len(samples), CLASSES))
+def _predict(params, samples):
+    """Infer-mode predicted classes, (N,) int64, one forward per BATCH_SIZE slice."""
+    predicted = np.empty(len(samples), dtype=np.int64)
     for lo in range(0, len(samples), BATCH_SIZE):
         batch = np.stack([s.data for s in samples[lo : lo + BATCH_SIZE]])
-        probs[lo : lo + BATCH_SIZE] = forward(params, batch)[0]
-    # argmax of a NaN row is 0, so non-finite weights would score as class 0
-    if not np.isfinite(probs).all():
-        raise NumericFailure("non-finite probabilities")
-    cm = confusion_matrix(probs, labels)
-    return cm.accuracy, cm
+        probs = forward(params, batch)[0]
+        # argmax of a NaN row is 0, so non-finite weights would score as class 0
+        if not np.isfinite(probs).all():
+            raise NumericFailure("non-finite probabilities")
+        predicted[lo : lo + BATCH_SIZE] = probs.argmax(axis=1)
+    return predicted
 
 
 def evaluate(params: ModelParams, samples):
-    """Infer-mode (accuracy, confusion matrix) over a sample set. Pure.
+    """Infer-mode (accuracy, counts[true][predicted]) over a sample set. Pure.
 
     Batches are the training batch size, so re-evaluating a snapshot
     reproduces its recorded accuracy bit for bit.
     """
     if not samples:
         raise EmptyDataset("nothing to evaluate")
-    return _evaluate_checked(params, samples, _checked_labels(samples, params.config))
+    labels = _checked_labels(samples, params.config)
+    counts = confusion_matrix(_predict(params, samples), labels)
+    return int(np.trace(counts)) / len(samples), counts
 
 
 def _keep_freed_heap():
@@ -198,9 +173,10 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             del probs, cache
             adam_step(params, grads, state)
             del grads
-        # evaluating at the training batch size keeps buffer shapes uniform,
-        # which the allocator rewards
-        test_sca, _ = _evaluate_checked(params, test_samples, test_labels)
+        # predicting at the training batch size keeps buffer shapes uniform,
+        # which the allocator rewards; a Python int / int keeps test_sca a float
+        test_hits = int(np.count_nonzero(_predict(params, test_samples) == test_labels))
+        test_sca = test_hits / len(test_samples)
         history.append(EpochRecord(epoch, hits / n, test_sca, loss_sum / n))
         if test_sca > best_sca:
             best_sca, best_epoch = test_sca, epoch
@@ -216,4 +192,11 @@ def history_to_csv(history) -> str:
     rows = [HISTORY_CSV_HEADER]
     for r in history:
         rows.append(f"{r.epoch},{r.train_sca!r},{r.test_sca!r},{r.train_loss!r}")
+    return "\n".join(rows) + "\n"
+
+
+def confusion_to_csv(counts) -> str:
+    """A header of predicted classes, then one `true,count,...` row per true class."""
+    rows = ["," + ",".join(str(j) for j in range(len(counts)))]
+    rows += [f"{i}," + ",".join(str(c) for c in row.tolist()) for i, row in enumerate(counts)]
     return "\n".join(rows) + "\n"

@@ -570,6 +570,16 @@ class TestSynchronize:
         with pytest.raises(EmptyAfterSync):
             synchronize([a, b, a, a])
 
+    def test_empty_names_the_window_searched(self):
+        # helmet_gyro has samples after t0, but all of them lie past t0 + 2**63 - 1
+        stamps = [-9000000000000000000, -8999999999999999960]
+        logs = [log_from(stamps, [0, 1], kind, mount) for mount, kind in CHANNEL_ORDER[:3]]
+        far = [-9100000000000000000, 9000000000000000000, 9000000000000000040]
+        logs.append(log_from(far, [0, 1, 2], GYRO, Mount.HELMET))
+        message = r"^helmet gyroscope: no samples in \[-9000000000000000000, 223372036854775807\] ms$"
+        with pytest.raises(EmptyAfterSync, match=message):
+            synchronize(logs)
+
     def test_never_grows_and_earliest_is_zero(self, rng):
         logs = []
         for _ in range(4):
