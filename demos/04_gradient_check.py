@@ -72,8 +72,8 @@ sampled = {"dense1/weights": np.sort(rng.choice(dense1_size, size=32, replace=Fa
 print(f"  dense1/weights: {len(sampled['dense1/weights'])} of {dense1_size} entries, flat indices")
 print(f"    {sampled['dense1/weights'].tolist()}")
 
-_, cache = forward(params, batch, train=True, rng=np.random.default_rng(99))
-grads = backward(cache, labels)
+probs, cache = forward(params, batch, train=True, rng=np.random.default_rng(99))
+grads = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
 for key, grad in grads.items():
     entries = sampled.get(key)
     numeric = finite_differences(network_loss, params.tensors[key], entries)

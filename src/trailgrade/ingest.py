@@ -12,6 +12,7 @@ import itertools
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,6 +27,7 @@ from .errors import (
     MalformedManifest,
     MismatchedStart,
     NonMonotonicTimestamp,
+    NumericFailure,
     SessionTooLong,
     TooFewSamples,
     TrailgradeError,
@@ -143,6 +145,16 @@ _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 _INT64_MAX = 2**63 - 1
 
 
+@contextmanager
+def _naming(path):
+    """Put ``path`` at the front of a TrailgradeError raised inside, which keeps its type and fields."""
+    try:
+        yield
+    except TrailgradeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
     """Parse the ``timestamp_ms,x,y,z`` CSV file at ``path`` into a RawSensorLog.
 
@@ -156,7 +168,7 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
     file (a pipe would give numpy nothing) or its suffix would make numpy
     decompress it: those are read from the bytes already read.
     """
-    try:
+    with _naming(path):
         data = Path(path).read_bytes()
         resolved = str(Path(path).resolve())
         by_path = os.path.isfile(resolved) and os.path.splitext(resolved)[1] not in _COMPRESSED_SUFFIXES
@@ -168,9 +180,6 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
         except NonMonotonicTimestamp as exc:
             stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
             raise NonMonotonicTimestamp(f"line {line_of_row(data, stall)}: {exc}") from None
-    except TrailgradeError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 #: Suffixes that numpy's path opener decompresses instead of reading as text.
@@ -224,9 +233,10 @@ def read_numeric_csv(data: bytes, dtype: np.dtype, header: str, path=None) -> np
         except ValueError:
             pass
         else:
-            if _finite(rows):
+            bad_row = _first_nonfinite_row(rows)
+            if bad_row is None:
                 return rows
-            raise MalformedLine(line_of_row(data, _first_nonfinite_row(rows)), "non-finite value")
+            raise MalformedLine(line_of_row(data, bad_row), "non-finite value")
     _raise_first_bad_line(data, dtype, header)
 
 
@@ -234,14 +244,10 @@ def _loadtxt(source, dtype, skiprows):
     return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows, ndmin=1, encoding="ascii")
 
 
-def _finite(rows) -> bool:
-    return all(np.isfinite(rows[name]).all() for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
-
-
-def _first_nonfinite_row(rows) -> int:
-    """The index of the first of ``rows`` with a non-finite float field, for ``rows`` that are not ``_finite``."""
+def _first_nonfinite_row(rows):
+    """The index of the first of ``rows`` with a non-finite float field, or None if every float is finite."""
     floats = (np.isfinite(rows[name]) for name in rows.dtype.names if rows.dtype[name].base.kind == "f")
-    return min(int(np.argmin(f.reshape(len(rows), -1).all(axis=1))) for f in floats if not f.all())
+    return min((int(np.argmin(f.reshape(len(rows), -1).all(axis=1))) for f in floats if not f.all()), default=None)
 
 
 def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
@@ -249,8 +255,13 @@ def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
 
     It only names the line, and returns nothing: each line goes alone to the
     same numpy call that reads a whole file, so the two agree on every line.
+    It keeps the lines numpy reads, up to the first one it rejects, and reads
+    them again with one call: the first of them with a non-finite value is
+    the first bad line, if there is one.
     """
     columns = header.count(",") + 1
+    read = []
+    error = TrailgradeError("numpy rejects the file but reads each of its lines")
     with io.TextIOWrapper(io.BytesIO(data), "latin-1") as lines:  # one character per byte
         for line_no, line in enumerate(lines, start=1):
             if line_no == 1 or line == "\n":
@@ -258,17 +269,22 @@ def _raise_first_bad_line(data: bytes, dtype: np.dtype, header: str):
             bad = _FORBIDDEN.search(line)
             if bad:
                 what = "is not ASCII" if bad[0] > "\x7f" else "is a separator control"
-                raise MalformedLine(line_no, f"byte {ord(bad[0]):#04x} {what}")
+                error = MalformedLine(line_no, f"byte {ord(bad[0]):#04x} {what}")
+                break
             try:
-                row = _loadtxt([line], dtype, skiprows=0)
+                _loadtxt([line], dtype, skiprows=0)
             except ValueError:
                 fields = line.count(",") + 1
                 if fields != columns:
-                    raise MalformedLine(line_no, f"expected {columns} fields, got {fields}") from None
-                raise MalformedLine(line_no, f"unparseable record {line.strip()!r}") from None
-            if not _finite(row):
-                raise MalformedLine(line_no, "non-finite value")
-    raise TrailgradeError("numpy rejects the file but reads each of its lines")
+                    error = MalformedLine(line_no, f"expected {columns} fields, got {fields}")
+                else:
+                    error = MalformedLine(line_no, f"unparseable record {line.strip()!r}")
+                break
+            read.append(line)
+    bad_row = _first_nonfinite_row(_loadtxt(read, dtype, skiprows=0)) if read else None
+    if bad_row is not None:
+        raise MalformedLine(line_of_row(data, bad_row), "non-finite value")
+    raise error
 
 
 def line_of_row(data: bytes, row: int) -> int:
@@ -324,7 +340,9 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     built with the other logs keeps nothing, save the log's first point: a log
     that starts after ``end_ms`` still yields it, and build_session reports
     the empty overlap. More points than a session archive holds raise
-    SessionTooLong before anything is allocated.
+    SessionTooLong before anything is allocated. Between two finite samples
+    of opposite sign near the float64 limit, ``np.interp``'s slope
+    overflows: a non-finite point raises NumericFailure naming its time.
     """
     if log.timestamps.size < 2:
         raise TooFewSamples("need at least 2 samples to interpolate")
@@ -342,6 +360,12 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     out = np.empty((grid.size, 3))
     for axis in range(3):
         out[:, axis] = np.interp(grid, t, log.values[:, axis])
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NumericFailure(
+            f"{log.mount.value} {log.sensor_kind.value}: interpolation overflows to a non-finite value "
+            f"at {(k0 + int(np.argmin(finite.all(axis=1)))) * PERIOD_MS} ms"
+        )
     return SensorChannel(log.sensor_kind, log.mount, k0 * PERIOD_MS, out)
 
 
@@ -480,23 +504,25 @@ def parse_file(path, parse, malformed):
     Every TrailgradeError from reading or parsing keeps its type and fields
     and names the file at the front: ``<path>: line N: reason``.
     """
-    try:
+    with _naming(path):
         return parse(read_utf8(path, malformed))
-    except TrailgradeError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def load_session(manifest_path) -> SyncedSession:
-    """Manifest -> four parsed CSVs -> synchronize -> resample -> session."""
+    """Manifest -> four parsed CSVs -> synchronize -> resample -> session.
+
+    An error from parsing or resampling a CSV names the CSV at the front.
+    """
     manifest_path = Path(manifest_path)
     entries = parse_file(
         manifest_path, parse_session_manifest, lambda n, why: MalformedManifest(f"line {n}: {why}")
     )
-    logs = []
-    for role, (mount, kind) in zip(_MANIFEST_ROLES, CHANNEL_ORDER):
-        logs.append(parse_sensor_csv(manifest_path.parent / entries[role], kind, mount))
+    paths = [manifest_path.parent / entries[role] for role in _MANIFEST_ROLES]
+    logs = [parse_sensor_csv(path, kind, mount) for path, (mount, kind) in zip(paths, CHANNEL_ORDER)]
     synced = synchronize(logs)
     end_ms = min(int(log.timestamps[-1]) for log in synced)
-    channels = [resample_linear(log, end_ms) for log in synced]
+    channels = []
+    for path, log in zip(paths, synced):
+        with _naming(path):
+            channels.append(resample_linear(log, end_ms))
     return build_session(channels, name=entries["name"])

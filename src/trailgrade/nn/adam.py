@@ -33,7 +33,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
     """One update: m, v <- moving moments of g, g^2; step by
     LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
-    Mutates params and state in place and returns both; params.step counts
+    Mutates params and state in place and returns None; params.step counts
     updates, for the bias correction and to detect stale forward caches. Each
     float64 gradient is used as scratch, so ``grads`` holds no gradient afterwards.
     """
@@ -65,4 +65,3 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
         g /= scratch
         params.tensors[key] -= g
     params.step += 1
-    return params, state

@@ -137,7 +137,6 @@ class ForwardCache:
     dense1_cache: tuple
     relu4_mask: np.ndarray
     dense2_cache: tuple
-    probs: np.ndarray
 
 
 def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
@@ -185,21 +184,19 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
     probs = ops.softmax(logits)
     if not train:
         return probs, None
-    cache = ForwardCache(
-        params, params.step, blocks, pre_flatten, dense1_c, relu4_mask, dense2_c, probs
-    )
-    return probs, cache
+    return probs, ForwardCache(params, params.step, blocks, pre_flatten, dense1_c, relu4_mask, dense2_c)
 
 
-def backward(cache: ForwardCache, labels) -> dict:
-    """Gradients of mean cross-entropy plus the conv-kernel L2 penalty.
+def backward(cache: ForwardCache, grad_logits) -> dict:
+    """Gradients of the loss whose logits gradient is ``grad_logits``, plus the conv-kernel L2 penalty.
 
     Covers every trainable tensor. The pass consumes its cache: each block's
     intermediates leave it before that block's backward and are freed once it
     is done, and the dense layers' weight gradients (dense1's is the largest
     array the pass makes) are built only after the conv blocks. Raises
     StaleCache when the cache was already consumed, or when the parameters
-    were updated after the forward pass that produced it.
+    were updated after the forward pass that produced it, and ShapeMismatch
+    for a gradient that is not (B, CLASSES).
     """
     if len(cache.block_caches) != len(FILTERS):
         raise StaleCache("this cache was already consumed by a backward pass")
@@ -207,11 +204,12 @@ def backward(cache: ForwardCache, labels) -> dict:
     if params.step != cache.params_step:
         raise StaleCache("parameters changed since this cache's forward pass")
     cfg = params.config
-    _, grad_logits = ops.sparse_categorical_crossentropy(cache.probs, labels)
+    h, b, w, c = cache.pre_flatten_shape
+    if grad_logits.shape != (b, CLASSES):
+        raise ShapeMismatch(f"logits gradient {grad_logits.shape} does not match ({b}, {CLASSES})")
 
     grad_hidden = ops.relu_backward(cache.relu4_mask, ops.dense_backward(cache.dense2_cache, grad_logits))
     dx = ops.dense_backward(cache.dense1_cache, grad_hidden)
-    h, b, w, c = cache.pre_flatten_shape
     dx = dx.reshape(b, h, w, c).transpose(1, 0, 2, 3)
     grads = {}
     for i in (3, 2, 1):

@@ -161,7 +161,7 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             batch = np.stack([train_samples[i].data for i in idx])
             probs, cache = forward(params, batch, train=True, rng=rng)
             del batch  # the conv1 cache holds the input's spectrum, not the batch
-            ce_loss, _ = sparse_categorical_crossentropy(probs, labels)
+            ce_loss, grad_logits = sparse_categorical_crossentropy(probs, labels)
             loss = ce_loss + l2_penalty(params)
             if not np.isfinite(loss):
                 raise NumericFailure(f"non-finite loss at epoch {epoch}")
@@ -169,8 +169,8 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
             loss_sum += loss * len(idx)
             # backward consumes the cache's block intermediates as it goes; free
             # the rest before Adam's scratch, and the gradients before the next forward
-            grads = backward(cache, labels)
-            del probs, cache
+            grads = backward(cache, grad_logits)
+            del probs, cache, grad_logits
             adam_step(params, grads, state)
             del grads
         # predicting at the training batch size keeps buffer shapes uniform,

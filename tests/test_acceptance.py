@@ -156,8 +156,8 @@ def test_criterion_1_gradient_fidelity(tiny):
             ce, _ = sparse_categorical_crossentropy(probs, labels)
             return ce + l2_penalty(params)
 
-        _, cache = forward(params, batch, train=True, rng=np.random.default_rng(99))
-        grads = backward(cache, labels)
+        probs, cache = forward(params, batch, train=True, rng=np.random.default_rng(99))
+        grads = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
         for key in trainable_keys():
             fd = finite_difference_gradient(full_loss, params.tensors[key])
             assert max_relative_error(grads[key], fd) < composite_tol, key

@@ -430,8 +430,25 @@ class TestExitCodes:
         assert run("ingest", "--session", str(manifest), "--out", str(out)) == 2
         _, err = capsys.readouterr()
         assert err == (
-            "error: frame accelerometer: 22500000000000001 lattice points up to 900000000000000000 ms, "
-            "a session archive holds at most 4294967295\n"
+            f"error: {tmp_path / 'frame_accel.csv'}: frame accelerometer: 22500000000000001 lattice points "
+            "up to 900000000000000000 ms, a session archive holds at most 4294967295\n"
+        )
+        assert not out.exists()
+
+    def test_interpolation_overflow_exits_3_naming_the_csv(self, tmp_path, capsys):
+        # finite x values that alternate between -1.7e308 and +1.7e308 every
+        # 7 ms: np.interp's slope between two of them overflows to infinity,
+        # without a warning, and the archive would hold what `window` rejects
+        manifest = write_ride(tmp_path)
+        rows = "".join(f"{7 * i},{(-1.7e308, 1.7e308)[i % 2]!r},1.0,2.0\n" for i in range(10))
+        for role in RIDE_ROLES:
+            (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + rows)
+        out = tmp_path / "r.session"
+        assert run("ingest", "--session", str(manifest), "--out", str(out)) == 3
+        _, err = capsys.readouterr()
+        assert err == (
+            f"numeric failure: {tmp_path / 'frame_accel.csv'}: frame accelerometer: "
+            "interpolation overflows to a non-finite value at 40 ms\n"
         )
         assert not out.exists()
 

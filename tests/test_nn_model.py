@@ -137,7 +137,7 @@ class TestFullNetworkGradients:
         labels = rng.integers(0, 3, size=2)
 
         probs, cache = forward(params, batch, train=True, rng=masks())
-        grads = backward(cache, labels)
+        grads = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
         assert set(grads) == set(trainable_keys())
         for key in trainable_keys():
             fd = finite_difference_gradient(
@@ -151,12 +151,12 @@ class TestFullNetworkGradients:
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 2])
         probs, cache = forward(params, batch, train=True, rng=masks())
-        grads_with = backward(cache, labels)
+        grads_with = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
 
         free_config = replace(tiny, l2_coeff=0.0)
         free_params = ModelParams(free_config, {k: v.copy() for k, v in params.tensors.items()})
         probs2, cache2 = forward(free_params, batch, train=True, rng=masks())
-        grads_without = backward(cache2, labels)
+        grads_without = backward(cache2, sparse_categorical_crossentropy(probs2, labels)[1])
         for i in (1, 2, 3):
             key = f"conv{i}/kernel"
             expected = grads_without[key] + 2.0 * tiny.l2_coeff * params.tensors[key]
@@ -165,20 +165,27 @@ class TestFullNetworkGradients:
     def test_stale_cache_detected(self, rng, tiny):
         params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
-        labels = np.array([0, 1])
-        _, cache = forward(params, batch, train=True, rng=masks())
-        grads = backward(cache, labels)
-        adam_step(params, grads, init_adam(params))
+        probs, cache = forward(params, batch, train=True, rng=masks())
+        grad_logits = sparse_categorical_crossentropy(probs, np.array([0, 1]))[1]
+        adam_step(params, backward(cache, grad_logits), init_adam(params))
         with pytest.raises(StaleCache):
-            backward(cache, labels)
+            backward(cache, grad_logits)
 
     def test_backward_consumes_its_cache(self, rng, tiny):
         params = build_model(tiny, rng)
-        labels = np.array([0, 1])
-        _, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
-        backward(cache, labels)
+        probs, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
+        grad_logits = sparse_categorical_crossentropy(probs, np.array([0, 1]))[1]
+        backward(cache, grad_logits)
         with pytest.raises(StaleCache):
-            backward(cache, labels)
+            backward(cache, grad_logits)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4)])
+    def test_logits_gradient_of_another_shape_is_rejected(self, rng, tiny, shape):
+        # a (1, 3) gradient would broadcast over a batch of 2 and fail later, untyped
+        params = build_model(tiny, rng)
+        _, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
+        with pytest.raises(ShapeMismatch, match=re.escape(f"logits gradient {shape} does not match (2, 3)")):
+            backward(cache, np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("narrow", [True, False], ids=["tiny", "full-width"])
@@ -190,9 +197,10 @@ class TestFullNetworkGradients:
             rng = np.random.default_rng(seed)
             params = build_model(config, rng)
             labels = rng.integers(0, 3, size=4)
-            _, cache = forward(params, rng.normal(size=(4, config.window_points, 4, 3)), train=True, rng=rng)
-            want = backward_keeping_every_cache(cache, labels)
-            got = backward(cache, labels)
+            probs, cache = forward(params, rng.normal(size=(4, config.window_points, 4, 3)), train=True, rng=rng)
+            grad_logits = sparse_categorical_crossentropy(probs, labels)[1]
+            want = backward_keeping_every_cache(cache, grad_logits)
+            got = backward(cache, grad_logits)
         assert set(got) == set(want) == set(trainable_keys())
         for key in want:
             assert np.array_equal(got[key], want[key]), key

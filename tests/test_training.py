@@ -18,6 +18,7 @@ from trailgrade.errors import (
     NumericFailure,
     ShapeMismatch,
 )
+from trailgrade.nn import ops
 from trailgrade.nn.adam import adam_step, init_adam
 from trailgrade.nn.model import ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
@@ -211,6 +212,19 @@ class TestTrainLoop:
         result = train(train_set, test_set, tiny, TrainConfig(seed=2, max_epochs=2, patience=2))
         assert len(result.history) == 2
 
+    def test_one_cross_entropy_per_batch(self, monkeypatch, tiny):
+        # the trainer's loss call also gives backward its logits gradient
+        calls = []
+
+        def counting(probs, labels):
+            calls.append(len(labels))
+            return sparse_categorical_crossentropy(probs, labels)
+
+        monkeypatch.setattr(training, "sparse_categorical_crossentropy", counting)
+        monkeypatch.setattr(ops, "sparse_categorical_crossentropy", counting)
+        train(separable_samples(24), separable_samples(2, name="t"), tiny, TrainConfig(seed=3, max_epochs=1, patience=1))
+        assert calls == [32, 32, 8]  # 72 samples in batches of 32
+
 
 class TestTrainMemory:
     def test_no_cache_outlives_its_step(self, monkeypatch, tiny):
@@ -288,7 +302,7 @@ class TestTrainMemory:
             probs, cache = forward(params, rng.normal(size=(BATCH_SIZE, 500, 4, 3)), train=True, rng=rng)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            grads = backward(cache, labels)
+            grads = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
             del probs, cache
             adam_step(params, grads, state)
             return tracemalloc.get_traced_memory()[1] - forward_peak
@@ -387,11 +401,11 @@ def rescoring_train(train_samples, test_samples, model_config, train_config):
         for lo in range(0, n, batch):
             idx = perm[lo : lo + batch]
             probs, cache = forward(params, train_data[idx], train=True, rng=rng)
-            ce_loss, _ = sparse_categorical_crossentropy(probs, train_labels[idx])
+            ce_loss, grad_logits = sparse_categorical_crossentropy(probs, train_labels[idx])
             penalty = l2_penalty(params)
             for row, label in zip(probs, train_labels[idx]):
                 hits += int(np.argmax(row) == label)
-            adam_step(params, backward(cache, train_labels[idx]), state)
+            adam_step(params, backward(cache, grad_logits), state)
             loss_sum += (ce_loss + penalty) * len(idx)
         rescored, _ = score(params, train_data, train_labels)
         test_sca, _ = score(params, test_data, test_labels)
