@@ -11,10 +11,42 @@ Artifacts land in demos/out/.
 from pathlib import Path
 
 from trailgrade.dataset import WindowConfig, slice_windows
-from trailgrade.experiments import SyntheticSpec, curves_svg, generate_synthetic, prepare_splits
+from trailgrade.experiments import SyntheticSpec, generate_synthetic, prepare_splits
 from trailgrade.nn.checkpoint import save_checkpoint
 from trailgrade.nn.model import ModelConfig
 from trailgrade.training import TrainConfig, evaluate, history_to_csv, train
+
+
+def curves_svg(history) -> str:
+    """The history's train and test accuracy as two SVG polylines over the epochs."""
+    width, height, margin = 640, 400, 50
+    max_epoch = history[-1].epoch
+    span = max(1, max_epoch - 1)
+
+    def x(epoch):
+        return margin + (epoch - 1) * (width - 2 * margin) / span
+
+    def y(value):
+        return height - margin - value * (height - 2 * margin)
+
+    train_pts = " ".join(f"{x(r.epoch):.2f},{y(r.train_sca):.2f}" for r in history)
+    test_pts = " ".join(f"{x(r.epoch):.2f},{y(r.test_sca):.2f}" for r in history)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">\n'
+        f'  <rect width="{width}" height="{height}" fill="white"/>\n'
+        f'  <line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>\n'
+        f'  <line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'stroke="black"/>\n'
+        f'  <text x="{width // 2}" y="{height - 10}" text-anchor="middle" '
+        f'font-size="14">epoch (1..{max_epoch})</text>\n'
+        f'  <text x="14" y="{height // 2}" text-anchor="middle" font-size="14" '
+        f'transform="rotate(-90 14 {height // 2})">sparse categorical accuracy</text>\n'
+        f'  <polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{train_pts}"/>\n'
+        f'  <polyline fill="none" stroke="#ff7f0e" stroke-width="1.5" points="{test_pts}"/>\n'
+        f"</svg>\n"
+    )
+
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)

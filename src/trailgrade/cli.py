@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--session", required=True, help="session archive, or a directory of them")
     p.add_argument("--track", help="label track CSV (required for a single archive)")
     p.add_argument("--window-ms", type=int, required=True)
-    p.add_argument("--overlap", type=float, default=dataset.WindowConfig.overlap_fraction)
     p.add_argument("--out", required=True, help="output sample archive")
     p.set_defaults(func=_cmd_window)
 
@@ -67,7 +66,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--kernel-len", type=int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--l2", type=float, default=ModelConfig.l2_coeff)
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
     p.add_argument("--out-model", required=True)
@@ -146,7 +144,7 @@ def _session_track_pairs(directory: Path):
 
 
 def _cmd_window(args):
-    config = _from_flags(dataset.WindowConfig, args.window_ms, args.overlap)
+    config = _from_flags(dataset.WindowConfig, args.window_ms)
     source = Path(args.session)
     if source.is_dir():
         if args.track is not None:
@@ -171,10 +169,7 @@ def _cmd_train(args):
         raise TrailgradeError(f"{args.samples} holds no samples")
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
     model_config = _from_flags(
-        ModelConfig,
-        window_points=samples[0].data.shape[0],
-        kernel_len=args.kernel_len,
-        l2_coeff=args.l2,
+        ModelConfig, window_points=samples[0].data.shape[0], kernel_len=args.kernel_len
     )
     train_config = _from_flags(
         training.TrainConfig,

@@ -5,7 +5,6 @@ n time steps by 4 sensor rows by 3 axis channels, each carrying one difficulty
 label. Only windows whose whole time span sits under a single label are kept.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -27,18 +26,15 @@ TRAIN_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Sliding-window geometry.
+    """Sliding-window geometry: the window size; the overlap is fixed at 75%.
 
     The five studied sizes 1000/2000/5000/10000/20000 ms hold 25/50/125/250/500
-    points at 25 Hz; 75% overlap gives a stride of max(1, floor(points / 4)).
+    points at 25 Hz; 75% overlap gives a stride of max(1, points // 4).
     """
 
     window_ms: int
-    overlap_fraction: float = 0.75
 
     def __post_init__(self):
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1)")
         points, off_lattice = divmod(self.window_ms, PERIOD_MS)
         if points < 1 or off_lattice:
             raise ValueError(
@@ -51,9 +47,7 @@ class WindowConfig:
 
     @property
     def stride(self) -> int:
-        # floor keeps strides integral (w=25 -> 6); epsilon guards fractions
-        # that are not exactly representable (0.75 is)
-        return max(1, math.floor(self.window_points * (1.0 - self.overlap_fraction) + 1e-9))
+        return max(1, self.window_points // 4)
 
 
 @dataclass(frozen=True, eq=False)

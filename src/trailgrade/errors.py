@@ -24,7 +24,12 @@ class EmptyLog(TrailgradeError):
 
 
 class EmptyAfterSync(TrailgradeError):
-    """A log has no samples in the span kept from the common start time."""
+    """A log has no samples in the span kept from the common start time; carries its (mount, sensor kind)."""
+
+    def __init__(self, channel: tuple, reason: str):
+        mount, sensor_kind = channel
+        super().__init__(f"{mount.value} {sensor_kind.value}: {reason}")
+        self.channel = channel
 
 
 class TooFewSamples(TrailgradeError):
@@ -129,7 +134,3 @@ class NoUsableSessions(TrailgradeError):
 
 class InvalidSpec(TrailgradeError):
     """Invalid synthetic-data or experiment-grid settings."""
-
-
-class EmptyHistory(TrailgradeError):
-    """Curve export needs at least one epoch record."""

@@ -322,9 +322,7 @@ def synchronize(logs):
         first = int(np.searchsorted(log.timestamps, t0))
         stop = int(np.searchsorted(log.timestamps, end, side="right"))
         if first == stop:
-            raise EmptyAfterSync(
-                f"{log.mount.value} {log.sensor_kind.value}: no samples in [{t0}, {end}] ms"
-            )
+            raise EmptyAfterSync((log.mount, log.sensor_kind), f"no samples in [{t0}, {end}] ms")
         out.append(
             RawSensorLog(log.sensor_kind, log.mount, log.timestamps[first:stop] - t0, log.values[first:stop])
         )
@@ -395,9 +393,7 @@ def build_session(channels, name: str = "") -> SyncedSession:
                 f"start {ch.start_time_ms} ms is not a whole number of periods before {latest} ms"
             )
         if shift >= ch.length:
-            raise EmptyAfterSync(
-                f"{ch.mount.value} {ch.sensor_kind.value}: no samples at or after {latest} ms"
-            )
+            raise EmptyAfterSync((ch.mount, ch.sensor_kind), f"no samples at or after {latest} ms")
         shifts.append(shift)
     length = min(ch.length - shift for ch, shift in zip(ordered, shifts))
     data = np.stack([ch.values[shift : shift + length] for ch, shift in zip(ordered, shifts)], axis=1)
@@ -511,7 +507,8 @@ def parse_file(path, parse, malformed):
 def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session.
 
-    An error from parsing or resampling a CSV names the CSV at the front.
+    An error from parsing, synchronizing or resampling a CSV, or from stacking
+    its channel into the session, names the CSV at the front.
     """
     manifest_path = Path(manifest_path)
     entries = parse_file(
@@ -519,10 +516,14 @@ def load_session(manifest_path) -> SyncedSession:
     )
     paths = [manifest_path.parent / entries[role] for role in _MANIFEST_ROLES]
     logs = [parse_sensor_csv(path, kind, mount) for path, (mount, kind) in zip(paths, CHANNEL_ORDER)]
-    synced = synchronize(logs)
-    end_ms = min(int(log.timestamps[-1]) for log in synced)
-    channels = []
-    for path, log in zip(paths, synced):
-        with _naming(path):
-            channels.append(resample_linear(log, end_ms))
-    return build_session(channels, name=entries["name"])
+    try:
+        synced = synchronize(logs)
+        end_ms = min(int(log.timestamps[-1]) for log in synced)
+        channels = []
+        for path, log in zip(paths, synced):
+            with _naming(path):
+                channels.append(resample_linear(log, end_ms))
+        return build_session(channels, name=entries["name"])
+    except EmptyAfterSync as exc:
+        with _naming(paths[CHANNEL_ORDER.index(exc.channel)]):
+            raise

@@ -26,7 +26,7 @@ _SPAN = CHUNK_BYTES // 8
 
 def _fixed() -> dict:
     """The fixed network settings the layout still stores, read from ``model`` at each call."""
-    names = ("FILTERS", "DENSE_UNITS", "CLASSES", "DROPOUT_RATE", "BN_MOMENTUM", "BN_EPSILON")
+    names = ("FILTERS", "DENSE_UNITS", "CLASSES", "DROPOUT_RATE", "L2_COEFF", "BN_MOMENTUM", "BN_EPSILON")
     return {name.lower(): getattr(model, name) for name in names}
 
 
@@ -34,7 +34,7 @@ def _config_text(config: ModelConfig) -> str:
     lines = [f"window_points = {config.window_points}", f"kernel_len = {config.kernel_len}"]
     lines.append(f"filters = {','.join(map(str, model.FILTERS))}")
     lines += [f"dense_units = {model.DENSE_UNITS}", f"classes = {model.CLASSES}"]
-    lines += [f"dropout_rate = {model.DROPOUT_RATE!r}", f"l2_coeff = {config.l2_coeff!r}"]
+    lines += [f"dropout_rate = {model.DROPOUT_RATE!r}", f"l2_coeff = {model.L2_COEFF!r}"]
     lines += [f"bn_momentum = {model.BN_MOMENTUM!r}", f"bn_epsilon = {model.BN_EPSILON!r}"]
     return "\n".join(lines) + "\n"
 
@@ -49,7 +49,7 @@ def save_checkpoint(params: ModelParams, path):
     names = list(param_shapes(cfg))
     with open(path, "wb", buffering=CHUNK_BYTES) as out:
         sizes = (cfg.window_points, cfg.kernel_len, *model.FILTERS, model.DENSE_UNITS, model.CLASSES)
-        settings = (model.DROPOUT_RATE, cfg.l2_coeff, model.BN_MOMENTUM, model.BN_EPSILON)
+        settings = (model.DROPOUT_RATE, model.L2_COEFF, model.BN_MOMENTUM, model.BN_EPSILON)
         out.write(struct.pack("<4sB7I4dH", _MAGIC, _VERSION, *sizes, *settings, len(names)))
         for name in names:
             arr = params.tensors[name]
@@ -85,9 +85,9 @@ def load_checkpoint(path):
 
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
     an invalid configuration, a stored fixed setting (filters, dense units,
-    classes, dropout rate, batchnorm momentum or epsilon) other than the
-    network's, a non-finite tensor value, a negative batchnorm running variance
-    or a structurally invalid body raise CorruptCheckpoint.
+    classes, dropout rate, L2 weight, batchnorm momentum or epsilon) other
+    than the network's, a non-finite tensor value, a negative batchnorm running
+    variance or a structurally invalid body raise CorruptCheckpoint.
     """
     with Reader(path, CorruptCheckpoint, "checkpoint") as reader:
         if reader.size < 5 or reader.take(4) != _MAGIC:
@@ -97,12 +97,12 @@ def load_checkpoint(path):
         ints = reader.unpack("<7I")
         floats = reader.unpack("<4d")
         fixed = _fixed()
-        stored = dict(zip(fixed, (ints[2:5], *ints[5:], floats[0], floats[2], floats[3])))
+        stored = dict(zip(fixed, (ints[2:5], *ints[5:], *floats)))
         for name, value in stored.items():
             if value != fixed[name]:
                 raise reader.error(f"stored {name} {value!r}, the network's is {fixed[name]!r}")
         try:
-            config = ModelConfig(window_points=ints[0], kernel_len=ints[1], l2_coeff=floats[1])
+            config = ModelConfig(window_points=ints[0], kernel_len=ints[1])
         except (TrailgradeError, ValueError) as exc:
             raise reader.error(f"invalid configuration ({exc})") from None
 

@@ -12,9 +12,11 @@ order for the dense layer. The convolutions have no bias: train-mode
 batchnorm subtracts the batch mean right after them, which cancels any
 per-channel constant (Ioffe & Szegedy, "Batch Normalization", ICML 2015,
 section 3.2), and in infer mode the running mean would absorb it.
+
+The training loss adds ``L2_COEFF`` times the sum of squares of the three
+conv kernels (``l2_penalty``), and ``backward`` adds its gradient.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ CLASSES = len(labeling.LABELS)
 DROPOUT_RATE = 0.3
 BN_MOMENTUM = 0.99
 BN_EPSILON = 1e-3
+L2_COEFF = 1e-2  # weight of the conv-kernel L2 penalty
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,10 @@ class ModelConfig:
 
     window_points: int
     kernel_len: int
-    l2_coeff: float = 1e-2
 
     def __post_init__(self):
         if self.window_points < 1 or self.kernel_len < 1:
             raise ValueError("window_points and kernel_len must be positive")
-        if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0.0):
-            raise ValueError("l2_coeff must be finite and >= 0")
         if self.kernel_len > self.window_points:
             raise KernelTooLong(
                 f"kernel length {self.kernel_len} exceeds the {self.window_points}-point window"
@@ -203,7 +203,6 @@ def backward(cache: ForwardCache, grad_logits) -> dict:
     params = cache.params
     if params.step != cache.params_step:
         raise StaleCache("parameters changed since this cache's forward pass")
-    cfg = params.config
     h, b, w, c = cache.pre_flatten_shape
     if grad_logits.shape != (b, CLASSES):
         raise ShapeMismatch(f"logits gradient {grad_logits.shape} does not match ({b}, {CLASSES})")
@@ -220,13 +219,13 @@ def backward(cache: ForwardCache, grad_logits) -> dict:
         dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)
         del drop_mask, pool_c, relu_mask, bn_c  # before the conv backward's spectra
         dx, grad_kernel = ops.conv2d_backward(conv_c, dx, input_grad=i > 1)
-        grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * cfg.l2_coeff * params.tensors[f"conv{i}/kernel"]
+        grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * L2_COEFF * params.tensors[f"conv{i}/kernel"]
     grads["dense1/weights"], grads["dense1/bias"] = ops.dense_param_grads(cache.dense1_cache, grad_hidden)
     grads["dense2/weights"], grads["dense2/bias"] = ops.dense_param_grads(cache.dense2_cache, grad_logits)
     return grads
 
 
 def l2_penalty(params: ModelParams) -> float:
-    """coeff * sum of squares of the three conv kernels; backward adds 2 * coeff * w."""
+    """L2_COEFF * sum of squares of the three conv kernels; backward adds 2 * L2_COEFF * w."""
     kernels = (params.tensors[f"conv{i}/kernel"] for i in (1, 2, 3))
-    return params.config.l2_coeff * sum(float(np.sum(w * w)) for w in kernels)
+    return L2_COEFF * sum(float(np.sum(w * w)) for w in kernels)

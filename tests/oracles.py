@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
-from trailgrade.nn import ops
+from trailgrade.nn import model, ops
 from trailgrade.nn.model import DROPOUT_RATE
 from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
 
@@ -97,7 +97,7 @@ def backward_keeping_every_cache(cache, grad_logits):
         dx, grads[f"bn{i}/gamma"], grads[f"bn{i}/beta"] = ops.batchnorm_backward(bn_c, dx)
         dx, grad_kernel = ops.conv2d_backward(conv_c, dx, input_grad=i > 1)
         kernel = cache.params.tensors[f"conv{i}/kernel"]
-        grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * cache.params.config.l2_coeff * kernel
+        grads[f"conv{i}/kernel"] = grad_kernel + 2.0 * model.L2_COEFF * kernel
     return grads
 
 

@@ -37,7 +37,16 @@ from trailgrade.errors import CorruptCheckpoint, KernelTooLong, VersionMismatch
 from trailgrade.ingest import Mount, RawSensorLog, SensorKind, parse_sensor_csv, write_sensor_csv
 from trailgrade.labeling import map_grade
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
-from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM, ModelConfig, backward, build_model, forward, l2_penalty
+from trailgrade.nn.model import (
+    BN_EPSILON,
+    BN_MOMENTUM,
+    L2_COEFF,
+    ModelConfig,
+    backward,
+    build_model,
+    forward,
+    l2_penalty,
+)
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import TrainConfig, confusion_matrix, train
 
@@ -141,7 +150,7 @@ def test_criterion_1_gradient_fidelity(tiny):
         l2_params = build_model(tiny, rng)
         wl2 = l2_params.tensors["conv1/kernel"]
         l2_fd = finite_difference_gradient(lambda: l2_penalty(l2_params), wl2)
-        assert max_relative_error(2.0 * tiny.l2_coeff * wl2, l2_fd) < layer_tol
+        assert max_relative_error(2.0 * L2_COEFF * wl2, l2_fd) < layer_tol
 
     # full tiny network: n=8, m=3, train-mode batchnorm, CE + L2; every pass
     # gets a fresh rng of one seed, so every pass draws the same dropout masks
@@ -278,7 +287,7 @@ def test_criterion_5_synthetic_end_to_end(tmp_path):
     ]) == 0
     assert cli.main([
         "window", "--session", str(synth_dir),
-        "--window-ms", "5000", "--overlap", "0.75", "--out", str(samples_file),
+        "--window-ms", "5000", "--out", str(samples_file),
     ]) == 0
     assert cli.main([
         "train", "--samples", str(samples_file), "--kernel-len", "20",

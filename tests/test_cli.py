@@ -12,6 +12,7 @@ from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_a
 from trailgrade.ingest import read_session_archive, write_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
+from trailgrade.nn import model
 from trailgrade.nn.model import (
     BN_EPSILON,
     BN_MOMENTUM,
@@ -19,7 +20,7 @@ from trailgrade.nn.model import (
     DENSE_UNITS,
     DROPOUT_RATE,
     FILTERS,
-    ModelConfig,
+    L2_COEFF,
 )
 
 
@@ -49,7 +50,7 @@ def samples_path(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("win") / "samples.tgds"
     code = run(
         "window", "--session", str(synth_dir),
-        "--window-ms", "2000", "--overlap", "0.75", "--out", str(out),
+        "--window-ms", "2000", "--out", str(out),
     )
     assert code == 0
     return out
@@ -141,10 +142,11 @@ class TestTrainAndEval:
         total = sum(int(v) for line in lines[1:] for v in line.split(",")[1:])
         assert total == 6 * 38
 
-    def test_train_numeric_failure_exits_3(self, samples_path, tmp_path):
+    def test_train_numeric_failure_exits_3(self, samples_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "L2_COEFF", 1e308)
         code = run(
             "train", "--samples", str(samples_path), "--kernel-len", "5",
-            "--seed", "1", "--l2", "1e308", "--max-epochs", "2", "--patience", "2",
+            "--seed", "1", "--max-epochs", "2", "--patience", "2",
             "--out-model", str(tmp_path / "m.ckpt"), "--out-history", str(tmp_path / "h.csv"),
         )
         assert code == 3
@@ -218,6 +220,31 @@ class TestDataErrorsNameTheFile:
             f"error: {manifest}: line 1: name is 65536 UTF-8 bytes, a session archive holds at most 65535\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stamps, culprit, reason",
+        [
+            pytest.param(
+                {"helmet_gyro": (-140, -100, -60)},
+                "helmet_gyro",
+                "helmet gyroscope: no samples in [0, 9223372036854775807] ms",
+                id="synchronize",
+            ),
+            pytest.param(
+                {"frame_accel": (0, 10, 20, 30), "frame_gyro": (-5, 45, 85)},
+                "frame_accel",
+                "frame accelerometer: no samples at or after 80 ms",
+                id="build-session",
+            ),
+        ],
+    )
+    def test_csv_with_no_samples_in_the_common_span(self, tmp_path, capsys, stamps, culprit, reason):
+        manifest = write_ride(tmp_path)
+        for role, times in stamps.items():
+            rows = ["timestamp_ms,x,y,z"] + [f"{t},0.5,0.5,0.5" for t in times]
+            (tmp_path / f"{role}.csv").write_text("\n".join(rows) + "\n")
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        assert self.error_line(capsys) == f"error: {tmp_path / culprit}.csv: {reason}\n"
 
     @staticmethod
     def bad_track_beside_a_session(synth_dir, tmp_path, text):
@@ -654,7 +681,7 @@ class TestExitCodes:
         assert code == 2
 
     #: Stored config fields after magic and version: offset, format, and the value
-    #: the CLI writes (the l2 default, the network's fixed settings otherwise).
+    #: the CLI writes (the network's fixed settings).
     CONFIG_SLOTS = {
         "conv1_filters": (13, "<I", FILTERS[0]),
         "conv2_filters": (17, "<I", FILTERS[1]),
@@ -662,7 +689,7 @@ class TestExitCodes:
         "dense_units": (25, "<I", DENSE_UNITS),
         "classes": (29, "<I", CLASSES),
         "dropout_rate": (33, "<d", DROPOUT_RATE),
-        "l2_coeff": (41, "<d", ModelConfig.l2_coeff),
+        "l2_coeff": (41, "<d", L2_COEFF),
         "bn_momentum": (49, "<d", BN_MOMENTUM),
         "bn_epsilon": (57, "<d", BN_EPSILON),
     }
@@ -678,6 +705,7 @@ class TestExitCodes:
             ("dropout_rate", 0.5),
             ("l2_coeff", -1.0),
             ("l2_coeff", np.inf),
+            ("l2_coeff", 0.05),
             ("bn_momentum", 1.5),
             ("bn_momentum", np.nan),
             ("bn_momentum", 0.9),
@@ -705,10 +733,8 @@ class TestExitCodes:
         "command, flags",
         [
             pytest.param("window", ["--window-ms", "3"], id="window-ms-3"),
-            pytest.param("window", ["--window-ms", "2000", "--overlap", "1.5"], id="overlap-1.5"),
             pytest.param("window", ["--window-ms", "2000", "--track", "t.csv"], id="window-dir-with-track"),
             pytest.param("train", ["--kernel-len", "0"], id="kernel-len-0"),
-            pytest.param("train", ["--kernel-len", "5", "--l2", "-1"], id="l2-minus-1"),
             pytest.param("grid", ["--max-epochs", "0"], id="grid-max-epochs-0"),
             pytest.param("grid", ["--jobs", "0"], id="grid-jobs-0"),
             pytest.param("grid", ["--jobs", "-4"], id="grid-jobs-minus-4"),

@@ -54,10 +54,6 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(1010)
 
-    def test_bad_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            WindowConfig(1000, overlap_fraction=1.0)
-
 
 class TestSliceWindows:
     def test_candidate_count_500_125(self):
@@ -115,10 +111,13 @@ class TestSliceWindows:
                 assert got == window_start_count(length, w, stride)
 
 
+class _SlidingByOnePoint(WindowConfig):
+    stride = 1
+
+
 def window_at(session, start, points, label):
     """The window slice_windows cuts at point ``start``, sliding by one point."""
-    config = WindowConfig(points * PERIOD_MS, overlap_fraction=1 - 1 / points)
-    assert config.stride == 1
+    config = _SlidingByOnePoint(points * PERIOD_MS)
     return slice_windows(session, full_track(session, label), config)[start]
 
 
@@ -407,10 +406,9 @@ class TestSampleArchive:
 @given(
     length=st.integers(25, 140),
     window_ms=st.sampled_from([1000, 2000]),
-    overlap=st.sampled_from([0.0, 0.5, 0.75]),
 )
-def test_window_count_matches_enumeration(length, window_ms, overlap):
-    config = WindowConfig(window_ms, overlap_fraction=overlap)
+def test_window_count_matches_enumeration(length, window_ms):
+    config = WindowConfig(window_ms)
     if length < config.window_points:
         return
     session = make_session(length, seed=length)

@@ -10,7 +10,7 @@ from conftest import run_fresh_python
 from oracles import history_from_csv, skipped_cells
 from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
-from trailgrade.errors import EmptyHistory, InvalidSpec, NoUsableSessions
+from trailgrade.errors import InvalidSpec, NoUsableSessions
 from trailgrade.experiments import (
     COMPLETED,
     KERNEL_LEN_GRID,
@@ -21,7 +21,6 @@ from trailgrade.experiments import (
     GridSpec,
     SyntheticSpec,
     cell_seed,
-    curves_svg,
     generate_synthetic,
     report_csv,
     report_table,
@@ -324,33 +323,7 @@ class TestExportCurves:
 
     def test_single_epoch(self):
         assert len(history_to_csv(self.history(1)).strip().splitlines()) == 2
-        assert curves_svg(self.history(1)).count("<polyline") == 2
 
     def test_csv_roundtrip(self):
         history = self.history(5)
         assert history_from_csv(history_to_csv(history)) == history
-
-    def test_monotone_history_gives_monotone_polyline(self):
-        svg = curves_svg(self.history(6))
-        train_line = [ln for ln in svg.splitlines() if "polyline" in ln][0]
-        points = train_line.split('points="')[1].split('"')[0].split()
-        ys = [float(p.split(",")[1]) for p in points]
-        assert all(b < a for a, b in zip(ys, ys[1:]))  # higher accuracy plots higher
-
-    def test_scaling_bounds(self):
-        svg = curves_svg(
-            [EpochRecord(1, 0.0, 1.0, 0.5), EpochRecord(2, 1.0, 0.0, 0.4)]
-        )
-        lines = [ln for ln in svg.splitlines() if "polyline" in ln]
-        coords = []
-        for line in lines:
-            for pair in line.split('points="')[1].split('"')[0].split():
-                coords.append(tuple(map(float, pair.split(","))))
-        xs = [c[0] for c in coords]
-        ys = [c[1] for c in coords]
-        assert min(xs) == 50.0 and max(xs) == 590.0  # margins of the 640-wide canvas
-        assert min(ys) == 50.0 and max(ys) == 350.0
-
-    def test_empty_history(self):
-        with pytest.raises(EmptyHistory):
-            curves_svg([])

@@ -3,7 +3,7 @@ import hashlib
 import re
 import struct
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,8 +24,10 @@ from trailgrade.errors import (
     VersionMismatch,
 )
 from trailgrade.nn.adam import adam_step, init_adam
+from trailgrade.nn import model
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.nn.model import (
+    L2_COEFF,
     ModelConfig,
     ModelParams,
     backward,
@@ -68,7 +70,7 @@ class TestModelConfig:
 
     def test_fields_are_what_a_caller_sets(self):
         names = [f.name for f in fields(ModelConfig)]
-        assert names == ["window_points", "kernel_len", "l2_coeff"]
+        assert names == ["window_points", "kernel_len"]
 
     def test_kernel_too_long(self):
         with pytest.raises(KernelTooLong):
@@ -146,20 +148,20 @@ class TestFullNetworkGradients:
             err = max_relative_error(grads[key], fd)
             assert err < 1e-3, f"{key}: {err}"
 
-    def test_l2_contribution_is_additive(self, rng, tiny):
+    def test_l2_contribution_is_additive(self, rng, tiny, monkeypatch):
         params = build_model(tiny, rng)
         batch = rng.normal(size=(2, 8, 4, 3))
         labels = np.array([0, 2])
         probs, cache = forward(params, batch, train=True, rng=masks())
         grads_with = backward(cache, sparse_categorical_crossentropy(probs, labels)[1])
 
-        free_config = replace(tiny, l2_coeff=0.0)
-        free_params = ModelParams(free_config, {k: v.copy() for k, v in params.tensors.items()})
+        monkeypatch.setattr(model, "L2_COEFF", 0.0)
+        free_params = ModelParams(tiny, {k: v.copy() for k, v in params.tensors.items()})
         probs2, cache2 = forward(free_params, batch, train=True, rng=masks())
         grads_without = backward(cache2, sparse_categorical_crossentropy(probs2, labels)[1])
         for i in (1, 2, 3):
             key = f"conv{i}/kernel"
-            expected = grads_without[key] + 2.0 * tiny.l2_coeff * params.tensors[key]
+            expected = grads_without[key] + 2.0 * L2_COEFF * params.tensors[key]
             assert np.allclose(grads_with[key], expected, atol=1e-12)
 
     def test_stale_cache_detected(self, rng, tiny):
@@ -207,8 +209,9 @@ class TestFullNetworkGradients:
 
 
 class TestL2Penalty:
-    def test_zero_coeff(self, rng, tiny):
-        params = build_model(replace(tiny, l2_coeff=0.0), rng)
+    def test_zero_coeff(self, rng, tiny, monkeypatch):
+        monkeypatch.setattr(model, "L2_COEFF", 0.0)
+        params = build_model(tiny, rng)
         assert l2_penalty(params) == 0.0
 
     def test_single_weight_arithmetic(self, rng, tiny):
@@ -218,9 +221,10 @@ class TestL2Penalty:
         params.tensors["conv2/kernel"][0, 0, 0, 0] = 3.0
         assert l2_penalty(params) == pytest.approx(0.09)
 
-    def test_finite_differences(self, rng, tiny):
+    def test_finite_differences(self, rng, tiny, monkeypatch):
         # the gradient backward adds to each kernel's is that of l2_penalty
-        params = build_model(replace(tiny, l2_coeff=0.05), rng)
+        monkeypatch.setattr(model, "L2_COEFF", 0.05)
+        params = build_model(tiny, rng)
         for i in (1, 2, 3):
             w = params.tensors[f"conv{i}/kernel"]
             fd = finite_difference_gradient(lambda: l2_penalty(params), w)

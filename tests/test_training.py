@@ -18,7 +18,7 @@ from trailgrade.errors import (
     NumericFailure,
     ShapeMismatch,
 )
-from trailgrade.nn import ops
+from trailgrade.nn import model, ops
 from trailgrade.nn.adam import adam_step, init_adam
 from trailgrade.nn.model import ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
@@ -195,13 +195,13 @@ class TestTrainLoop:
         with pytest.raises(ShapeMismatch, match=match):
             evaluate(build_model(tiny, rng), mixed)
 
-    def test_numeric_failure_on_absurd_l2(self, tiny):
-        config = replace(tiny, l2_coeff=1e308)
+    def test_numeric_failure_on_absurd_l2(self, tiny, monkeypatch):
+        monkeypatch.setattr(model, "L2_COEFF", 1e308)
         with pytest.raises(NumericFailure):
             train(
                 separable_samples(3),
                 separable_samples(1, name="t"),
-                config,
+                tiny,
                 TrainConfig(seed=0, max_epochs=2, patience=2),
             )
 
