@@ -33,11 +33,11 @@ for session, track in pairs:
 print(f"total {len(samples)} samples, class counts {class_histogram(samples)}")
 
 print("\n== 80/20 split, then balance only the train side ==")
-split = split_train_test(samples, seed=7)
-print(f"train {len(split.train)} {class_histogram(split.train)}")
-print(f"test  {len(split.test)} {class_histogram(split.test)}")
+train, test = split_train_test(samples, seed=7)
+print(f"train {len(train)} {class_histogram(train)}")
+print(f"test  {len(test)} {class_histogram(test)}")
 
-balanced = oversample_balance(split.train, seed=7)
+balanced = oversample_balance(train, seed=7)
 print(f"after oversampling: {len(balanced)} samples, {class_histogram(balanced)}")
 print("duplicates are literal copies of originals; the test split is untouched")
 

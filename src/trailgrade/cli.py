@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import dataset, experiments, ingest, labeling, training
 from .errors import InvalidSpec, MalformedLine, MalformedXml, NumericFailure, TrailgradeError
+from .framing import naming
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
 
@@ -111,9 +112,10 @@ def _cmd_label(args):
         entries = ingest.parse_file(
             args.osm, labeling.parse_osm_difficulties, lambda n, why: MalformedXml(f"line {n}: {why}")
         )
-        if args.way not in entries:
-            raise TrailgradeError(f"way {args.way} carries no {labeling.OSM_GRADE_KEY} tag")
-        print(labeling.map_grade(entries[args.way]))
+        with naming(args.osm):
+            if args.way not in entries:
+                raise TrailgradeError(f"way {args.way} carries no {labeling.OSM_GRADE_KEY} tag")
+            print(labeling.map_grade(entries[args.way]))
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
@@ -163,10 +165,15 @@ def _cmd_window(args):
     return 0
 
 
-def _cmd_train(args):
-    samples = dataset.read_sample_archive(args.samples)
+def _read_samples(path):
+    samples = dataset.read_sample_archive(path)
     if not samples:
-        raise TrailgradeError(f"{args.samples} holds no samples")
+        raise TrailgradeError(f"{path} holds no samples")
+    return samples
+
+
+def _cmd_train(args):
+    samples = _read_samples(args.samples)
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
     model_config = _from_flags(
         ModelConfig, window_points=samples[0].data.shape[0], kernel_len=args.kernel_len
@@ -189,7 +196,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     params, _ = load_checkpoint(args.model)
-    samples = dataset.read_sample_archive(args.samples)
+    samples = _read_samples(args.samples)
     accuracy, confusion = training.evaluate(params, samples)
     Path(args.out_confusion).write_text(training.confusion_to_csv(confusion))
     print(f"accuracy {accuracy:.4f} on {len(samples)} samples -> {args.out_confusion}")

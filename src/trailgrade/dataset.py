@@ -5,6 +5,7 @@ n time steps by 4 sensor rows by 3 axis channels, each carrying one difficulty
 label. Only windows whose whole time span sits under a single label are kept.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -13,10 +14,11 @@ import numpy as np
 from .errors import (
     CorruptArchive,
     EmptyClass,
+    NumericFailure,
     SessionTooShort,
     TooFewSamples,
 )
-from .framing import CHUNK_BYTES, Reader
+from .framing import CHUNK_BYTES, Reader, naming
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
 
@@ -59,12 +61,6 @@ class WindowSample:
     origin: tuple  # (session name, window start time in ms)
 
 
-@dataclass
-class DatasetSplit:
-    train: list
-    test: list
-
-
 def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfig):
     """Sliding-window samples whose whole span carries one single label.
 
@@ -87,8 +83,8 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     return out
 
 
-def split_train_test(samples, seed: int) -> DatasetSplit:
-    """Seeded uniform split; the first round(TRAIN_FRACTION * N) go to train.
+def split_train_test(samples, seed: int):
+    """Seeded uniform split into (train, test); the first round(TRAIN_FRACTION * N) go to train.
 
     Both sides are kept non-empty.
     """
@@ -97,9 +93,7 @@ def split_train_test(samples, seed: int) -> DatasetSplit:
         raise TooFewSamples("need at least 2 samples to split")
     n_train = min(max(int(round(TRAIN_FRACTION * n)), 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)
-    train = [samples[i] for i in perm[:n_train]]
-    test = [samples[i] for i in perm[n_train:]]
-    return DatasetSplit(train, test)
+    return [samples[i] for i in perm[:n_train]], [samples[i] for i in perm[n_train:]]
 
 
 def class_histogram(samples) -> dict:
@@ -153,32 +147,37 @@ _ARCHIVE_VERSION = 1
 def write_sample_archive(samples, path):
     """Binary sample container; float32 payload, bit-exact on re-save.
 
-    Records stream to the file through a CHUNK_BYTES buffer.
+    Records stream to the file through a CHUNK_BYTES buffer. A value beyond
+    float32's range raises NumericFailure and leaves no file.
     """
     window_points = {s.data.shape[0] for s in samples}
     if len(window_points) > 1:
         raise ValueError(f"mixed window sizes in one archive: {sorted(window_points)}")
     w = window_points.pop() if window_points else 0
-    with open(path, "wb", buffering=CHUNK_BYTES) as out:
-        out.write(_ARCHIVE_MAGIC + struct.pack("<BII", _ARCHIVE_VERSION, len(samples), w))
-        for s in samples:
-            name, start_ms = s.origin
-            name_bytes = name.encode("utf-8")
-            record = struct.pack("<BH", s.label, len(name_bytes)) + name_bytes
-            out.write(record + struct.pack("<q", int(start_ms)))
-            out.write(s.data.astype("<f4", order="C"))
+    try:
+        with open(path, "wb", buffering=CHUNK_BYTES) as out, np.errstate(over="raise"):
+            out.write(_ARCHIVE_MAGIC + struct.pack("<BII", _ARCHIVE_VERSION, len(samples), w))
+            for s in samples:
+                name, start_ms = s.origin
+                name_bytes = name.encode("utf-8")
+                record = struct.pack("<BH", s.label, len(name_bytes)) + name_bytes
+                out.write(record + struct.pack("<q", int(start_ms)))
+                out.write(s.data.astype("<f4", order="C"))
+    except FloatingPointError:  # float32 would hold it as infinite, which the reader rejects
+        os.unlink(path)
+        raise NumericFailure(f"sample {s.origin} holds a value beyond float32's range") from None
 
 
 def read_sample_archive(path):
     """The samples of a sample archive; each payload is read into its row of one array."""
-    with Reader(path, CorruptArchive, "sample archive") as reader:
+    with naming(path), Reader(path, CorruptArchive, "sample archive") as reader:
         if reader.take(4) != _ARCHIVE_MAGIC:
-            raise reader.error("not a sample archive")
+            raise CorruptArchive("not a sample archive")
         if reader.take(1)[0] != _ARCHIVE_VERSION:
-            raise reader.error("unsupported sample archive version")
+            raise CorruptArchive("unsupported sample archive version")
         count, w = reader.unpack("<II")
         if count and not w:
-            raise reader.error(f"{count} samples of 0 points")
+            raise CorruptArchive(f"{count} samples of 0 points")
         # a record holds at least 11 header bytes and its payload; check before allocating
         reader.require(count * (11 + w * 48))
         tensors = np.empty((count, w, 4, 3), dtype="<f4")
@@ -186,7 +185,7 @@ def read_sample_archive(path):
         for i in range(count):
             label, name_len = reader.unpack("<BH")
             if label not in LABELS:
-                raise reader.error(f"label {label} is not one of {LABELS}")
+                raise CorruptArchive(f"label {label} is not one of {LABELS}")
             name = reader.utf8(name_len, "sample name")
             (start_ms,) = reader.unpack("<q")
             records.append((int(label), (name, start_ms)))

@@ -155,9 +155,8 @@ def cell_seed(seed: int, window_ms: int, kernel_len: int) -> int:
 
 def prepare_splits(samples, seed: int):
     """split 80/20 -> oversample the train side -> shuffle, with staged seeds."""
-    split = split_train_test(samples, seed=seed)
-    balanced = oversample_balance(split.train, seed=seed + 1)
-    return shuffle(balanced, seed=seed + 2), split.test
+    train, test = split_train_test(samples, seed=seed)
+    return shuffle(oversample_balance(train, seed=seed + 1), seed=seed + 2), test
 
 
 def _windows(data, config: WindowConfig):

@@ -1,4 +1,4 @@
-"""Bounds-checked streaming of the TGSS, TGDS and TGM1 binary files.
+"""Bounds-checked streaming of the TGSS, TGDS and TGM1 binary files, and ``naming``.
 
 A ``Reader`` reads each field from the open file after checking it against
 the file's size, so a corrupt count fails before anything is allocated for
@@ -10,21 +10,33 @@ memory.
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import TrailgradeError
 
 #: Buffer size of the binary readers and writers.
 CHUNK_BYTES = 1 << 18
 
 
+@contextmanager
+def naming(path):
+    """Put ``path`` at the front of a TrailgradeError raised inside, which keeps its type and fields."""
+    try:
+        yield
+    except TrailgradeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 class Reader:
     """An open file, its size and a read position; ``kind`` names the format.
 
-    Use it as a context manager: the file closes on every path.
+    Its errors name no file: run it inside ``naming(path)``. As a context manager it closes the file on every path.
     """
 
     def __init__(self, path, error, kind: str):
-        self.path = path
         self._file = open(path, "rb", buffering=CHUNK_BYTES)
         self.size = os.fstat(self._file.fileno()).st_size
         self.pos = 0
@@ -37,14 +49,10 @@ class Reader:
     def __exit__(self, *exc):
         self._file.close()
 
-    def error(self, reason: str):
-        """The format's exception for ``reason``, naming the file; raise it."""
-        return self._error(f"{self.path}: {reason}")
-
     def require(self, n: int):
         """Raise the truncation error unless ``n`` more bytes remain."""
         if self.pos + n > self.size:
-            raise self.error(f"truncated {self._kind}")
+            raise self._error(f"truncated {self._kind}")
 
     def take(self, n: int) -> bytes:
         self.require(n)
@@ -60,7 +68,7 @@ class Reader:
     def _advance(self, got: int, n: int):
         self.pos += got
         if got != n:  # the file shrank after it was opened
-            raise self.error(f"truncated {self._kind}")
+            raise self._error(f"truncated {self._kind}")
 
     def require_finite(self, array, reason: str):
         """Raise the format's error for ``reason`` unless all of ``array`` is finite.
@@ -71,7 +79,7 @@ class Reader:
         step = CHUNK_BYTES // flat.itemsize
         for lo in range(0, flat.size, step):
             if not np.isfinite(flat[lo : lo + step]).all():
-                raise self.error(reason)
+                raise self._error(reason)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -80,9 +88,9 @@ class Reader:
         try:
             return self.take(n).decode("utf-8")
         except UnicodeDecodeError:
-            raise self.error(f"{what} is not UTF-8") from None
+            raise self._error(f"{what} is not UTF-8") from None
 
     def finish(self):
         """Reject anything after the last field."""
         if self.pos != self.size:
-            raise self.error("trailing bytes")
+            raise self._error("trailing bytes")

@@ -12,7 +12,6 @@ import itertools
 import os
 import re
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     TrailgradeError,
     WrongChannelSet,
 )
-from .framing import CHUNK_BYTES, Reader
+from .framing import CHUNK_BYTES, Reader, naming
 
 #: Every session, window and archive lives on this one lattice of whole milliseconds.
 PERIOD_MS = 40
@@ -145,16 +144,6 @@ _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 _INT64_MAX = 2**63 - 1
 
 
-@contextmanager
-def _naming(path):
-    """Put ``path`` at the front of a TrailgradeError raised inside, which keeps its type and fields."""
-    try:
-        yield
-    except TrailgradeError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
     """Parse the ``timestamp_ms,x,y,z`` CSV file at ``path`` into a RawSensorLog.
 
@@ -168,7 +157,7 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
     file (a pipe would give numpy nothing) or its suffix would make numpy
     decompress it: those are read from the bytes already read.
     """
-    with _naming(path):
+    with naming(path):
         data = Path(path).read_bytes()
         resolved = str(Path(path).resolve())
         by_path = os.path.isfile(resolved) and os.path.splitext(resolved)[1] not in _COMPRESSED_SUFFIXES
@@ -421,20 +410,20 @@ def write_session_archive(session: SyncedSession, path):
 
 def read_session_archive(path) -> SyncedSession:
     """A TGSS file's session; the payload is read into one (n, 4, 3) array."""
-    with Reader(path, CorruptArchive, "session archive") as reader:
+    with naming(path), Reader(path, CorruptArchive, "session archive") as reader:
         if reader.take(4) != _SESSION_MAGIC:
-            raise reader.error("not a session archive")
+            raise CorruptArchive("not a session archive")
         if reader.take(1)[0] != _SESSION_VERSION:
-            raise reader.error("unsupported session archive version")
+            raise CorruptArchive("unsupported session archive version")
         (name_len,) = reader.unpack("<H")
         name = reader.utf8(name_len, "session name")
         start, rate, length = reader.unpack("<qdI")
         if rate != TARGET_RATE_HZ:
-            raise reader.error(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
+            raise CorruptArchive(f"sample rate {rate} Hz is not {TARGET_RATE_HZ:g} Hz")
         if not length:
-            raise reader.error("session has no points")
+            raise CorruptArchive("session has no points")
         if start + (length - 1) * PERIOD_MS > _INT64_MAX:
-            raise reader.error(f"{length} points from {start} ms end outside int64")
+            raise CorruptArchive(f"{length} points from {start} ms end outside int64")
         reader.require(length * 4 * 3 * 8)  # before allocating
         values = np.empty((length, 4, 3), dtype="<f8")
         reader.readinto(values)
@@ -500,7 +489,7 @@ def parse_file(path, parse, malformed):
     Every TrailgradeError from reading or parsing keeps its type and fields
     and names the file at the front: ``<path>: line N: reason``.
     """
-    with _naming(path):
+    with naming(path):
         return parse(read_utf8(path, malformed))
 
 
@@ -521,9 +510,9 @@ def load_session(manifest_path) -> SyncedSession:
         end_ms = min(int(log.timestamps[-1]) for log in synced)
         channels = []
         for path, log in zip(paths, synced):
-            with _naming(path):
+            with naming(path):
                 channels.append(resample_linear(log, end_ms))
         return build_session(channels, name=entries["name"])
     except EmptyAfterSync as exc:
-        with _naming(paths[CHANNEL_ORDER.index(exc.channel)]):
+        with naming(paths[CHANNEL_ORDER.index(exc.channel)]):
             raise

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptCheckpoint, TrailgradeError, VersionMismatch
-from ..framing import CHUNK_BYTES, Reader
+from ..framing import CHUNK_BYTES, Reader, naming
 from . import model
 from .model import ModelConfig, ModelParams, param_shapes
 
@@ -25,17 +25,15 @@ _SPAN = CHUNK_BYTES // 8
 
 
 def _fixed() -> dict:
-    """The fixed network settings the layout still stores, read from ``model`` at each call."""
+    """The fixed network settings in the order the layout stores them, read from ``model`` at each call."""
     names = ("FILTERS", "DENSE_UNITS", "CLASSES", "DROPOUT_RATE", "L2_COEFF", "BN_MOMENTUM", "BN_EPSILON")
     return {name.lower(): getattr(model, name) for name in names}
 
 
 def _config_text(config: ModelConfig) -> str:
     lines = [f"window_points = {config.window_points}", f"kernel_len = {config.kernel_len}"]
-    lines.append(f"filters = {','.join(map(str, model.FILTERS))}")
-    lines += [f"dense_units = {model.DENSE_UNITS}", f"classes = {model.CLASSES}"]
-    lines += [f"dropout_rate = {model.DROPOUT_RATE!r}", f"l2_coeff = {model.L2_COEFF!r}"]
-    lines += [f"bn_momentum = {model.BN_MOMENTUM!r}", f"bn_epsilon = {model.BN_EPSILON!r}"]
+    for name, value in _fixed().items():
+        lines.append(f"{name} = {','.join(map(str, value)) if name == 'filters' else repr(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -48,8 +46,8 @@ def save_checkpoint(params: ModelParams, path):
     cfg = params.config
     names = list(param_shapes(cfg))
     with open(path, "wb", buffering=CHUNK_BYTES) as out:
-        sizes = (cfg.window_points, cfg.kernel_len, *model.FILTERS, model.DENSE_UNITS, model.CLASSES)
-        settings = (model.DROPOUT_RATE, model.L2_COEFF, model.BN_MOMENTUM, model.BN_EPSILON)
+        filters, *settings = _fixed().values()
+        sizes = (cfg.window_points, cfg.kernel_len, *filters)
         out.write(struct.pack("<4sB7I4dH", _MAGIC, _VERSION, *sizes, *settings, len(names)))
         for name in names:
             arr = params.tensors[name]
@@ -84,44 +82,43 @@ def load_checkpoint(path):
     """Read a checkpoint back as (params, config).
 
     Wrong magic or version raise VersionMismatch; truncation, trailing bytes,
-    an invalid configuration, a stored fixed setting (filters, dense units,
-    classes, dropout rate, L2 weight, batchnorm momentum or epsilon) other
-    than the network's, a non-finite tensor value, a negative batchnorm running
-    variance or a structurally invalid body raise CorruptCheckpoint.
+    an invalid configuration, a stored ``_fixed()`` setting other than the
+    network's, a non-finite tensor value, a negative batchnorm running
+    variance or a structurally invalid body raise CorruptCheckpoint. Each names the file.
     """
-    with Reader(path, CorruptCheckpoint, "checkpoint") as reader:
+    with naming(path), Reader(path, CorruptCheckpoint, "checkpoint") as reader:
         if reader.size < 5 or reader.take(4) != _MAGIC:
-            raise VersionMismatch(f"{path}: not a model checkpoint (bad magic)")
+            raise VersionMismatch("not a model checkpoint (bad magic)")
         if reader.take(1)[0] != _VERSION:
-            raise VersionMismatch(f"{path}: unsupported checkpoint version")
+            raise VersionMismatch("unsupported checkpoint version")
         ints = reader.unpack("<7I")
         floats = reader.unpack("<4d")
         fixed = _fixed()
         stored = dict(zip(fixed, (ints[2:5], *ints[5:], *floats)))
         for name, value in stored.items():
             if value != fixed[name]:
-                raise reader.error(f"stored {name} {value!r}, the network's is {fixed[name]!r}")
+                raise CorruptCheckpoint(f"stored {name} {value!r}, the network's is {fixed[name]!r}")
         try:
             config = ModelConfig(window_points=ints[0], kernel_len=ints[1])
         except (TrailgradeError, ValueError) as exc:
-            raise reader.error(f"invalid configuration ({exc})") from None
+            raise CorruptCheckpoint(f"invalid configuration ({exc})") from None
 
         expected = param_shapes(config)
         (count,) = reader.unpack("<H")
         if count != len(expected):
-            raise reader.error(f"expected {len(expected)} tensors, file says {count}")
+            raise CorruptCheckpoint(f"expected {len(expected)} tensors, file says {count}")
         tensors = {}
         for name in expected:
             (name_len,) = reader.unpack("<H")
             stored = reader.utf8(name_len, "tensor name")
             if stored != name:
-                raise reader.error(f"tensor {stored!r} where {name!r} was expected")
+                raise CorruptCheckpoint(f"tensor {stored!r} where {name!r} was expected")
             (ndim,) = reader.unpack("<B")
             shape = reader.unpack(f"<{ndim}I")
             if shape != expected[name]:
-                raise reader.error(f"{name} has shape {shape}, expected {expected[name]}")
+                raise CorruptCheckpoint(f"{name} has shape {shape}, expected {expected[name]}")
             tensors[name] = _read_tensor(reader, name, shape)
             if name.endswith("/var") and (tensors[name] < 0).any():
-                raise reader.error(f"{name} holds a negative variance")
+                raise CorruptCheckpoint(f"{name} holds a negative variance")
         reader.finish()
     return ModelParams(config, tensors), config

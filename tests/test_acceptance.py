@@ -246,10 +246,10 @@ def test_criterion_4_pipeline_laws(tiny):
     samples = [
         WindowSample(np.full((4, 4, 3), float(i)), i % 3, ("s", i)) for i in range(50)
     ]
-    split_a = split_train_test(samples, seed=21)
-    split_b = split_train_test(samples, seed=21)
-    assert [s.origin for s in split_a.train] == [s.origin for s in split_b.train]
-    assert [s.origin for s in split_a.test] == [s.origin for s in split_b.test]
+    train_a, test_a = split_train_test(samples, seed=21)
+    train_b, test_b = split_train_test(samples, seed=21)
+    assert [s.origin for s in train_a] == [s.origin for s in train_b]
+    assert [s.origin for s in test_a] == [s.origin for s in test_b]
     assert [s.origin for s in shuffle(samples, seed=5)] == [
         s.origin for s in shuffle(samples, seed=5)
     ]

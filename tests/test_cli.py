@@ -142,6 +142,19 @@ class TestTrainAndEval:
         total = sum(int(v) for line in lines[1:] for v in line.split(",")[1:])
         assert total == 6 * 38
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_archive_is_named(self, trained, tmp_path, capsys, command):
+        # `window` writes an empty archive when every window crosses a label change
+        empty = tmp_path / "empty.tgds"
+        write_sample_archive([], empty)
+        flags = {
+            "train": ["--kernel-len", "5", "--seed", "1", "--out-model", str(tmp_path / "m"),
+                      "--out-history", str(tmp_path / "h")],
+            "eval": ["--model", str(trained[0]), "--out-confusion", str(tmp_path / "c")],
+        }[command]
+        assert run(command, "--samples", str(empty), *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {empty} holds no samples\n")
+
     def test_train_numeric_failure_exits_3(self, samples_path, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "L2_COEFF", 1e308)
         code = run(
@@ -312,6 +325,19 @@ class TestDataErrorsNameTheFile:
         osm.write_text('<osm><way id="x"><tag k="mtb:scale" v="2"/></way></osm>')
         assert run("label", "--osm", str(osm), "--way", "12") == 2
         assert self.error_line(capsys) == f"error: {osm}: way id 'x' is not an integer\n"
+
+    @pytest.mark.parametrize(
+        "way, grade, reason",
+        [
+            pytest.param("12", "9", "unknown difficulty grade '9'", id="unknown-grade"),
+            pytest.param("13", "2", "way 12 carries no mtb:scale tag", id="no-such-way"),
+        ],
+    )
+    def test_osm_way_lookup(self, tmp_path, capsys, way, grade, reason):
+        osm = tmp_path / "area.osm"
+        osm.write_text(f'<osm><way id="{way}"><tag k="mtb:scale" v="{grade}"/></way></osm>')
+        assert run("label", "--osm", str(osm), "--way", "12") == 2
+        assert self.error_line(capsys) == f"error: {osm}: {reason}\n"
 
 
 class TestLabelCommand:
@@ -503,6 +529,24 @@ class TestExitCodes:
             "--window-ms", "1000", "--out", str(out),
         )
         assert code == 2
+        assert not out.exists()
+
+    def test_window_value_beyond_float32_exits_3(self, tmp_path, capsys):
+        # a sample archive stores float32, which would read 1.7e308 back as infinite
+        session = make_session(100)
+        session.data.flags.writeable = True
+        session.data[30, 2, 0] = 1.7e308
+        session_path, track_path = tmp_path / "big.session", tmp_path / "big.labels.csv"
+        write_session_archive(session, session_path)
+        track_path.write_text("start_ms,end_ms,label\n0,4000,1\n")
+        out = tmp_path / "w.tgds"
+        code = run(
+            "window", "--session", str(session_path), "--track", str(track_path),
+            "--window-ms", "1000", "--out", str(out),
+        )
+        assert code == 3
+        want = "numeric failure: sample ('sess', 240) holds a value beyond float32's range\n"
+        assert capsys.readouterr() == ("", want)
         assert not out.exists()
 
     def test_data_error_undecodable_csv(self, tmp_path):

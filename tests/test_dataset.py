@@ -24,6 +24,7 @@ from trailgrade.dataset import (
 from trailgrade.errors import (
     CorruptArchive,
     EmptyClass,
+    NumericFailure,
     SessionTooShort,
     TooFewSamples,
 )
@@ -169,32 +170,32 @@ class TestStackSample:
 
 class TestSplit:
     def test_spec_counts(self):
-        split = split_train_test(make_samples([0] * 575), seed=1)
-        assert (len(split.train), len(split.test)) == (460, 115)
+        train, test = split_train_test(make_samples([0] * 575), seed=1)
+        assert (len(train), len(test)) == (460, 115)
 
     def test_ten_samples(self):
-        split = split_train_test(make_samples([0] * 10), seed=1)
-        assert (len(split.train), len(split.test)) == (8, 2)
+        train, test = split_train_test(make_samples([0] * 10), seed=1)
+        assert (len(train), len(test)) == (8, 2)
 
     def test_disjoint_and_complete(self):
         samples = make_samples(range(3)) + make_samples(range(3), name="t")
-        split = split_train_test(samples, seed=3)
-        train_origins = {s.origin for s in split.train}
-        test_origins = {s.origin for s in split.test}
+        train, test = split_train_test(samples, seed=3)
+        train_origins = {s.origin for s in train}
+        test_origins = {s.origin for s in test}
         assert not train_origins & test_origins
         assert len(train_origins | test_origins) == len(samples)
 
     def test_same_seed_same_partition(self):
         samples = make_samples([0, 1, 2] * 10)
-        a = split_train_test(samples, seed=7)
-        b = split_train_test(samples, seed=7)
-        assert [s.origin for s in a.train] == [s.origin for s in b.train]
-        assert [s.origin for s in a.test] == [s.origin for s in b.test]
+        train_a, test_a = split_train_test(samples, seed=7)
+        train_b, test_b = split_train_test(samples, seed=7)
+        assert [s.origin for s in train_a] == [s.origin for s in train_b]
+        assert [s.origin for s in test_a] == [s.origin for s in test_b]
 
     def test_different_seeds_differ(self):
         samples = make_samples([0] * 50)
         partitions = {
-            frozenset(s.origin for s in split_train_test(samples, seed=seed).train)
+            frozenset(s.origin for s in split_train_test(samples, seed=seed)[0])
             for seed in range(20)
         }
         assert len(partitions) == 20
@@ -327,6 +328,16 @@ class TestSampleArchive:
         path = tmp_path / "empty.tgds"
         write_sample_archive([], path)
         assert read_sample_archive(path) == []
+
+    @pytest.mark.parametrize("value", [3.5e38, -1.7e308])
+    def test_value_beyond_float32_is_not_written(self, tmp_path, value):
+        # float32 would store it as infinite, which the reader rejects
+        samples = make_samples([0, 1, 2])
+        samples[1].data[2, 3, 1] = value
+        path = tmp_path / "a.tgds"
+        with pytest.raises(NumericFailure, match=r"sample \('s', 40\) holds a value beyond float32's range"):
+            write_sample_archive(samples, path)
+        assert not path.exists()
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "a.tgds"

@@ -2,7 +2,8 @@
 
 Both archives raise CorruptArchive. A checkpoint raises VersionMismatch when its
 first five bytes (magic and version) are not those of a valid file, and
-CorruptCheckpoint for anything else. No load warns or leaves its file open.
+CorruptCheckpoint for anything else. Every error names the file at its front. No
+load warns or leaves its file open.
 """
 
 import warnings
@@ -77,6 +78,7 @@ def _loads_or_raises_typed(name, originals, data):
         FORMATS[name][1](path)
     except TrailgradeError as exc:
         assert type(exc) is _expected_error(name, original, data), repr(exc)
+        assert str(exc).startswith(f"{path}: "), repr(exc)
 
 
 @pytest.fixture
