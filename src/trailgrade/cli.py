@@ -132,17 +132,18 @@ def _read_track(path):
     return ingest.parse_file(path, labeling.read_label_track_csv, MalformedLine)
 
 
-def _session_track_pairs(directory: Path):
-    pairs = []
+def _archives(directory: Path):
+    """(archive path, session, label track) for each session archive in ``directory``."""
+    archives = []
     for session_path in sorted(directory.glob("*.session")):
         track_path = session_path.with_suffix(".labels.csv")
         if not track_path.exists():
             raise TrailgradeError(f"no label track next to {session_path.name}")
         session = ingest.read_session_archive(session_path)
-        pairs.append((session, _read_track(track_path)))
-    if not pairs:
+        archives.append((session_path, session, _read_track(track_path)))
+    if not archives:
         raise TrailgradeError(f"no *.session archives in {directory}")
-    return pairs
+    return archives
 
 
 def _cmd_window(args):
@@ -151,14 +152,15 @@ def _cmd_window(args):
     if source.is_dir():
         if args.track is not None:
             raise _UsageError("--track is for a single archive; a directory's sessions have their own")
-        pairs = _session_track_pairs(source)
+        archives = _archives(source)
     else:
         if args.track is None:
             raise _UsageError("--track is required when --session is a single archive")
-        pairs = [(ingest.read_session_archive(source), _read_track(args.track))]
+        archives = [(source, ingest.read_session_archive(source), _read_track(args.track))]
     samples = []
-    for session, track in pairs:
-        samples.extend(dataset.slice_windows(session, track, config))
+    for path, session, track in archives:
+        with naming(path):
+            samples.extend(dataset.slice_windows(session, track, config))
     dataset.write_sample_archive(samples, args.out)
     histogram = dataset.class_histogram(samples)
     print(f"{len(samples)} windows of {config.window_points} points {histogram} -> {args.out}")
@@ -206,7 +208,7 @@ def _cmd_eval(args):
 def _cmd_grid(args):
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    pairs = _session_track_pairs(Path(args.data))
+    pairs = [(session, track) for _, session, track in _archives(Path(args.data))]
     train_config = _from_flags(
         training.TrainConfig,
         seed=args.seed,

@@ -24,12 +24,11 @@ class EmptyLog(TrailgradeError):
 
 
 class EmptyAfterSync(TrailgradeError):
-    """A log has no samples in the span kept from the common start time; carries its (mount, sensor kind)."""
+    """A log has no samples in the span kept from the common start time; carries its index in the list it came from."""
 
-    def __init__(self, channel: tuple, reason: str):
-        mount, sensor_kind = channel
-        super().__init__(f"{mount.value} {sensor_kind.value}: {reason}")
-        self.channel = channel
+    def __init__(self, index: int, reason: str):
+        super().__init__(reason)
+        self.index = index
 
 
 class TooFewSamples(TrailgradeError):
@@ -37,7 +36,7 @@ class TooFewSamples(TrailgradeError):
 
 
 class WrongChannelSet(TrailgradeError):
-    """A session needs each (mount, sensor) combination exactly once."""
+    """A session needs exactly one channel per role in ``ingest.CHANNEL_ROLES``."""
 
 
 class MismatchedStart(TrailgradeError):

@@ -19,7 +19,7 @@ from .dataset import (
     split_train_test,
 )
 from .errors import InvalidSpec, NoUsableSessions
-from .ingest import CHANNEL_ORDER, SESSION_POINTS_MAX, TARGET_RATE_HZ, Mount, SensorChannel, SensorKind, build_session
+from .ingest import CHANNEL_ROLES, SESSION_POINTS_MAX, TARGET_RATE_HZ, SensorChannel, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
 from .training import TrainConfig, train
@@ -85,13 +85,13 @@ def _impulse_train(rng, n, per_second, amplitude):
     return out
 
 
-def _synthetic_channel(rng, kind, mount, n, sig):
+def _synthetic_channel(rng, role, n, sig):
     t = np.arange(n) / TARGET_RATE_HZ
-    scale = 1.0 if mount is Mount.FRAME else _HELMET_ATTENUATION
+    scale = _HELMET_ATTENUATION if role.startswith("helmet") else 1.0
     values = np.empty((n, 3))
     for axis in range(3):
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        if kind is SensorKind.ACCELEROMETER:
+        if role.endswith("accel"):
             amp = sig.vibration_g * scale
             signal = amp * np.sin(2.0 * np.pi * sig.frequency_hz * t + phase)
             signal += _impulse_train(rng, n, sig.impulses_per_s, _IMPULSE_FACTOR * amp)
@@ -101,7 +101,7 @@ def _synthetic_channel(rng, kind, mount, n, sig):
             # the body/bike yaws at roughly half the vibration frequency
             signal = sig.gyro_swing_dps * scale * np.sin(np.pi * sig.frequency_hz * t + phase)
         values[:, axis] = signal + rng.normal(0.0, NOISE_STD, n)
-    return SensorChannel(kind, mount, 0, values)
+    return SensorChannel(0, values)
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -111,10 +111,7 @@ def generate_synthetic(spec: SyntheticSpec):
     out = []
     for label, sig in enumerate(SIGNATURES):
         for s in range(spec.sessions_per_class):
-            channels = [
-                _synthetic_channel(rng, kind, mount, n, sig)
-                for mount, kind in CHANNEL_ORDER
-            ]
+            channels = [_synthetic_channel(rng, role, n, sig) for role in CHANNEL_ROLES]
             session = build_session(channels, name=f"synth-c{label}-s{s:02d}")
             track = LabelTrack(((0, spec.session_seconds * 1000, label),))
             out.append((session, track))

@@ -13,7 +13,6 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -41,32 +40,16 @@ TARGET_RATE_HZ = 1000 / PERIOD_MS
 CSV_HEADER = "timestamp_ms,x,y,z"
 
 
-class SensorKind(Enum):
-    ACCELEROMETER = "accelerometer"
-    GYROSCOPE = "gyroscope"
-
-
-class Mount(Enum):
-    FRAME = "frame"
-    HELMET = "helmet"
-
-
-#: Fixed row order of a stacked session: frame unit first, helmet second,
+#: The four channels of a session, each named by its manifest key. A channel's
+#: place here is its row in a session's data: frame unit first, helmet second,
 #: accelerometer before gyroscope within a unit.
-CHANNEL_ORDER = (
-    (Mount.FRAME, SensorKind.ACCELEROMETER),
-    (Mount.FRAME, SensorKind.GYROSCOPE),
-    (Mount.HELMET, SensorKind.ACCELEROMETER),
-    (Mount.HELMET, SensorKind.GYROSCOPE),
-)
+CHANNEL_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
 
 
 @dataclass
 class RawSensorLog:
     """One sensor's recording: strictly increasing ms timestamps plus xyz triples."""
 
-    sensor_kind: SensorKind
-    mount: Mount
     timestamps: np.ndarray  # (n,) int64
     values: np.ndarray  # (n, 3) float64
 
@@ -86,8 +69,6 @@ class RawSensorLog:
 class SensorChannel:
     """A resampled channel: sample i sits at start_time_ms + i * PERIOD_MS."""
 
-    sensor_kind: SensorKind
-    mount: Mount
     start_time_ms: int
     values: np.ndarray  # (length, 3) float64
 
@@ -106,7 +87,7 @@ class SyncedSession:
     """One recording on the lattice: sample i sits at start_time_ms + i * PERIOD_MS.
 
     ``data`` stacks the four channels as (length_points, 4, 3) with rows in
-    CHANNEL_ORDER. It is read-only: every window sample is a view of it.
+    CHANNEL_ROLES order. It is read-only: every window sample is a view of it.
     """
 
     name: str
@@ -128,14 +109,11 @@ class SyncedSession:
 
     @property
     def channels(self) -> tuple:
-        """Read-only SensorChannel views ``data[:, i]``, one per CHANNEL_ORDER row.
+        """Read-only SensorChannel views ``data[:, i]``, one per CHANNEL_ROLES row.
 
         Kept only for ``bench/tracing.py::_session_attrs``; delete once it reads ``data``.
         """
-        return tuple(
-            SensorChannel(kind, mount, self.start_time_ms, self.data[:, i])
-            for i, (mount, kind) in enumerate(CHANNEL_ORDER)
-        )
+        return tuple(SensorChannel(self.start_time_ms, self.data[:, i]) for i in range(len(CHANNEL_ROLES)))
 
 
 #: One sensor CSV row: an int64 timestamp and three float64s.
@@ -144,7 +122,7 @@ _CSV_ROW = np.dtype([("t", "<i8"), ("v", "<f8", 3)])
 _INT64_MAX = 2**63 - 1
 
 
-def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLog:
+def parse_sensor_csv(path) -> RawSensorLog:
     """Parse the ``timestamp_ms,x,y,z`` CSV file at ``path`` into a RawSensorLog.
 
     ``read_numeric_csv`` reads its rows: an int64 timestamp and three finite
@@ -165,7 +143,7 @@ def parse_sensor_csv(path, sensor_kind: SensorKind, mount: Mount) -> RawSensorLo
         timestamps, values = rows["t"].copy(), np.ascontiguousarray(rows["v"])
         del rows
         try:
-            return RawSensorLog(sensor_kind, mount, timestamps, values)
+            return RawSensorLog(timestamps, values)
         except NonMonotonicTimestamp as exc:
             stall = int(np.argmin(timestamps[1:] > timestamps[:-1])) + 1
             raise NonMonotonicTimestamp(f"line {line_of_row(data, stall)}: {exc}") from None
@@ -299,22 +277,21 @@ def synchronize(logs):
     than 2**63 - 1 ms after t0 are dropped too: their rebased time would leave
     int64, and they lie past every lattice point a session archive holds.
     Returns new logs in the input order, whose values are views of the input
-    logs' values.
+    logs' values. A log with no samples kept raises EmptyAfterSync carrying
+    its index in ``logs``.
     """
     if not logs:
         raise EmptyLog("nothing to synchronize")
     t0 = max(int(log.timestamps[0]) for log in logs)
     end = min(t0 + _INT64_MAX, _INT64_MAX)
     out = []
-    for log in logs:
+    for index, log in enumerate(logs):
         # timestamps strictly increase, so the kept samples are one contiguous run
         first = int(np.searchsorted(log.timestamps, t0))
         stop = int(np.searchsorted(log.timestamps, end, side="right"))
         if first == stop:
-            raise EmptyAfterSync((log.mount, log.sensor_kind), f"no samples in [{t0}, {end}] ms")
-        out.append(
-            RawSensorLog(log.sensor_kind, log.mount, log.timestamps[first:stop] - t0, log.values[first:stop])
-        )
+            raise EmptyAfterSync(index, f"no samples in [{t0}, {end}] ms")
+        out.append(RawSensorLog(log.timestamps[first:stop] - t0, log.values[first:stop]))
     return out
 
 
@@ -340,8 +317,7 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
         raise TooFewSamples("no lattice point falls inside the log's time span")
     if k1 - k0 + 1 > SESSION_POINTS_MAX:
         raise SessionTooLong(
-            f"{log.mount.value} {log.sensor_kind.value}: {k1 - k0 + 1} lattice points "
-            f"up to {end_ms} ms, a session archive holds at most {SESSION_POINTS_MAX}"
+            f"{k1 - k0 + 1} lattice points up to {end_ms} ms, a session archive holds at most {SESSION_POINTS_MAX}"
         )
     grid = np.arange(k0, k1 + 1, dtype=np.float64) * PERIOD_MS
     out = np.empty((grid.size, 3))
@@ -350,42 +326,35 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
     finite = np.isfinite(out)
     if not finite.all():
         raise NumericFailure(
-            f"{log.mount.value} {log.sensor_kind.value}: interpolation overflows to a non-finite value "
-            f"at {(k0 + int(np.argmin(finite.all(axis=1)))) * PERIOD_MS} ms"
+            f"interpolation overflows to a non-finite value at {(k0 + int(np.argmin(finite.all(axis=1)))) * PERIOD_MS} ms"
         )
-    return SensorChannel(log.sensor_kind, log.mount, k0 * PERIOD_MS, out)
+    return SensorChannel(k0 * PERIOD_MS, out)
 
 
 def build_session(channels, name: str = "") -> SyncedSession:
-    """Stack four channels into a session: fixed row order, common start, common length.
+    """Stack four channels, in CHANNEL_ROLES order, into a session: common start, common length.
 
     After synchronization each unit's first lattice point lies within one
     period of the common t0, so channel starts differ by whole periods: each
     channel drops its points before the latest start, and all are cut to the
-    shortest end.
+    shortest end. A channel with no points left raises EmptyAfterSync
+    carrying its index in ``channels``.
     """
-    combos = [(ch.mount, ch.sensor_kind) for ch in channels]
-    if sorted(combos, key=str) != sorted(CHANNEL_ORDER, key=str):
-        raise WrongChannelSet(
-            "need exactly one channel per (mount, sensor) combination"
-        )
-    ordered = [
-        next(ch for ch in channels if (ch.mount, ch.sensor_kind) == key)
-        for key in CHANNEL_ORDER
-    ]
-    latest = max(ch.start_time_ms for ch in ordered)
+    if len(channels) != len(CHANNEL_ROLES):
+        raise WrongChannelSet(f"need {len(CHANNEL_ROLES)} channels, one per role, got {len(channels)}")
+    latest = max(ch.start_time_ms for ch in channels)
     shifts = []
-    for ch in ordered:
+    for index, ch in enumerate(channels):
         shift, off_lattice = divmod(latest - ch.start_time_ms, PERIOD_MS)
         if off_lattice:
             raise MismatchedStart(
                 f"start {ch.start_time_ms} ms is not a whole number of periods before {latest} ms"
             )
         if shift >= ch.length:
-            raise EmptyAfterSync((ch.mount, ch.sensor_kind), f"no samples at or after {latest} ms")
+            raise EmptyAfterSync(index, f"no samples at or after {latest} ms")
         shifts.append(shift)
-    length = min(ch.length - shift for ch, shift in zip(ordered, shifts))
-    data = np.stack([ch.values[shift : shift + length] for ch, shift in zip(ordered, shifts)], axis=1)
+    length = min(ch.length - shift for ch, shift in zip(channels, shifts))
+    data = np.stack([ch.values[shift : shift + length] for ch, shift in zip(channels, shifts)], axis=1)
     return SyncedSession(name, latest, data)
 
 
@@ -434,10 +403,6 @@ def read_session_archive(path) -> SyncedSession:
 
 # --- session manifest --------------------------------------------------------
 
-#: One manifest key per channel, in CHANNEL_ORDER.
-_MANIFEST_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
-
-
 def parse_session_manifest(text) -> dict:
     """Parse key=value manifest text: a session name that fits a TGSS file plus four CSV paths."""
     entries = {}
@@ -452,7 +417,7 @@ def parse_session_manifest(text) -> dict:
         if key in entries:
             raise MalformedManifest(f"line {line_no}: duplicate key {key!r}")
         value = value.strip().strip('"')
-        if key in _MANIFEST_ROLES and not value:
+        if key in CHANNEL_ROLES and not value:
             raise MalformedManifest(f"line {line_no}: {key} names no CSV file")
         if key == "name" and (size := len(value.encode("utf-8"))) > _SESSION_NAME_MAX_BYTES:
             raise MalformedManifest(
@@ -460,7 +425,7 @@ def parse_session_manifest(text) -> dict:
                 f"a session archive holds at most {_SESSION_NAME_MAX_BYTES}"
             )
         entries[key] = value
-    missing = [k for k in ("name", *_MANIFEST_ROLES) if k not in entries]
+    missing = [k for k in ("name", *CHANNEL_ROLES) if k not in entries]
     if missing:
         raise MalformedManifest(f"missing keys: {', '.join(missing)}")
     return entries
@@ -497,14 +462,21 @@ def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session.
 
     An error from parsing, synchronizing or resampling a CSV, or from stacking
-    its channel into the session, names the CSV at the front.
+    its channel into the session, names the CSV at the front. A CSV that
+    cannot be opened names the manifest and the CSV's role.
     """
     manifest_path = Path(manifest_path)
     entries = parse_file(
         manifest_path, parse_session_manifest, lambda n, why: MalformedManifest(f"line {n}: {why}")
     )
-    paths = [manifest_path.parent / entries[role] for role in _MANIFEST_ROLES]
-    logs = [parse_sensor_csv(path, kind, mount) for path, (mount, kind) in zip(paths, CHANNEL_ORDER)]
+    paths = [manifest_path.parent / entries[role] for role in CHANNEL_ROLES]
+    logs = []
+    for role, path in zip(CHANNEL_ROLES, paths):
+        try:
+            logs.append(parse_sensor_csv(path))
+        except OSError as exc:
+            with naming(manifest_path):
+                raise TrailgradeError(f"{role}: {exc}") from None
     try:
         synced = synchronize(logs)
         end_ms = min(int(log.timestamps[-1]) for log in synced)
@@ -514,5 +486,5 @@ def load_session(manifest_path) -> SyncedSession:
                 channels.append(resample_linear(log, end_ms))
         return build_session(channels, name=entries["name"])
     except EmptyAfterSync as exc:
-        with naming(paths[CHANNEL_ORDER.index(exc.channel)]):
+        with naming(paths[exc.index]):
             raise

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trailgrade.ingest import CHANNEL_ORDER, PERIOD_MS, SensorChannel, build_session, parse_sensor_csv
+from trailgrade.ingest import CHANNEL_ROLES, PERIOD_MS, SensorChannel, build_session, parse_sensor_csv
 from trailgrade.labeling import LabelTrack
 from trailgrade.nn import model
 from trailgrade.nn.model import ModelConfig
@@ -44,10 +44,7 @@ def run_fresh_python(code):
 def make_session(length, name="sess", start_ms=0, seed=0):
     """A session of `length` points with distinct, reproducible values."""
     rng = np.random.default_rng(seed)
-    channels = [
-        SensorChannel(kind, mount, start_ms, rng.normal(size=(length, 3)))
-        for mount, kind in CHANNEL_ORDER
-    ]
+    channels = [SensorChannel(start_ms, rng.normal(size=(length, 3))) for _ in CHANNEL_ROLES]
     session = build_session(channels, name=name)
     return session
 
@@ -58,24 +55,21 @@ def full_track(session, label=1):
     return LabelTrack(((session.start_time_ms, end, label),))
 
 
-def parse_csv_text(text, kind, mount):
+def parse_csv_text(text):
     """``parse_sensor_csv`` of a file that holds ``text`` as UTF-8, line ends untouched."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "sensor.csv"
         path.write_bytes(text.encode("utf-8"))
-        return parse_sensor_csv(path, kind, mount)
-
-
-RIDE_ROLES = ("frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro")
+        return parse_sensor_csv(path)
 
 
 def write_ride(directory, name="ride1"):
     """Four small 25 Hz sensor CSVs and their manifest; returns the manifest path."""
-    for i, role in enumerate(RIDE_ROLES):
+    for i, role in enumerate(CHANNEL_ROLES):
         rows = ["timestamp_ms,x,y,z"] + [f"{t},{i},{t / 1000},-1.5" for t in range(0, 4001, 40)]
         (directory / f"{role}.csv").write_text("\n".join(rows) + "\n")
     manifest = directory / "session.toml"
-    manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in RIDE_ROLES), encoding="utf-8")
+    manifest.write_text(f"name={name}\n" + "".join(f"{r}={r}.csv\n" for r in CHANNEL_ROLES), encoding="utf-8")
     return manifest
 
 

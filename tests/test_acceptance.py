@@ -34,7 +34,7 @@ from trailgrade.dataset import (
     write_sample_archive,
 )
 from trailgrade.errors import CorruptCheckpoint, KernelTooLong, VersionMismatch
-from trailgrade.ingest import Mount, RawSensorLog, SensorKind, parse_sensor_csv, write_sensor_csv
+from trailgrade.ingest import RawSensorLog, parse_sensor_csv, write_sensor_csv
 from trailgrade.labeling import map_grade
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.nn.model import (
@@ -319,11 +319,11 @@ def test_criterion_6_metric_identities():
 def test_criterion_7_formats(tmp_path):
     # sensor CSV
     rng = np.random.default_rng(3)
-    log = RawSensorLog(SensorKind.ACCELEROMETER, Mount.FRAME, np.arange(40) * 80, rng.normal(size=(40, 3)))
+    log = RawSensorLog(np.arange(40) * 80, rng.normal(size=(40, 3)))
     text = write_sensor_csv(log)
     csv_path = tmp_path / "log.csv"
     csv_path.write_text(text)
-    again = parse_sensor_csv(csv_path, log.sensor_kind, log.mount)
+    again = parse_sensor_csv(csv_path)
     assert np.array_equal(again.timestamps, log.timestamps)
     assert np.array_equal(again.values, log.values)
     assert write_sensor_csv(again) == text

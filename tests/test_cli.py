@@ -4,12 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import RIDE_ROLES, make_session, write_ride
+from conftest import make_session, write_ride
 from oracles import history_from_csv
 from trailgrade import experiments
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
-from trailgrade.ingest import read_session_archive, write_session_archive
+from trailgrade.ingest import CHANNEL_ROLES, read_session_archive, write_session_archive
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint, save_checkpoint
 from trailgrade.nn import model
@@ -168,8 +168,7 @@ class TestTrainAndEval:
 class TestIngest:
     def test_manifest_to_archive(self, tmp_path):
         rng = np.random.default_rng(0)
-        roles = ["frame_accel", "frame_gyro", "helmet_accel", "helmet_gyro"]
-        for role in roles:
+        for role in CHANNEL_ROLES:
             step = 80 if "accel" in role else 40
             rows = ["timestamp_ms,x,y,z"]
             rows += [
@@ -178,7 +177,7 @@ class TestIngest:
             ]
             (tmp_path / f"{role}.csv").write_text("\n".join(rows) + "\n")
         manifest = tmp_path / "session.toml"
-        manifest.write_text("name=ride\n" + "\n".join(f"{r}={r}.csv" for r in roles) + "\n")
+        manifest.write_text("name=ride\n" + "\n".join(f"{r}={r}.csv" for r in CHANNEL_ROLES) + "\n")
         archive = tmp_path / "ride.session"
         assert run("ingest", "--session", str(manifest), "--out", str(archive)) == 0
         session = read_session_archive(archive)
@@ -219,6 +218,15 @@ class TestDataErrorsNameTheFile:
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
         assert self.error_line(capsys) == f"error: {manifest}: line 3: frame_gyro names no CSV file\n"
 
+    def test_manifest_names_a_missing_csv(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        manifest.write_text(manifest.read_text().replace("helmet_gyro=helmet_gyro.csv", "helmet_gyro=helmetWgyro.csv"))
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        missing = tmp_path / "helmetWgyro.csv"
+        assert self.error_line(capsys) == (
+            f"error: {manifest}: helmet_gyro: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
     def test_manifest_name_longer_than_an_archive_holds(self, tmp_path, capsys):
         # a session archive stores the name's UTF-8 length in two bytes
         out = tmp_path / "r.session"
@@ -240,13 +248,13 @@ class TestDataErrorsNameTheFile:
             pytest.param(
                 {"helmet_gyro": (-140, -100, -60)},
                 "helmet_gyro",
-                "helmet gyroscope: no samples in [0, 9223372036854775807] ms",
+                "no samples in [0, 9223372036854775807] ms",
                 id="synchronize",
             ),
             pytest.param(
                 {"frame_accel": (0, 10, 20, 30), "frame_gyro": (-5, 45, 85)},
                 "frame_accel",
-                "frame accelerometer: no samples at or after 80 ms",
+                "no samples at or after 80 ms",
                 id="build-session",
             ),
         ],
@@ -448,7 +456,7 @@ class TestExitCodes:
         # helmet_gyro's last stamp lies 10**15 ms out: only the 0 and 40 ms
         # points that all four logs cover are resampled, not the whole gap
         manifest = write_ride(tmp_path)
-        for role in RIDE_ROLES:
+        for role in CHANNEL_ROLES:
             last = 10**15 if role == "helmet_gyro" else 40
             rows = [f"{t},1.0,2.0,3.0" for t in (0, 10, 20, 30, last)]
             (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + "\n".join(rows) + "\n")
@@ -462,7 +470,7 @@ class TestExitCodes:
         # int64 cannot hold: the ride ingests as if the row were not there
         manifest = write_ride(tmp_path)
         rows = ["-9000000000000000000,0,0,0", "-8999999999999996000,1,1,1"]
-        for role in RIDE_ROLES:
+        for role in CHANNEL_ROLES:
             (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + "\n".join(rows) + "\n")
         near = tmp_path / "near.session"
         assert run("ingest", "--session", str(manifest), "--out", str(near)) == 0
@@ -477,13 +485,13 @@ class TestExitCodes:
         # the four logs overlap until 9e17 ms: 2.25e16 lattice points, where a
         # session archive stores the point count in four bytes
         manifest = write_ride(tmp_path)
-        for role in RIDE_ROLES:
+        for role in CHANNEL_ROLES:
             (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n0,1,2,3\n40,1,2,3\n900000000000000000,1,2,3\n")
         out = tmp_path / "r.session"
         assert run("ingest", "--session", str(manifest), "--out", str(out)) == 2
         _, err = capsys.readouterr()
         assert err == (
-            f"error: {tmp_path / 'frame_accel.csv'}: frame accelerometer: 22500000000000001 lattice points "
+            f"error: {tmp_path / 'frame_accel.csv'}: 22500000000000001 lattice points "
             "up to 900000000000000000 ms, a session archive holds at most 4294967295\n"
         )
         assert not out.exists()
@@ -494,13 +502,13 @@ class TestExitCodes:
         # without a warning, and the archive would hold what `window` rejects
         manifest = write_ride(tmp_path)
         rows = "".join(f"{7 * i},{(-1.7e308, 1.7e308)[i % 2]!r},1.0,2.0\n" for i in range(10))
-        for role in RIDE_ROLES:
+        for role in CHANNEL_ROLES:
             (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n" + rows)
         out = tmp_path / "r.session"
         assert run("ingest", "--session", str(manifest), "--out", str(out)) == 3
         _, err = capsys.readouterr()
         assert err == (
-            f"numeric failure: {tmp_path / 'frame_accel.csv'}: frame accelerometer: "
+            f"numeric failure: {tmp_path / 'frame_accel.csv'}: "
             "interpolation overflows to a non-finite value at 40 ms\n"
         )
         assert not out.exists()
@@ -673,6 +681,20 @@ class TestExitCodes:
         code = run("window", *source, "--window-ms", "2000", "--out", str(tmp_path / "w.tgds"))
         assert code == 2
 
+    def test_data_error_short_single_archive_is_named(self, tmp_path, capsys):
+        archive = tmp_path / "short.session"
+        write_session_archive(make_session(100, name="short"), archive)
+        track = tmp_path / "short.labels.csv"
+        track.write_text("start_ms,end_ms,label\n0,4000,1\n")
+        code = run(
+            "window", "--session", str(archive), "--track", str(track), "--window-ms", "5000",
+            "--out", str(tmp_path / "w.tgds"),
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {archive}: session 'short' has 100 points, window needs 125\n"
+
     def test_data_error_short_session_in_directory_is_named(self, synth_dir, tmp_path, capsys):
         for path in sorted(synth_dir.iterdir())[:2]:  # one 500-point session and its track
             shutil.copy(path, tmp_path / path.name)
@@ -684,7 +706,7 @@ class TestExitCodes:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: session 'short' has 100 points, window needs 125\n"
+        assert err == f"error: {tmp_path / 'short.session'}: session 'short' has 100 points, window needs 125\n"
 
     def test_data_error_non_finite_checkpoint(self, trained, samples_path, tmp_path):
         model_path, _ = trained

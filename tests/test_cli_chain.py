@@ -7,8 +7,7 @@ exit. Whatever the mutation:
 - every exit is 0, 2 or 3, and no exception escapes ``main``;
 - a non-zero exit prints exactly one stderr line;
 - when the failing step reads a mutated file, that line names a file the
-  step reads at its front, or is the OSError of a file it could not open
-  (a mutated manifest can name a missing CSV);
+  step reads at its front;
 - a step that exits 0 writes what the next step accepts.
 
 The line may name another of the step's files than the mutated one: a CSV
@@ -27,15 +26,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RIDE_ROLES, narrowed_network
+from conftest import narrowed_network
 from trailgrade.cli import main
 from trailgrade.dataset import read_sample_archive
-from trailgrade.ingest import CHANNEL_ORDER, RawSensorLog, parse_file, read_session_archive, write_sensor_csv
+from trailgrade.ingest import CHANNEL_ROLES, RawSensorLog, parse_file, read_session_archive, write_sensor_csv
 from trailgrade.errors import MalformedLine
 from trailgrade.labeling import read_label_track_csv
 from trailgrade.nn.checkpoint import load_checkpoint
 
-SENSOR_CSVS = tuple(f"{role}.csv" for role in RIDE_ROLES)
+SENSOR_CSVS = tuple(f"{role}.csv" for role in CHANNEL_ROLES)
 TEXT_CSVS = (*SENSOR_CSVS, "base.csv", "ovr.csv")
 
 
@@ -44,11 +43,11 @@ def valid_inputs() -> dict:
     """File name -> bytes of the valid input set: a 12 s ride at 100 Hz, labeled in three parts."""
     rng = np.random.default_rng(28)
     files = {}
-    for name, (mount, kind) in zip(SENSOR_CSVS, CHANNEL_ORDER):
+    for name in SENSOR_CSVS:
         timestamps = np.arange(int(rng.integers(0, 10)), 12_000, 10)
         values = np.sin(timestamps[:, None] / 300.0 + rng.normal(size=3)) + 0.1 * rng.normal(size=(len(timestamps), 3))
-        files[name] = write_sensor_csv(RawSensorLog(kind, mount, timestamps, values)).encode()
-    files["session.toml"] = ("name=ride\n" + "".join(f"{role}={role}.csv\n" for role in RIDE_ROLES)).encode()
+        files[name] = write_sensor_csv(RawSensorLog(timestamps, values)).encode()
+    files["session.toml"] = ("name=ride\n" + "".join(f"{role}={role}.csv\n" for role in CHANNEL_ROLES)).encode()
     files["base.csv"] = b"start_ms,end_ms,label\n0,4000,0\n4000,8000,1\n8000,12000,2\n"
     files["ovr.csv"] = b"start_ms,end_ms,label\n2000,3000,2\n"
     files["area.osm"] = b'<osm>\n<way id="12">\n<tag k="mtb:scale" v="2"/>\n</way>\n</osm>\n'
@@ -169,7 +168,7 @@ def run_chain(files: dict, changed: set):
                 if reads & changed:
                     reason = line.partition(": ")[2]
                     named = any(reason.startswith(f"{d / name}: ") for name in reads)
-                    assert named or reason.startswith("[Errno "), line
+                    assert named, line
                 return codes
             assert line == ""
             if output is not None:

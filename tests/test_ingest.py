@@ -10,7 +10,7 @@ import urllib.request
 
 import numpy as np
 import pytest
-from conftest import RIDE_ROLES, make_session, parse_csv_text, write_ride
+from conftest import make_session, parse_csv_text, write_ride
 from oracles import parse_sensor_csv_lines, sensor_csv_grammar_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +29,11 @@ from trailgrade.errors import (
 )
 from trailgrade import ingest
 from trailgrade.ingest import (
-    CHANNEL_ORDER,
+    CHANNEL_ROLES,
     PERIOD_MS,
     TARGET_RATE_HZ,
-    Mount,
     RawSensorLog,
     SensorChannel,
-    SensorKind,
     build_session,
     load_session,
     parse_sensor_csv,
@@ -47,37 +45,33 @@ from trailgrade.ingest import (
     write_session_archive,
 )
 
-ACC = SensorKind.ACCELEROMETER
-GYRO = SensorKind.GYROSCOPE
-
-
-def log_from(timestamps, x_values, kind=ACC, mount=Mount.FRAME):
+def log_from(timestamps, x_values):
     t = np.asarray(timestamps, dtype=np.int64)
     x = np.asarray(x_values, dtype=np.float64)
     values = np.column_stack([x, x * 0.5, -x])
-    return RawSensorLog(kind, mount, t, values)
+    return RawSensorLog(t, values)
 
 
 def channel_to_log(channel):
     """View a resampled channel as a raw log again (for re-resampling checks)."""
     timestamps = channel.start_time_ms + np.arange(channel.length, dtype=np.int64) * PERIOD_MS
-    return RawSensorLog(channel.sensor_kind, channel.mount, timestamps, channel.values.copy())
+    return RawSensorLog(timestamps, channel.values.copy())
 
 
 class TestParseSensorCsv:
     def test_two_samples(self):
-        log = parse_csv_text("timestamp_ms,x,y,z\n0,0.0,1.0,-0.5\n80,0.2,1.0,-0.4", ACC, Mount.FRAME)
+        log = parse_csv_text("timestamp_ms,x,y,z\n0,0.0,1.0,-0.5\n80,0.2,1.0,-0.4")
         assert log.timestamps.tolist() == [0, 80]
         assert log.timestamps[-1] - log.timestamps[0] == 80
         assert log.values[1].tolist() == [0.2, 1.0, -0.4]
 
     def test_equal_timestamps_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
-            parse_csv_text("timestamp_ms,x,y,z\n0,0,0,0\n0,1,1,1", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,0,0,0\n0,1,1,1")
 
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
-            parse_csv_text("timestamp_ms,x,y,z\n10,0,0,0\n5,1,1,1", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n10,0,0,0\n5,1,1,1")
 
     @pytest.mark.parametrize("blank", ["", " \t"])
     def test_repeated_timestamp_names_its_line(self, blank):
@@ -85,10 +79,10 @@ class TestParseSensorCsv:
         text = f"timestamp_ms,x,y,z\n0,0,0,0\n{blank}\n40,1,1,1\n40,2,2,2\n80,3,3,3\n"
         if blank:
             with pytest.raises(MalformedLine, match=r"sensor\.csv: line 3: expected 4 fields, got 1$"):
-                parse_csv_text(text, ACC, Mount.FRAME)
+                parse_csv_text(text)
         else:
             with pytest.raises(NonMonotonicTimestamp, match=r"sensor\.csv: line 5: "):
-                parse_csv_text(text, ACC, Mount.FRAME)
+                parse_csv_text(text)
 
     def test_parse_holds_the_text_once_as_bytes(self, tmp_path):
         # the file's bytes (1x) and numpy's rows of 32 bytes (about 0.6x
@@ -101,7 +95,7 @@ class TestParseSensorCsv:
         path.write_bytes(text.encode("ascii"))
         tracemalloc.start()
         try:
-            log = parse_sensor_csv(path, ACC, Mount.FRAME)
+            log = parse_sensor_csv(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -111,39 +105,39 @@ class TestParseSensorCsv:
     def test_12hz_file_keeps_its_span(self):
         # 101 samples at 0, 80, ..., 8000 ms
         lines = ["timestamp_ms,x,y,z"] + [f"{i * 80},{i * 0.1},0.0,0.0" for i in range(101)]
-        log = parse_csv_text("\n".join(lines), ACC, Mount.FRAME)
+        log = parse_csv_text("\n".join(lines))
         assert log.timestamps.size == 101
         assert log.timestamps[-1] - log.timestamps[0] == 8000
 
     def test_crlf_accepted(self):
-        log = parse_csv_text("timestamp_ms,x,y,z\r\n0,1,2,3\r\n40,4,5,6\r\n", GYRO, Mount.HELMET)
+        log = parse_csv_text("timestamp_ms,x,y,z\r\n0,1,2,3\r\n40,4,5,6\r\n")
         assert log.timestamps.tolist() == [0, 40]
 
     def test_bad_header(self):
         with pytest.raises(MalformedLine) as err:
-            parse_csv_text("time,x,y,z\n0,1,2,3", ACC, Mount.FRAME)
+            parse_csv_text("time,x,y,z\n0,1,2,3")
         assert err.value.line_no == 1
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(MalformedLine) as err:
-            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3\n40,nope,2,3", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3\n40,nope,2,3")
         assert err.value.line_no == 3
 
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLine):
-            parse_csv_text("timestamp_ms,x,y,z\n0,1,2", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2")
 
     def test_non_finite_rejected(self):
         with pytest.raises(MalformedLine):
-            parse_csv_text("timestamp_ms,x,y,z\n0,nan,2,3", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,nan,2,3")
 
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
-            parse_csv_text("timestamp_ms,x,y,z\n", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n")
 
     def test_roundtrip_exact(self):
         log = log_from([0, 80, 160, 240], [0.1, 1 / 3, -2.5e-7, 1e9])
-        again = parse_csv_text(write_sensor_csv(log), ACC, Mount.FRAME)
+        again = parse_csv_text(write_sensor_csv(log))
         assert np.array_equal(again.timestamps, log.timestamps)
         assert np.array_equal(again.values, log.values)
 
@@ -157,37 +151,37 @@ class TestParseSensorCsv:
     )
     def test_roundtrip_property(self, xs):
         log = log_from(np.arange(len(xs)) * 40, xs)
-        again = parse_csv_text(write_sensor_csv(log), ACC, Mount.FRAME)
+        again = parse_csv_text(write_sensor_csv(log))
         assert np.array_equal(again.values, log.values)
         assert np.array_equal(again.timestamps, log.timestamps)
 
     def test_int64_overflow_timestamp_names_line(self):
         for t in ("99999999999999999999", "9223372036854775808", "-9223372036854775809"):
             with pytest.raises(MalformedLine) as err:
-                parse_csv_text(f"timestamp_ms,x,y,z\n0,1,2,3\n{t},1,2,3\n", ACC, Mount.FRAME)
+                parse_csv_text(f"timestamp_ms,x,y,z\n0,1,2,3\n{t},1,2,3\n")
             assert err.value.line_no == 3
 
     def test_int64_bounds_accepted(self):
         for t in (-(2**63), 2**63 - 41):
-            log = parse_csv_text(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n", ACC, Mount.FRAME)
+            log = parse_csv_text(f"timestamp_ms,x,y,z\n{t},1,2,3\n{t + 40},1,2,3\n")
             assert log.timestamps.tolist() == [t, t + 40]
 
     def test_int64_wrapping_step_rejected(self):
         # the int64 difference of these two timestamps wraps around to +1
         text = "timestamp_ms,x,y,z\n9223372036854775807,1,2,3\n-9223372036854775808,1,2,3\n"
         with pytest.raises(NonMonotonicTimestamp):
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
 
     def test_gap_beyond_int64_accepted(self):
         # the gap of 1.8e19 ms exceeds int64, so an int64 difference wraps negative
         text = "timestamp_ms,x,y,z\n-9000000000000000000,1,2,3\n9000000000000000000,1,2,3\n"
-        log = parse_csv_text(text, ACC, Mount.FRAME)
+        log = parse_csv_text(text)
         assert log.timestamps.tolist() == [-9000000000000000000, 9000000000000000000]
 
     def test_trailing_comment_rejected(self):
         # numpy's loadtxt would cut this to "0,1,2,3" with its default comments="#"
         with pytest.raises(MalformedLine) as err:
-            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3 # c\n40,1,2,3\n", ACC, Mount.FRAME)
+            parse_csv_text("timestamp_ms,x,y,z\n0,1,2,3 # c\n40,1,2,3\n")
         assert err.value.line_no == 2
 
     def test_clean_file_skips_line_loop(self, monkeypatch):
@@ -198,8 +192,8 @@ class TestParseSensorCsv:
         lines = ["timestamp_ms,x,y,z"] + [f"{t},{t * 1e-3!r},{-t * 0.5:.9f},1.0" for t in range(0, 4000, 10)]
         for ends in (["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]):  # LF, CRLF, lone CR, mixed
             text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
-            want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(lf_line_ends(text))[:2])
-            log = parse_csv_text(text, ACC, Mount.FRAME)
+            want = RawSensorLog(*parse_sensor_csv_lines(lf_line_ends(text))[:2])
+            log = parse_csv_text(text)
             assert log.timestamps.tolist() == want.timestamps.tolist()
             assert log.values.tobytes() == want.values.tobytes()
 
@@ -219,7 +213,7 @@ class TestParseSensorCsv:
                         text = end.join(lines) + end
                         want = lines.index(rows[bad]) + 1
                         with pytest.raises(MalformedLine, match=f"line {want}: non-finite value$") as err:
-                            parse_csv_text(text, ACC, Mount.FRAME)
+                            parse_csv_text(text)
                         assert err.value.line_no == want
                         with pytest.raises(MalformedLine) as err:  # numpy reads the bytes, not a path
                             ingest.read_numeric_csv(text.encode(), ingest._CSV_ROW, ingest.CSV_HEADER)
@@ -240,8 +234,8 @@ class TestParseSensorCsv:
         path = tmp_path / f"ride.csv{suffix}"
         path.write_bytes(text.encode("ascii"))
         monkeypatch.setattr(np, "loadtxt", refuse)
-        log = parse_sensor_csv(path, ACC, Mount.FRAME)
-        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(text)[:2])
+        log = parse_sensor_csv(path)
+        want = RawSensorLog(*parse_sensor_csv_lines(text)[:2])
         assert log.timestamps.tolist() == want.timestamps.tolist()
         assert log.values.tobytes() == want.values.tobytes()
 
@@ -264,7 +258,7 @@ class TestParseSensorCsv:
         writer = threading.Thread(target=write)
         writer.start()
         try:
-            log = parse_sensor_csv(fifo, ACC, Mount.FRAME)
+            log = parse_sensor_csv(fifo)
         finally:
             done.set()
             writer.join(timeout=10)
@@ -283,7 +277,7 @@ class TestParseSensorCsv:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
         monkeypatch.setattr(ingest, "_raise_first_bad_line", refuse)
-        log = parse_sensor_csv("http://localhost/ride.csv", ACC, Mount.FRAME)
+        log = parse_sensor_csv("http://localhost/ride.csv")
         assert log.timestamps.tolist() == [0, 40]
         assert log.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
@@ -374,18 +368,18 @@ def assert_matches_line_loop(text):
     bad_line = sensor_csv_grammar_violation(text)
     if bad_line is not None:
         with pytest.raises(MalformedLine) as err:
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
         assert err.value.line_no == bad_line
         return
     try:
-        want = RawSensorLog(ACC, Mount.FRAME, *parse_sensor_csv_lines(lf_line_ends(text))[:2])
+        want = RawSensorLog(*parse_sensor_csv_lines(lf_line_ends(text))[:2])
     except TrailgradeError as want_err:
         with pytest.raises(TrailgradeError) as got_err:
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
         assert type(got_err.value) is type(want_err)
         assert getattr(got_err.value, "line_no", None) == getattr(want_err, "line_no", None)
         return
-    log = parse_csv_text(text, ACC, Mount.FRAME)
+    log = parse_csv_text(text)
     assert log.timestamps.dtype == np.int64
     assert log.timestamps.tolist() == want.timestamps.tolist()
     assert log.values.shape == want.values.shape
@@ -415,7 +409,7 @@ class TestParseMatchesLineLoop:
         row_line = lf_line_ends(render_csv(lines[:row], newlines, True)).count("\n") + 1
         earlier = sensor_csv_grammar_violation(render_csv(lines[:row], newlines, True))
         with pytest.raises(MalformedLine) as err:
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
         assert err.value.line_no == (row_line if earlier is None else earlier)
         assert_matches_line_loop(text)
 
@@ -457,13 +451,13 @@ class TestNumberGrammar:
     def test_spelling_names_its_line(self, row, reason):
         text = f"timestamp_ms,x,y,z\n-40,1,2,3\n\n{row}\n80,1,2,3\n"
         with pytest.raises(MalformedLine, match=f"sensor\\.csv: line 4: {reason}$") as err:
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
         assert err.value.line_no == 4
 
     def test_whitespace_only_line_is_malformed(self):
         text = "timestamp_ms,x,y,z\n0,1,2,3\n \t \n40,1,2,3\n"
         with pytest.raises(MalformedLine, match=r"line 3: expected 4 fields, got 1$") as err:
-            parse_csv_text(text, ACC, Mount.FRAME)
+            parse_csv_text(text)
         assert err.value.line_no == 3
 
     def test_last_of_90000_rows_named(self, tmp_path):
@@ -471,7 +465,7 @@ class TestNumberGrammar:
         path = tmp_path / "ride.csv"
         path.write_text(ingest.CSV_HEADER + "\n" + "".join(rows) + "3599960,1_0,2,3\n")
         with pytest.raises(MalformedLine) as err:
-            parse_sensor_csv(path, ACC, Mount.FRAME)
+            parse_sensor_csv(path)
         assert err.value.line_no == 90_001
 
 
@@ -482,7 +476,7 @@ _CSV_CHARS = "0123456789,.-+eEinfax_# \t\r\n\"\x00\x1c\x85\xa0\u2028\u0663\U0002
 
 def _manifest_texts():
     line = st.tuples(
-        st.sampled_from(("name", *RIDE_ROLES, "# note", "", "other")),
+        st.sampled_from(("name", *CHANNEL_ROLES, "# note", "", "other")),
         st.sampled_from(("=", " = ", "", "==")),
         st.text(max_size=6),
     )
@@ -496,7 +490,7 @@ class TestAnyTextParsesOrRaisesTyped:
     @given(st.one_of(st.text(), st.text(_CSV_CHARS).map(lambda body: ingest.CSV_HEADER + "\n" + body)))
     def test_sensor_csv(self, text):
         try:
-            log = parse_csv_text(text, ACC, Mount.FRAME)
+            log = parse_csv_text(text)
         except TrailgradeError:
             return
         assert log.timestamps.size == log.values.shape[0] > 0
@@ -509,7 +503,7 @@ class TestAnyTextParsesOrRaisesTyped:
             entries = parse_session_manifest(text)
         except TrailgradeError:
             return
-        assert {"name", *RIDE_ROLES} <= set(entries)
+        assert {"name", *CHANNEL_ROLES} <= set(entries)
 
 
 class TestSynchronize:
@@ -573,12 +567,13 @@ class TestSynchronize:
     def test_empty_names_the_window_searched(self):
         # helmet_gyro has samples after t0, but all of them lie past t0 + 2**63 - 1
         stamps = [-9000000000000000000, -8999999999999999960]
-        logs = [log_from(stamps, [0, 1], kind, mount) for mount, kind in CHANNEL_ORDER[:3]]
+        logs = [log_from(stamps, [0, 1]) for _ in range(3)]
         far = [-9100000000000000000, 9000000000000000000, 9000000000000000040]
-        logs.append(log_from(far, [0, 1, 2], GYRO, Mount.HELMET))
-        message = r"^helmet gyroscope: no samples in \[-9000000000000000000, 223372036854775807\] ms$"
-        with pytest.raises(EmptyAfterSync, match=message):
+        logs.append(log_from(far, [0, 1, 2]))
+        message = r"^no samples in \[-9000000000000000000, 223372036854775807\] ms$"
+        with pytest.raises(EmptyAfterSync, match=message) as err:
             synchronize(logs)
+        assert err.value.index == 3
 
     def test_never_grows_and_earliest_is_zero(self, rng):
         logs = []
@@ -655,21 +650,12 @@ class TestResampleLinear:
 class TestBuildSession:
     def make_channels(self, lengths, start=0):
         rng = np.random.default_rng(7)
-        return [
-            SensorChannel(kind, mount, start, rng.normal(size=(n, 3)))
-            for (mount, kind), n in zip(CHANNEL_ORDER, lengths)
-        ]
+        return [SensorChannel(start, rng.normal(size=(n, 3))) for n in lengths]
 
     def test_min_length_rule(self):
         session = build_session(self.make_channels([500, 500, 498, 500]))
         assert session.length_points == 498
         assert session.data.shape == (498, 4, 3)
-
-    def test_duplicate_channel_rejected(self):
-        channels = self.make_channels([10, 10, 10, 10])
-        channels[1] = SensorChannel(ACC, Mount.FRAME, 0, channels[1].values)
-        with pytest.raises(WrongChannelSet):
-            build_session(channels)
 
     def test_missing_channel_rejected(self):
         with pytest.raises(WrongChannelSet):
@@ -678,7 +664,7 @@ class TestBuildSession:
     def test_mismatched_start_rejected(self):
         # one channel starts a period late, so the others drop their first point
         channels = self.make_channels([10, 10, 10, 10])
-        late = SensorChannel(GYRO, Mount.HELMET, 40, channels[3].values)
+        late = SensorChannel(40, channels[3].values)
         session = build_session(channels[:3] + [late])
         assert session.start_time_ms == 40
         assert session.length_points == 9
@@ -686,23 +672,17 @@ class TestBuildSession:
             assert np.array_equal(session.data[:, row], channels[row].values[1:])
         assert np.array_equal(session.data[:, 3], late.values[:9])
 
-    def test_channel_order_fixed(self):
-        channels = self.make_channels([10, 10, 10, 10])
-        session = build_session(list(reversed(channels)))
-        assert [(c.mount, c.sensor_kind) for c in session.channels] == list(CHANNEL_ORDER)
-        assert np.array_equal(session.data[:, 0, :], channels[0].values)
-
     def test_twenty_second_recording_via_resampler(self):
         # accelerometers at 12.5 Hz spanning [0, 20000]; gyroscopes emit 500
         # samples at 25 Hz, the last at 19960 ms -> common length is 500
         rng = np.random.default_rng(3)
         logs = []
-        for mount, kind in CHANNEL_ORDER:
-            if kind is ACC:
+        for role in CHANNEL_ROLES:
+            if role.endswith("accel"):
                 t = np.arange(251) * 80
             else:
                 t = np.arange(500) * 40
-            logs.append(RawSensorLog(kind, mount, t, rng.normal(size=(t.size, 3))))
+            logs.append(RawSensorLog(t, rng.normal(size=(t.size, 3))))
         synced = synchronize(logs)
         end_ms = min(int(log.timestamps[-1]) for log in synced)
         channels = [resample_linear(log, end_ms) for log in synced]
@@ -715,15 +695,15 @@ class TestSessionHoldsOneCopy:
         fields = [f.name for f in dataclasses.fields(ingest.SyncedSession)]
         assert fields == ["name", "start_time_ms", "data"]
 
-    def test_raw_log_fields_are_kind_mount_and_samples(self):
+    def test_raw_log_fields_are_its_samples(self):
         fields = [f.name for f in dataclasses.fields(RawSensorLog)]
-        assert fields == ["sensor_kind", "mount", "timestamps", "values"]
+        assert fields == ["timestamps", "values"]
 
     def test_length_and_channels_derive_from_data(self):
         session = make_session(40, start_ms=120)
         assert session.length_points == len(session.data) == 40
-        for i, (channel, (mount, kind)) in enumerate(zip(session.channels, CHANNEL_ORDER)):
-            assert (channel.mount, channel.sensor_kind) == (mount, kind)
+        assert len(session.channels) == len(CHANNEL_ROLES)
+        for i, channel in enumerate(session.channels):
             assert channel.start_time_ms == 120
             assert np.shares_memory(channel.values, session.data)
             assert np.array_equal(channel.values, session.data[:, i])
@@ -744,8 +724,8 @@ class TestAlignChannelStarts:
 
     def make(self, starts, lengths):
         return [
-            SensorChannel(kind, mount, start, np.random.default_rng(start + n).normal(size=(n, 3)))
-            for (mount, kind), start, n in zip(CHANNEL_ORDER, starts, lengths)
+            SensorChannel(start, np.random.default_rng(start + n).normal(size=(n, 3)))
+            for start, n in zip(starts, lengths)
         ]
 
     def test_trims_to_latest_start(self):
@@ -768,7 +748,7 @@ class TestAlignChannelStarts:
 
     def test_load_session_with_offset_units(self, tmp_path):
         rng = np.random.default_rng(21)
-        offsets = {"frame_accel": 0, "frame_gyro": 55, "helmet_accel": 110, "helmet_gyro": 15}
+        offsets = dict(zip(CHANNEL_ROLES, (0, 55, 110, 15)))
         for role, offset in offsets.items():
             step = 80 if "accel" in role else 40
             rows = ["timestamp_ms,x,y,z"]
@@ -789,10 +769,7 @@ class TestAlignChannelStarts:
 class TestSessionArchive:
     def test_roundtrip_bit_exact(self, tmp_path):
         session = build_session(
-            [
-                SensorChannel(kind, mount, 0, np.random.default_rng(5).normal(size=(37, 3)))
-                for mount, kind in CHANNEL_ORDER
-            ],
+            [SensorChannel(0, np.random.default_rng(5).normal(size=(37, 3))) for _ in CHANNEL_ROLES],
             name="ride-α",
         )
         path = tmp_path / "a.session"
@@ -820,12 +797,7 @@ class TestSessionArchive:
         assert peak <= 1.5 * path.stat().st_size
 
     def test_truncated_rejected(self, tmp_path):
-        session = build_session(
-            [
-                SensorChannel(kind, mount, 0, np.ones((5, 3)))
-                for mount, kind in CHANNEL_ORDER
-            ]
-        )
+        session = build_session([SensorChannel(0, np.ones((5, 3))) for _ in CHANNEL_ROLES])
         path = tmp_path / "a.session"
         write_session_archive(session, path)
         path.write_bytes(path.read_bytes()[:-7])
@@ -834,7 +806,7 @@ class TestSessionArchive:
 
     def test_name_not_utf8_rejected(self, tmp_path):
         session = build_session(
-            [SensorChannel(kind, mount, 0, np.ones((5, 3))) for mount, kind in CHANNEL_ORDER],
+            [SensorChannel(0, np.ones((5, 3))) for _ in CHANNEL_ROLES],
             name="ride",
         )
         path = tmp_path / "a.session"
@@ -891,12 +863,7 @@ class TestManifest:
 
     def test_load_session_end_to_end(self, tmp_path):
         rng = np.random.default_rng(11)
-        roles = {
-            "frame_accel": np.arange(0, 4001, 80),
-            "frame_gyro": np.arange(0, 4001, 40),
-            "helmet_accel": np.arange(0, 4001, 80),
-            "helmet_gyro": np.arange(0, 4001, 40),
-        }
+        roles = {role: np.arange(0, 4001, 80 if role.endswith("accel") else 40) for role in CHANNEL_ROLES}
         for role, ts in roles.items():
             rows = ["timestamp_ms,x,y,z"]
             rows += [f"{t},{rng.normal()!r},{rng.normal()!r},{rng.normal()!r}" for t in ts]
@@ -913,7 +880,7 @@ class TestLoadSessionBytes:
     def test_line_ends_as_read_text(self, tmp_path, newline):
         manifest = write_ride(tmp_path)
         want = load_session(manifest)
-        for role in RIDE_ROLES:
+        for role in CHANNEL_ROLES:
             path = tmp_path / f"{role}.csv"
             path.write_bytes(path.read_bytes().replace(b"\n", newline))
         manifest.write_bytes(manifest.read_bytes().replace(b"\n", newline))
@@ -953,6 +920,16 @@ class TestLoadSessionBytes:
         with pytest.raises(NonMonotonicTimestamp) as err:
             load_session(manifest)
         assert str(err.value) == f"{path}: line 4: timestamps must be strictly increasing"
+
+    @pytest.mark.parametrize("role", CHANNEL_ROLES)
+    def test_csv_with_no_samples_after_the_common_start_is_named(self, tmp_path, role):
+        manifest = write_ride(tmp_path)
+        path = tmp_path / f"{role}.csv"
+        path.write_text("timestamp_ms,x,y,z\n-80,1,2,3\n-40,1,2,3\n")
+        with pytest.raises(EmptyAfterSync) as err:
+            load_session(manifest)
+        assert err.value.index == CHANNEL_ROLES.index(role)
+        assert str(err.value) == f"{path}: no samples in [0, 9223372036854775807] ms"
 
     def test_undecodable_manifest_byte(self, tmp_path):
         manifest = write_ride(tmp_path)
