@@ -175,11 +175,15 @@ def _read_samples(path):
 
 
 def _cmd_train(args):
+    for out in map(Path, (args.out_model, args.out_history)):
+        if not out.parent.is_dir():  # found now, not after the last epoch
+            raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
     samples = _read_samples(args.samples)
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
-    model_config = _from_flags(
-        ModelConfig, window_points=samples[0].data.shape[0], kernel_len=args.kernel_len
-    )
+    with naming(args.samples):
+        model_config = _from_flags(
+            ModelConfig, window_points=samples[0].data.shape[0], kernel_len=args.kernel_len
+        )
     train_config = _from_flags(
         training.TrainConfig,
         seed=args.seed + 3,
@@ -199,7 +203,8 @@ def _cmd_train(args):
 def _cmd_eval(args):
     params, _ = load_checkpoint(args.model)
     samples = _read_samples(args.samples)
-    accuracy, confusion = training.evaluate(params, samples)
+    with naming(args.samples):
+        accuracy, confusion = training.evaluate(params, samples)
     Path(args.out_confusion).write_text(training.confusion_to_csv(confusion))
     print(f"accuracy {accuracy:.4f} on {len(samples)} samples -> {args.out_confusion}")
     return 0
@@ -216,9 +221,9 @@ def _cmd_grid(args):
         patience=args.patience,
     )
     spec = experiments.GridSpec(train_config=train_config, seed=args.seed)
-    results = experiments.run_grid(pairs, spec, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    results = experiments.run_grid(pairs, spec, jobs=args.jobs)
     table = experiments.report_table(results)
     (out / "grid.txt").write_text(table)
     (out / "grid.csv").write_text(experiments.report_csv(results))

@@ -156,23 +156,25 @@ def prepare_splits(samples, seed: int):
     return shuffle(oversample_balance(train, seed=seed + 1), seed=seed + 2), test
 
 
-def _windows(data, config: WindowConfig):
-    """Every session's windows at one size; a session shorter than a window gives none."""
-    samples = []
-    for session, track in data:
-        if session.length_points >= config.window_points:
-            samples.extend(slice_windows(session, track, config))
-    return samples
+def _windows(data, spec: GridSpec):
+    """{window_ms: every session's windows} for each size some kernel fits; a shorter session gives none."""
+    windows = {}
+    for window_ms in spec.window_ms_list:
+        config = WindowConfig(window_ms)
+        if min(spec.kernel_len_list) <= config.window_points:
+            windows[window_ms] = samples = []
+            for session, track in data:
+                if session.length_points >= config.window_points:
+                    samples.extend(slice_windows(session, track, config))
+    return windows
 
 
-def _run_cell(data, spec, window_ms, kernel_len):
-    config = WindowConfig(window_ms)
-    points = config.window_points
+def _run_cell(windows, spec, window_ms, kernel_len):
+    points = WindowConfig(window_ms).window_points
     if kernel_len > points:
         return ExperimentResult(window_ms, kernel_len, SKIPPED_KERNEL_TOO_LONG)
     base = cell_seed(spec.seed, window_ms, kernel_len)
-    samples = _windows(data, config)
-    train_set, test_set = prepare_splits(samples, base)
+    train_set, test_set = prepare_splits(windows, base)
     model_config = ModelConfig(window_points=points, kernel_len=kernel_len)
     result = train(train_set, test_set, model_config, replace(spec.train_config, seed=base + 3))
     return ExperimentResult(
@@ -181,45 +183,43 @@ def _run_cell(data, spec, window_ms, kernel_len):
         COMPLETED,
         best_test_sca=result.best_test_sca,
         best_epoch=result.best_epoch,
-        sample_count=len(samples),
+        sample_count=len(windows),
         oversampled_train_count=len(train_set),
     )
 
 
-#: A pool worker's copy of run_grid's data, set once by _init_worker.
-_worker_data = None
+#: A pool worker's own cut of run_grid's windows, set once by _init_worker.
+_worker_windows = None
 
 
-def _init_worker(data):
-    global _worker_data
-    _worker_data = data
+def _init_worker(data, spec):
+    global _worker_windows
+    _worker_windows = _windows(data, spec)
 
 
 def _run_pooled_cell(cell):
-    return _run_cell(_worker_data, *cell)
+    return _run_cell(_worker_windows.get(cell[1]), *cell)
 
 
 def run_grid(data, spec: GridSpec, jobs: int = 1):
     """Every (window, kernel) cell in row-major order.
 
     `data` is a sequence of (SyncedSession, LabelTrack) pairs; sessions too
-    short for a cell's window simply contribute no samples to it. Before any
-    cell trains, each window size that some kernel fits is checked to yield
-    the 2 windows a train/test split needs. Cells are independent (own
-    derived seed each) so they may run in parallel, on at most one worker per
-    cell; each pool worker receives `data` once, not per cell.
+    short for a cell's window simply contribute no samples to it. Each window
+    size some kernel fits is cut once, and before any cell trains each cut is
+    checked to hold the 2 windows a train/test split needs; that size's cells
+    then train on it. Cells are independent (own derived seed each), so they
+    may run in parallel on at most one worker per cell; each worker cuts `data` once.
     """
     data = list(data)
     if not data:
         raise NoUsableSessions("no sessions provided")
-    for window_ms in spec.window_ms_list:
-        config = WindowConfig(window_ms)
-        if min(spec.kernel_len_list) <= config.window_points:
-            count = len(_windows(data, config))
-            if count < 2:
-                raise NoUsableSessions(
-                    f"{window_ms} ms windows: the sessions yield {count}, a train/test split needs at least 2"
-                )
+    windows = _windows(data, spec)
+    for window_ms, samples in windows.items():
+        if len(samples) < 2:
+            raise NoUsableSessions(
+                f"{window_ms} ms windows: the sessions yield {len(samples)}, a train/test split needs at least 2"
+            )
     cells = [
         (spec, window_ms, kernel_len)
         for window_ms in spec.window_ms_list
@@ -230,9 +230,9 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
         # imported here: the pool's modules cost `import trailgrade` ~30 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(data,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(data, spec)) as pool:
             return list(pool.map(_run_pooled_cell, cells))
-    return [_run_cell(data, *cell) for cell in cells]
+    return [_run_cell(windows.get(cell[1]), *cell) for cell in cells]
 
 
 # --- reporting ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_session, write_ride
 from oracles import history_from_csv
-from trailgrade import experiments
+from trailgrade import experiments, training
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import CHANNEL_ROLES, read_session_archive, write_session_archive
@@ -21,6 +21,7 @@ from trailgrade.nn.model import (
     DROPOUT_RATE,
     FILTERS,
     L2_COEFF,
+    ModelConfig,
 )
 
 
@@ -154,6 +155,48 @@ class TestTrainAndEval:
         }[command]
         assert run(command, "--samples", str(empty), *flags) == 2
         assert capsys.readouterr() == ("", f"error: {empty} holds no samples\n")
+
+    def test_eval_names_an_archive_that_does_not_fit_the_model(self, samples_path, tmp_path, capsys):
+        small = tmp_path / "small.ckpt"
+        save_checkpoint(model.build_model(ModelConfig(25, 5), np.random.default_rng(0)), small)
+        code = run(
+            "eval", "--model", str(small), "--samples", str(samples_path),
+            "--out-confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {samples_path}: sample ('synth-c0-s00', 0) of shape (50, 4, 3) "
+            "does not match the (25, 4, 3) model input\n",
+        )
+
+    def test_train_names_an_archive_too_short_for_the_kernel(self, tmp_path, capsys):
+        archive = tmp_path / "short.tgds"
+        write_sample_archive([WindowSample(np.zeros((25, 4, 3)), c, ("ride", c)) for c in (0, 1)], archive)
+        code = run(
+            "train", "--samples", str(archive), "--kernel-len", "40", "--seed", "1",
+            "--out-model", str(tmp_path / "m"), "--out-history", str(tmp_path / "h"),
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {archive}: kernel length 40 exceeds the 25-point window\n")
+
+    @pytest.mark.parametrize("flag", ["--out-model", "--out-history"])
+    def test_train_checks_its_output_directories_before_training(
+        self, samples_path, tmp_path, capsys, monkeypatch, flag
+    ):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+        outputs = {"--out-model": str(tmp_path / "m.ckpt"), "--out-history": str(tmp_path / "h.csv")}
+        outputs[flag] = str(tmp_path / "nodir" / "out")
+        code = run(
+            "train", "--samples", str(samples_path), "--kernel-len", "5", "--seed", "1",
+            *(item for pair in outputs.items() for item in pair),
+        )
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'nodir' / 'out'}: directory {tmp_path / 'nodir'} does not exist\n"
+        )
 
     def test_train_numeric_failure_exits_3(self, samples_path, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "L2_COEFF", 1e308)
@@ -410,6 +453,15 @@ class TestGrid:
         assert dash_cells == 3  # the three kernel-too-long cells
         assert "20000ms" in table
         assert csv_text.count(",skipped_kernel_too_long,") == 3
+
+    def test_grid_makes_its_output_directory_before_training(self, synth_dir, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda *args: calls.append(args))
+        taken = tmp_path / "grid"
+        taken.write_text("a file, not a directory")
+        code = run("grid", "--data", str(synth_dir), "--seed", "3", "--out", str(taken), "--max-epochs", "1")
+        assert code == 2
+        assert calls == []
 
     def test_grid_without_data_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"

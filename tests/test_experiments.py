@@ -212,7 +212,9 @@ class TestRunGrid:
         parallel = run_grid(data, tiny_grid_spec(), jobs=2)
         assert parallel == list(results)
 
-    def test_pool_has_at_most_one_worker_per_cell(self, data, results, monkeypatch):
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """Stands in for the process pool; returns the worker counts it was asked for."""
         asked = []
 
         class InProcessPool:
@@ -233,7 +235,10 @@ class TestRunGrid:
 
         # run_grid imports the pool class when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(experiments, "_worker_data", None)
+        monkeypatch.setattr(experiments, "_worker_windows", None)
+        return asked
+
+    def test_pool_has_at_most_one_worker_per_cell(self, data, results, in_process_pool):
         two_cells = GridSpec(
             train_config=tiny_grid_spec().train_config,
             seed=9,
@@ -241,7 +246,25 @@ class TestRunGrid:
             kernel_len_list=(10, 40),
         )
         assert run_grid(data, two_cells, jobs=10**6) == list(results[:2])
-        assert asked == [2]
+        assert in_process_pool == [2]
+
+    def test_cuts_each_session_once_per_window_size_and_process(self, data, in_process_pool, monkeypatch):
+        cuts = []
+
+        def counting_slice_windows(session, track, config):
+            cuts.append((session.name, config.window_ms))
+            return slice_windows(session, track, config)
+
+        monkeypatch.setattr(experiments, "slice_windows", counting_slice_windows)
+        monkeypatch.setattr(experiments, "train", lambda *args: SimpleNamespace(best_test_sca=1.0, best_epoch=1))
+        # both sizes fit kernel 10; the 2000 ms size trains two cells on its one cut
+        once = [(session.name, w) for w in (1000, 2000) for session, _ in data]
+        run_grid(data, tiny_grid_spec())
+        assert cuts == once
+        cuts.clear()
+        run_grid(data, tiny_grid_spec(), jobs=2)
+        assert in_process_pool == [2]
+        assert cuts == once + once  # the parent's cut, then the one worker's
 
     def test_no_sessions(self):
         with pytest.raises(NoUsableSessions):
