@@ -178,6 +178,8 @@ def _cmd_train(args):
     for out in map(Path, (args.out_model, args.out_history)):
         if not out.parent.is_dir():  # found now, not after the last epoch
             raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise TrailgradeError(f"{out}: is a directory")
     samples = _read_samples(args.samples)
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
     with naming(args.samples):

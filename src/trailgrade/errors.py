@@ -89,10 +89,6 @@ class ShapeMismatch(TrailgradeError):
     """Tensor shapes disagree with the operation's contract."""
 
 
-class DegenerateBatch(TrailgradeError):
-    """Batch statistics need at least two values per channel."""
-
-
 class LabelOutOfRange(TrailgradeError):
     """An integer label outside [0, classes)."""
 

@@ -5,13 +5,14 @@ cache. The conv, batchnorm and maxpool ops take height-major, channels-last
 activations (height, batch, width, channels): the FFT convolution transforms
 along the height and leaves its output in that order, pooling pairs
 neighbouring rows of axis 0, and batchnorm sums each channel over a (N, C)
-view. Arithmetic is float64 throughout, and every gradient here is checked
-against central finite differences in the test suite.
+view and applies its per-channel vectors to whole height rows. Arithmetic is
+float64 throughout, and every gradient here is checked against central
+finite differences in the test suite.
 """
 
 import numpy as np
 
-from ..errors import DegenerateBatch, EmptyBatch, LabelOutOfRange, ShapeMismatch
+from ..errors import EmptyBatch, LabelOutOfRange, ShapeMismatch
 
 
 def _pad_amounts(k: int):
@@ -84,9 +85,11 @@ def conv2d_forward(x, kernels):
     height-padded input xp, which runs through real FFTs along axis 0: per
     frequency it is one product X[f] @ conj(K[f]) of the (B*W, kw*Cin) input
     spectrum and the (kw*Cin, Cout) kernel spectrum. The output is a view of
-    the inverse transform's first H rows. The cache keeps the kernel spectrum
-    and the input spectrum before the unfold, which is kw times smaller; the
-    backward unfolds it again.
+    the inverse transform's first H rows. The kernel taps are written straight
+    into their rolled rows, tap u at row (u - pt) mod n, so no padded kernel
+    is rolled. The cache keeps the kernel spectrum and the input spectrum
+    before the unfold, which is kw times smaller; the backward unfolds it
+    again.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch("conv2d expects a 4-d input and 4-d kernels")
@@ -100,9 +103,11 @@ def conv2d_forward(x, kernels):
     # the width unfold commutes with the height FFT, so transform the narrower input
     xs = np.fft.rfft(x, n, axis=0)
     xf = _unfold_width(xs, kw).reshape(n // 2 + 1, b * w, kwc)
+    taps = kernels.reshape(kh, kwc, cout)
     kc = np.zeros((n, kwc, cout))
-    kc[:kh] = kernels.reshape(kh, kwc, cout)
-    kf = np.fft.rfft(np.roll(kc, -pt, axis=0), axis=0)
+    kc[: kh - pt] = taps[pt:]
+    kc[n - pt :] = taps[:pt]
+    kf = np.fft.rfft(kc, axis=0)
     out = np.fft.irfft(xf @ kf.conj(), n, axis=0)[:h].reshape(h, b, w, cout)
     return out, ((xs, kf), x.shape, kernels)
 
@@ -110,9 +115,10 @@ def conv2d_forward(x, kernels):
 def conv2d_backward(cache, grad_out, input_grad=True):
     """Gradients (grad_x, grad_k) of conv2d_forward; grad_out is (H, B, W, Cout).
 
-    Grad-kernel is the correlation irfft(X^T @ conj(G)), rolled back down by pt
-    rows; grad-input is the convolution irfft(G @ K^T). A first layer, whose
-    input is data, passes input_grad=False and gets None for grad_x.
+    Grad-kernel is the correlation irfft(X^T @ conj(G)), whose tap u sits at
+    row (u - pt) mod n, as in the forward; those kh rows are taken directly.
+    Grad-input is the convolution irfft(G @ K^T). A first layer, whose input
+    is data, passes input_grad=False and gets None for grad_x.
     """
     (xs, kf), x_shape, kernels = cache
     kh, kw, cin, cout = kernels.shape
@@ -131,7 +137,18 @@ def conv2d_backward(cache, grad_out, input_grad=True):
     np.conjugate(gf, out=gf)
     xf = _unfold_width(xs, kw).reshape(n // 2 + 1, b * w, kw * cin)
     grad_kc = np.fft.irfft(xf.transpose(0, 2, 1) @ gf, n, axis=0)
-    return grad_x, np.roll(grad_kc, pt, axis=0)[:kh].reshape(kh, kw, cin, cout)
+    grad_k = np.concatenate((grad_kc[n - pt :], grad_kc[: kh - pt]))
+    return grad_x, grad_k.reshape(kh, kw, cin, cout)
+
+
+def _per_channel(v, rows):
+    """Channel vector v repeated along a row of `rows`, to broadcast against it.
+
+    Each value still meets its own channel's entry, so the bits are those of
+    broadcasting v over the last axis, but numpy's inner loop runs over a
+    whole row instead of C values.
+    """
+    return np.tile(v, rows.shape[1] // v.size)
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum, eps, train=True):
@@ -141,41 +158,51 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, *, momentum, ep
     exponentially updated running stats; infer mode reads the running stats
     and leaves them untouched. Returns (out, cache, running_mean, running_var).
     Each channel sum is one vector-matrix product over a (N, C) view of x,
-    which is far faster than a reduction with C innermost.
+    which is far faster than a reduction with C innermost. Each per-channel
+    vector is applied to the (H, B*W*C) row view of the activation, repeated
+    B*W times, for the same reason; the cache keeps xhat in that row view.
     """
+    rows = x.reshape(len(x), -1)
     if train:
         c = x.shape[-1]
         ones = np.ones(x.size // c)
-        if ones.size < 2:
-            raise DegenerateBatch("batch statistics need at least 2 values per channel")
         mean = ones @ x.reshape(-1, c) / ones.size
-        xhat = x - mean
+        xhat = rows - _per_channel(mean, rows)
         out = np.square(xhat)
         var = ones @ out.reshape(-1, c) / ones.size
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std
-        np.multiply(xhat, gamma, out=out)
-        out += beta
+        xhat *= _per_channel(inv_std, rows)
+        np.multiply(xhat, _per_channel(gamma, rows), out=out)
+        out += _per_channel(beta, rows)
         new_mean = momentum * running_mean + (1.0 - momentum) * mean
         new_var = momentum * running_var + (1.0 - momentum) * var
-        return out, (xhat, gamma, inv_std, ones), new_mean, new_var
-    out = gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
-    return out, None, running_mean, running_var
+        return out.reshape(x.shape), (xhat, gamma, inv_std, ones), new_mean, new_var
+    # gamma * (x - running_mean) / sqrt(running_var + eps) + beta, in that order
+    out = rows - _per_channel(running_mean, rows)
+    np.multiply(_per_channel(gamma, rows), out, out=out)
+    out /= _per_channel(np.sqrt(running_var + eps), rows)
+    out += _per_channel(beta, rows)
+    return out.reshape(x.shape), None, running_mean, running_var
 
 
 def batchnorm_backward(cache, grad_out):
+    """Gradients (grad_x, grad_gamma, grad_beta) of train-mode batchnorm_forward.
+
+    Like the forward, the channel sums are vector-matrix products and the
+    per-channel vectors are applied to whole height rows.
+    """
     xhat, gamma, inv_std, ones = cache
-    c = xhat.shape[-1]
-    grad_beta = ones @ grad_out.reshape(-1, c)
-    scratch = grad_out * xhat
-    grad_gamma = ones @ scratch.reshape(-1, c)
+    rows = grad_out.reshape(xhat.shape)
+    grad_beta = ones @ grad_out.reshape(-1, gamma.size)
+    scratch = rows * xhat
+    grad_gamma = ones @ scratch.reshape(-1, gamma.size)
     # (gamma * inv_std) * (grad_out - grad_beta / n - xhat * grad_gamma / n), in place
-    np.multiply(xhat, grad_gamma, out=scratch)
+    np.multiply(xhat, _per_channel(grad_gamma, rows), out=scratch)
     scratch /= ones.size
-    grad_x = grad_out - grad_beta / ones.size
+    grad_x = rows - _per_channel(grad_beta / ones.size, rows)
     grad_x -= scratch
-    grad_x *= gamma * inv_std
-    return grad_x, grad_gamma, grad_beta
+    grad_x *= _per_channel(gamma * inv_std, rows)
+    return grad_x.reshape(grad_out.shape), grad_gamma, grad_beta
 
 
 def relu(x):
@@ -192,19 +219,23 @@ def maxpool_forward(x):
     """Max pool (2, 1) with stride (2, 1) along the height axis 0, ceil mode.
 
     x is height-major (H, B, W, C). A trailing odd row pools alone, so output
-    height is ceil(H / 2). The mask records each window's argmax (first
-    occurrence on ties) for the backward.
+    height is ceil(H / 2): it is copied as it is, NaN included, and its mask
+    is False. The mask records each window's argmax (first occurrence on
+    ties) for the backward.
     """
     h = x.shape[0]
-    ho = (h + 1) // 2
-    if h % 2:
-        x = np.concatenate([x, np.full((1, *x.shape[1:]), -np.inf)])
-    xr = x.reshape(ho, 2, *x.shape[1:])
+    hp = h // 2
+    xr = x[: 2 * hp].reshape(hp, 2, *x.shape[1:])
     first, second = xr[:, 0], xr[:, 1]
     # argmax of each pair without a reduction: NaN counts as the maximum, so the
     # second row wins where it is larger, or NaN while the first is not
     mask = ~((second <= first) | np.isnan(first))
-    return np.maximum(first, second), (mask, h)
+    if h % 2 == 0:
+        return np.maximum(first, second), (mask, h)
+    out = np.empty((hp + 1, *x.shape[1:]), x.dtype)
+    np.maximum(first, second, out=out[:hp])
+    out[hp] = x[-1]
+    return out, (np.concatenate([mask, np.zeros_like(mask[:1])]), h)
 
 
 def maxpool_backward(cache, grad_out):

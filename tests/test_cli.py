@@ -180,23 +180,35 @@ class TestTrainAndEval:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {archive}: kernel length 40 exceeds the 25-point window\n")
 
-    @pytest.mark.parametrize("flag", ["--out-model", "--out-history"])
+    @pytest.mark.parametrize(
+        "flag, fault",
+        [
+            pytest.param("--out-model", "missing-parent", id="--out-model"),
+            pytest.param("--out-history", "missing-parent", id="--out-history"),
+            pytest.param("--out-model", "existing-directory", id="--out-model-is-a-directory"),
+            pytest.param("--out-history", "existing-directory", id="--out-history-is-a-directory"),
+        ],
+    )
     def test_train_checks_its_output_directories_before_training(
-        self, samples_path, tmp_path, capsys, monkeypatch, flag
+        self, samples_path, tmp_path, capsys, monkeypatch, flag, fault
     ):
         calls = []
         monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
         outputs = {"--out-model": str(tmp_path / "m.ckpt"), "--out-history": str(tmp_path / "h.csv")}
-        outputs[flag] = str(tmp_path / "nodir" / "out")
+        if fault == "missing-parent":
+            outputs[flag] = str(tmp_path / "nodir" / "out")
+            message = f"{tmp_path / 'nodir' / 'out'}: directory {tmp_path / 'nodir'} does not exist"
+        else:
+            (tmp_path / "d").mkdir()
+            outputs[flag] = str(tmp_path / "d")
+            message = f"{tmp_path / 'd'}: is a directory"
         code = run(
             "train", "--samples", str(samples_path), "--kernel-len", "5", "--seed", "1",
             *(item for pair in outputs.items() for item in pair),
         )
         assert code == 2
         assert calls == []
-        assert capsys.readouterr() == (
-            "", f"error: {tmp_path / 'nodir' / 'out'}: directory {tmp_path / 'nodir'} does not exist\n"
-        )
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_train_numeric_failure_exits_3(self, samples_path, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "L2_COEFF", 1e308)

@@ -10,7 +10,7 @@ from oracles import (
     finite_difference_gradient,
     max_relative_error,
 )
-from trailgrade.errors import DegenerateBatch, EmptyBatch, LabelOutOfRange, ShapeMismatch
+from trailgrade.errors import EmptyBatch, LabelOutOfRange, ShapeMismatch
 from trailgrade.nn import ops
 from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM
 
@@ -197,12 +197,6 @@ class TestBatchNorm:
         assert np.allclose(new_var, 0.9 * rv + 0.1 * x.var(axis=(0, 1, 2)))
         assert rm.sum() == 0.0  # inputs untouched
 
-    def test_degenerate_batch(self):
-        with pytest.raises(DegenerateBatch):
-            ops.batchnorm_forward(
-                np.ones((1, 1, 1, 2)), np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), **BN
-            )
-
     def test_grad_beta_is_sum(self, rng):
         x = rng.normal(size=(3, 2, 2, 2))
         _, cache, _, _ = ops.batchnorm_forward(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), **BN)
@@ -244,6 +238,8 @@ class TestBatchNorm:
             pytest.param(32, 63, 4, 8, "height-major", id="conv-layout-block2"),
             pytest.param(32, 32, 4, 16, "height-major", id="conv-layout-block3"),
             pytest.param(20, 125, 4, 4, "height-major", id="last-batch-20-of-660"),
+            pytest.param(32, 500, 4, 4, "height-major", id="grid-500-points-block1"),
+            pytest.param(32, 250, 4, 8, "height-major", id="grid-500-points-block2"),
         ],
     )
     def test_bit_identical_to_two_pass(self, b, h, w, c, layout, rng):
@@ -273,6 +269,18 @@ class TestBatchNorm:
             # same strides too: the next op reads them in memory order
             assert (a.shape, a.strides) == (e.shape, e.strides), name
             assert max_relative_error(a, e) < 1e-11, name
+
+    @pytest.mark.parametrize("h, c", [(125, 4), (63, 8), (32, 16), (500, 4)])
+    def test_infer_equals_the_broadcast_formula(self, h, c, rng):
+        # applied to whole height rows, each value still meets its own channel's
+        # vectors through the same ufuncs in the same order, so the bits agree
+        x = rng.normal(1.5, 2.0, size=(h, 32, 4, c))
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        running_mean, running_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        out, _, _, _ = ops.batchnorm_forward(x, gamma, beta, running_mean, running_var, **BN, train=False)
+        want = gamma * (x - running_mean) / np.sqrt(running_var + BN_EPSILON) + beta
+        assert (out.shape, out.strides) == (want.shape, want.strides)
+        assert np.array_equal(out, want)
 
 
 class TestRelu:
@@ -351,6 +359,15 @@ class TestMaxPool:
         xr = x.reshape(len(pairs), 2, 1, 1, 1)
         assert np.array_equal(mask, xr.argmax(axis=1))
         assert np.array_equal(out.view(np.int64), xr.max(axis=1).view(np.int64))
+
+    def test_trailing_odd_row_is_copied_bit_for_bit(self, rng):
+        x = rng.normal(size=(7, 2, 3, 1))
+        x[-1].flat = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5]
+        out, (mask, _) = ops.maxpool_forward(x)
+        assert np.array_equal(out[-1].view(np.int64), x[-1].view(np.int64))
+        assert not mask[-1].any()
+        grad = ops.maxpool_backward((mask, 7), np.ones((4, 2, 3, 1)))
+        assert np.array_equal(grad[-1], np.ones((2, 3, 1)))
 
     def test_finite_differences_distinct_values(self, rng):
         x = rng.permutation(np.linspace(-1.0, 1.0, 7 * 2 * 3 * 2)).reshape(7, 2, 3, 2)

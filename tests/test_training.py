@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import textwrap
 import tracemalloc
@@ -9,8 +10,14 @@ import pytest
 
 from conftest import narrowed_network, run_fresh_python
 from oracles import accuracy_loop, history_from_csv, sparse_categorical_accuracy
-from trailgrade import training
-from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
+from trailgrade import experiments, training
+from trailgrade.dataset import (
+    WindowConfig,
+    WindowSample,
+    read_sample_archive,
+    slice_windows,
+    write_sample_archive,
+)
 from trailgrade.errors import (
     EmptyBatch,
     EmptyDataset,
@@ -20,6 +27,7 @@ from trailgrade.errors import (
 )
 from trailgrade.nn import model, ops
 from trailgrade.nn.adam import adam_step, init_adam
+from trailgrade.nn.checkpoint import save_checkpoint
 from trailgrade.nn.model import ModelConfig, backward, build_model, forward, l2_penalty
 from trailgrade.nn.ops import sparse_categorical_crossentropy
 from trailgrade.training import (
@@ -531,3 +539,49 @@ class TestHistoryCsv:
     def test_header_checked(self):
         with pytest.raises(ValueError):
             history_from_csv("nope\n1,0.5,0.5,0.1\n")
+
+
+#: The paper cell's trained bytes, keyed by what decides the floating-point
+#: results: the numpy version, the BLAS and the SIMD extensions numpy found on
+#: the CPU. Each value is (history CSV, checkpoint), each the first 16 hex
+#: digits of its SHA-256, the same with one BLAS thread or several. Recorded on
+#: an x86-64 host with AVX-512; bench/run.py's train-paper-cell prints the
+#: same digests at seed 71.
+PAPER_CELL_DIGESTS = {
+    ("2.4.6", "scipy-openblas 0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): (
+        "6193ca226bfbac4c",
+        "86133df770f20cb6",
+    ),
+}
+
+
+def _numeric_environment():
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    found = tuple(config.get("SIMD Extensions", {}).get("found", ()))
+    return np.__version__, f"{blas.get('name')} {blas.get('version')}", found
+
+
+def test_paper_cell_trains_the_recorded_bytes(tmp_path):
+    # criterion 5's cell, 5000 ms windows and kernel 20, built as the CLI's
+    # synth -> window -> train chain builds it, with a float32 archive between
+    environment = _numeric_environment()
+    if environment not in PAPER_CELL_DIGESTS:
+        pytest.skip(f"no digests recorded for numpy {environment[0]}, {environment[1]}, SIMD {environment[2]}")
+    spec = experiments.SyntheticSpec(20, 20, 71)
+    config = WindowConfig(5000)
+    samples = []
+    for session, track in experiments.generate_synthetic(spec):
+        samples.extend(slice_windows(session, track, config))
+    archive = tmp_path / "paper-cell.tgds"
+    write_sample_archive(samples, archive)
+    train_set, test_set = experiments.prepare_splits(read_sample_archive(archive), 71)
+    result = train(
+        train_set, test_set, ModelConfig(125, 20), TrainConfig(seed=74, max_epochs=8, patience=8)
+    )
+    save_checkpoint(result.best_params, tmp_path / "paper-cell.ckpt")
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()[:16]
+        for data in (history_to_csv(result.history).encode(), (tmp_path / "paper-cell.ckpt").read_bytes())
+    )
+    assert digests == PAPER_CELL_DIGESTS[environment]
