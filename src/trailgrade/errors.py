@@ -86,7 +86,7 @@ class CorruptArchive(TrailgradeError):
 # nn
 
 class ShapeMismatch(TrailgradeError):
-    """Tensor shapes disagree with the operation's contract."""
+    """A sample window does not fit the model input."""
 
 
 class LabelOutOfRange(TrailgradeError):
@@ -95,10 +95,6 @@ class LabelOutOfRange(TrailgradeError):
 
 class KernelTooLong(TrailgradeError):
     """Kernel length exceeds the window's point count."""
-
-
-class StaleCache(TrailgradeError):
-    """A backward pass used a cache from before a parameter update."""
 
 
 class CorruptCheckpoint(TrailgradeError):
@@ -110,10 +106,6 @@ class VersionMismatch(TrailgradeError):
 
 
 # training / experiments
-
-class EmptyBatch(TrailgradeError):
-    """`nn.ops.sparse_categorical_crossentropy` was given zero predictions."""
-
 
 class EmptyDataset(TrailgradeError):
     """Training or evaluation needs at least one sample."""

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
 from .model import ModelParams, is_trainable
 
 #: The paper's learning rate; Adam's betas and epsilon are the usual defaults.
@@ -34,19 +33,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
     LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
     Mutates params and state in place and returns None; params.step counts
-    updates, for the bias correction and to detect stale forward caches. Each
-    float64 gradient is used as scratch, so ``grads`` holds no gradient afterwards.
+    updates, for the bias correction. Each float64 gradient is used as
+    scratch, so ``grads`` holds no gradient afterwards.
     """
     t = params.step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for key, g in grads.items():
-        if key not in state.m:
-            raise ShapeMismatch(f"gradient for unknown parameter {key!r}")
-        if g.shape != params.tensors[key].shape:
-            raise ShapeMismatch(
-                f"{key}: gradient shape {g.shape} does not match parameter {params.tensors[key].shape}"
-            )
         m, v = state.m[key], state.v[key]
         # every product and quotient below is the one the textbook formula
         # makes, in its order; only the buffers differ: one temporary, and g

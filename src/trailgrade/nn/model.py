@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import labeling
-from ..errors import KernelTooLong, ShapeMismatch, StaleCache
+from ..errors import KernelTooLong
 from . import ops
 
 IN_CHANNELS = 3
@@ -126,12 +126,10 @@ class ForwardCache:
     """Intermediates of one train-mode forward pass, consumed by backward().
 
     backward() pops each block's cache off ``block_caches`` before running
-    that block, so the cache serves one backward pass: a second one raises
-    StaleCache.
+    that block, so the cache serves one backward pass.
     """
 
     params: ModelParams
-    params_step: int
     block_caches: list  # per block, in forward order: (conv, bn, relu mask, pool, dropout mask)
     pre_flatten_shape: tuple  # height-major
     dense1_cache: tuple
@@ -140,20 +138,13 @@ class ForwardCache:
 
 
 def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
-    """Run the network on a (B, n, 4, 3) batch.
+    """Run the network on a (B, n, 4, 3) batch; its caller checks that shape.
 
     Returns (probabilities, cache); the cache is None outside train mode.
     Train mode updates the batchnorm running statistics on `params` and draws
     dropout masks from `rng`; infer mode is pure and deterministic.
     """
-    cfg = params.config
     batch = np.asarray(batch, dtype=np.float64)
-    expected = (cfg.window_points, SENSOR_ROWS, IN_CHANNELS)
-    if batch.ndim != 4 or batch.shape[1:] != expected:
-        raise ShapeMismatch(f"expected batch of shape (B, {expected[0]}, 4, 3), got {batch.shape}")
-    if train and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout")
-
     t = params.tensors
     x = batch.transpose(1, 0, 2, 3)
     blocks = []
@@ -184,7 +175,7 @@ def forward(params: ModelParams, batch, *, train: bool = False, rng=None):
     probs = ops.softmax(logits)
     if not train:
         return probs, None
-    return probs, ForwardCache(params, params.step, blocks, pre_flatten, dense1_c, relu4_mask, dense2_c)
+    return probs, ForwardCache(params, blocks, pre_flatten, dense1_c, relu4_mask, dense2_c)
 
 
 def backward(cache: ForwardCache, grad_logits) -> dict:
@@ -193,20 +184,10 @@ def backward(cache: ForwardCache, grad_logits) -> dict:
     Covers every trainable tensor. The pass consumes its cache: each block's
     intermediates leave it before that block's backward and are freed once it
     is done, and the dense layers' weight gradients (dense1's is the largest
-    array the pass makes) are built only after the conv blocks. Raises
-    StaleCache when the cache was already consumed, or when the parameters
-    were updated after the forward pass that produced it, and ShapeMismatch
-    for a gradient that is not (B, CLASSES).
+    array the pass makes) are built only after the conv blocks.
     """
-    if len(cache.block_caches) != len(FILTERS):
-        raise StaleCache("this cache was already consumed by a backward pass")
     params = cache.params
-    if params.step != cache.params_step:
-        raise StaleCache("parameters changed since this cache's forward pass")
     h, b, w, c = cache.pre_flatten_shape
-    if grad_logits.shape != (b, CLASSES):
-        raise ShapeMismatch(f"logits gradient {grad_logits.shape} does not match ({b}, {CLASSES})")
-
     grad_hidden = ops.relu_backward(cache.relu4_mask, ops.dense_backward(cache.dense2_cache, grad_logits))
     dx = ops.dense_backward(cache.dense1_cache, grad_hidden)
     dx = dx.reshape(b, h, w, c).transpose(1, 0, 2, 3)

@@ -60,8 +60,6 @@ class TrainResult:
 
 def confusion_matrix(predicted, labels) -> np.ndarray:
     """counts[true][predicted] of two int arrays, as a (CLASSES, CLASSES) int64 array."""
-    if predicted.shape != labels.shape:
-        raise ShapeMismatch(f"predictions {predicted.shape} do not match labels {labels.shape}")
     return np.bincount(labels * CLASSES + predicted, minlength=CLASSES**2).reshape(CLASSES, CLASSES)
 
 
@@ -146,7 +144,8 @@ def train(train_samples, test_samples, model_config: ModelConfig, train_config: 
     state = init_adam(params)
     n = len(train_samples)
     # No degenerate-batch merging is needed here: batchnorm reduces over
-    # B * n * 4 values per channel, which is >= 8 even for a 1-sample batch.
+    # B * H * 4 values per channel at a block of height H, which is >= 4
+    # even for a 1-sample batch of 1-point windows.
     history = []
     best_sca, best_epoch, best_params = -1.0, 0, None
     stopped_early = False

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from trailgrade.errors import EmptyBatch, EmptyLog, MalformedLine, ShapeMismatch
+from trailgrade.errors import EmptyLog, MalformedLine, ShapeMismatch
 from trailgrade.nn import model, ops
 from trailgrade.nn.model import DROPOUT_RATE
 from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
@@ -181,7 +181,7 @@ def sparse_categorical_accuracy(probs, labels) -> float:
     probs = np.asarray(probs)
     labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[0] == 0:
-        raise EmptyBatch("need at least one prediction row")
+        raise ValueError("need at least one prediction row")
     if labels.shape != (probs.shape[0],):
         raise ShapeMismatch(f"labels {labels.shape} do not match batch of {probs.shape[0]}")
     return float(np.mean(probs.argmax(axis=1) == labels))

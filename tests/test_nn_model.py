@@ -19,8 +19,6 @@ from oracles import (
 from trailgrade.errors import (
     CorruptCheckpoint,
     KernelTooLong,
-    ShapeMismatch,
-    StaleCache,
     VersionMismatch,
 )
 from trailgrade.nn.adam import adam_step, init_adam
@@ -113,21 +111,11 @@ class TestBuildAndForward:
         b, _ = forward(params, batch)
         assert np.array_equal(a, b)
 
-    def test_shape_mismatch(self, rng, tiny):
-        params = build_model(tiny, np.random.default_rng(1))
-        with pytest.raises(ShapeMismatch):
-            forward(params, rng.normal(size=(2, 9, 4, 3)))
-
     def test_train_mode_updates_running_stats(self, rng, tiny):
         params = build_model(tiny, np.random.default_rng(1))
         before = params.tensors["bn1/mean"].copy()
         forward(params, rng.normal(size=(4, 8, 4, 3)) + 5.0, train=True, rng=rng)
         assert not np.array_equal(params.tensors["bn1/mean"], before)
-
-    def test_dropout_needs_rng(self, rng):
-        params = build_model(ModelConfig(window_points=8, kernel_len=3), np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            forward(params, rng.normal(size=(2, 8, 4, 3)), train=True)
 
 
 class TestFullNetworkGradients:
@@ -163,31 +151,6 @@ class TestFullNetworkGradients:
             key = f"conv{i}/kernel"
             expected = grads_without[key] + 2.0 * L2_COEFF * params.tensors[key]
             assert np.allclose(grads_with[key], expected, atol=1e-12)
-
-    def test_stale_cache_detected(self, rng, tiny):
-        params = build_model(tiny, rng)
-        batch = rng.normal(size=(2, 8, 4, 3))
-        probs, cache = forward(params, batch, train=True, rng=masks())
-        grad_logits = sparse_categorical_crossentropy(probs, np.array([0, 1]))[1]
-        adam_step(params, backward(cache, grad_logits), init_adam(params))
-        with pytest.raises(StaleCache):
-            backward(cache, grad_logits)
-
-    def test_backward_consumes_its_cache(self, rng, tiny):
-        params = build_model(tiny, rng)
-        probs, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
-        grad_logits = sparse_categorical_crossentropy(probs, np.array([0, 1]))[1]
-        backward(cache, grad_logits)
-        with pytest.raises(StaleCache):
-            backward(cache, grad_logits)
-
-    @pytest.mark.parametrize("shape", [(1, 3), (2, 4)])
-    def test_logits_gradient_of_another_shape_is_rejected(self, rng, tiny, shape):
-        # a (1, 3) gradient would broadcast over a batch of 2 and fail later, untyped
-        params = build_model(tiny, rng)
-        _, cache = forward(params, rng.normal(size=(2, 8, 4, 3)), train=True, rng=masks())
-        with pytest.raises(ShapeMismatch, match=re.escape(f"logits gradient {shape} does not match (2, 3)")):
-            backward(cache, np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("narrow", [True, False], ids=["tiny", "full-width"])
@@ -261,13 +224,6 @@ class TestAdam:
         losses = [v * v for v in values]
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-    def test_shape_mismatch(self):
-        params = self.make_scalar_params(0.0)
-        with pytest.raises(ShapeMismatch):
-            adam_step(params, {"w": np.zeros(2)}, init_adam(params))
-        with pytest.raises(ShapeMismatch):
-            adam_step(params, {"nope": np.zeros(1)}, init_adam(params))
 
     def test_moments_follow_definition(self, rng):
         params = self.make_scalar_params(0.0)

@@ -10,7 +10,6 @@ from oracles import (
     finite_difference_gradient,
     max_relative_error,
 )
-from trailgrade.errors import EmptyBatch, LabelOutOfRange, ShapeMismatch
 from trailgrade.nn import ops
 from trailgrade.nn.model import BN_EPSILON, BN_MOMENTUM
 
@@ -53,10 +52,6 @@ class TestConvForward:
         out, _ = ops.conv2d_forward(x, kernels)
         assert out.shape == (3, 1, 4, 3)
         assert np.max(np.abs(out - conv2d_bruteforce(x, kernels))) < 1e-10
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            ops.conv2d_forward(rng.normal(size=(4, 1, 4, 3)), rng.normal(size=(3, 2, 2, 5)))
 
 
 class TestConvBackward:
@@ -421,10 +416,6 @@ class TestDense:
         )
         assert out.item() == 12.0
 
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            ops.dense_forward(rng.normal(size=(2, 3)), rng.normal(size=(4, 5)), np.zeros(5))
-
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -479,17 +470,6 @@ class TestCrossEntropy:
         probs = np.array([[0.25, 0.25, 0.5]])
         loss, _ = ops.sparse_categorical_crossentropy(probs, np.array([2]))
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_label_out_of_range(self):
-        probs = np.full((2, 3), 1 / 3)
-        with pytest.raises(LabelOutOfRange):
-            ops.sparse_categorical_crossentropy(probs, np.array([0, 3]))
-        with pytest.raises(LabelOutOfRange):
-            ops.sparse_categorical_crossentropy(probs, np.array([-1, 0]))
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            ops.sparse_categorical_crossentropy(np.empty((0, 3)), np.empty(0, dtype=int))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_combined_gradient_matches_fd_through_softmax(self, seed):
