@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 data error or out of memory, 3 numeric f
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import dataset, experiments, ingest, labeling, training
-from .errors import InvalidSpec, MalformedLine, MalformedXml, NumericFailure, TrailgradeError
+from .errors import MalformedLine, MalformedXml, NumericFailure, TrailgradeError
 from .framing import naming
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
@@ -28,8 +29,18 @@ def _from_flags(config_type, *args, **kwargs):
     """Build a config from flag values; a value the config rejects is a usage error."""
     try:
         return config_type(*args, **kwargs)
-    except (ValueError, InvalidSpec) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _distinct_files(*flagged):
+    """Reject two (flag, path) pairs that name one file, compared resolved: a write would destroy the other."""
+    # realpath, not Path.resolve(): a symlink loop is left for open() to report as a data error
+    seen = {}
+    for flag, path in flagged:
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise _UsageError(f"{other} and {flag} name one file: {path}")
 
 
 def _seed(text):
@@ -175,6 +186,8 @@ def _read_samples(path):
 
 
 def _cmd_train(args):
+    _distinct_files(("--samples", args.samples), ("--out-model", args.out_model),
+                    ("--out-model's .txt sidecar", args.out_model + ".txt"), ("--out-history", args.out_history))
     for out in map(Path, (args.out_model, args.out_history)):
         if not out.parent.is_dir():  # found now, not after the last epoch
             raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
@@ -203,6 +216,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    _distinct_files(("--model", args.model), ("--samples", args.samples), ("--out-confusion", args.out_confusion))
     params, _ = load_checkpoint(args.model)
     samples = _read_samples(args.samples)
     with naming(args.samples):

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptArchive,
-    EmptyClass,
-    NumericFailure,
-    SessionTooShort,
-    TooFewSamples,
-)
+from .errors import CorruptArchive, NumericFailure, SessionTooShort, TooFewSamples
 from .framing import CHUNK_BYTES, Reader, naming
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
@@ -113,9 +107,7 @@ def oversample_balance(train, seed: int):
     """
     counts = class_histogram(train)
     classes = [c for c in sorted(counts) if counts[c] > 0]
-    if not classes:
-        raise EmptyClass("no labeled samples to balance")
-    target = max(counts[c] for c in classes)
+    target = max((counts[c] for c in classes), default=0)
     rng = np.random.default_rng(seed)
     duplicates = []
     for c in classes:

@@ -35,14 +35,6 @@ class TooFewSamples(TrailgradeError):
     """Not enough samples for the requested operation."""
 
 
-class WrongChannelSet(TrailgradeError):
-    """A session needs exactly one channel per role in ``ingest.CHANNEL_ROLES``."""
-
-
-class MismatchedStart(TrailgradeError):
-    """Channel start times of one session must lie a whole number of periods apart."""
-
-
 class SessionTooLong(TrailgradeError):
     """A session spans more lattice points than a session archive can hold."""
 
@@ -73,10 +65,6 @@ class InvalidInterval(TrailgradeError):
 
 class SessionTooShort(TrailgradeError):
     """Session has fewer points than one window."""
-
-
-class EmptyClass(TrailgradeError):
-    """A requested class has no members to duplicate."""
 
 
 class CorruptArchive(TrailgradeError):
@@ -117,7 +105,3 @@ class NumericFailure(TrailgradeError):
 
 class NoUsableSessions(TrailgradeError):
     """No session is long enough for the requested windows."""
-
-
-class InvalidSpec(TrailgradeError):
-    """Invalid synthetic-data or experiment-grid settings."""

@@ -18,7 +18,7 @@ from .dataset import (
     slice_windows,
     split_train_test,
 )
-from .errors import InvalidSpec, NoUsableSessions
+from .errors import NoUsableSessions
 from .ingest import CHANNEL_ROLES, SESSION_POINTS_MAX, TARGET_RATE_HZ, SensorChannel, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
@@ -68,9 +68,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.sessions_per_class < 1 or self.session_seconds < 1:
-            raise InvalidSpec("sessions_per_class and session_seconds must be positive")
+            raise ValueError("sessions_per_class and session_seconds must be positive")
         if self.session_seconds * TARGET_RATE_HZ > SESSION_POINTS_MAX:
-            raise InvalidSpec(
+            raise ValueError(
                 f"session_seconds {self.session_seconds}: a session archive holds at most {SESSION_POINTS_MAX} points"
             )
 
@@ -129,9 +129,9 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.window_ms_list or not self.kernel_len_list:
-            raise InvalidSpec("window and kernel lists must be non-empty")
+            raise ValueError("window and kernel lists must be non-empty")
         if min(self.window_ms_list) < 1 or min(self.kernel_len_list) < 1:
-            raise InvalidSpec("window and kernel entries must be positive")
+            raise ValueError("window and kernel entries must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,6 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     may run in parallel on at most one worker per cell; each worker cuts `data` once.
     """
     data = list(data)
-    if not data:
-        raise NoUsableSessions("no sessions provided")
     windows = _windows(data, spec)
     for window_ms, samples in windows.items():
         if len(samples) < 2:

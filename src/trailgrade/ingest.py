@@ -23,13 +23,11 @@ from .errors import (
     EmptyLog,
     MalformedLine,
     MalformedManifest,
-    MismatchedStart,
     NonMonotonicTimestamp,
     NumericFailure,
     SessionTooLong,
     TooFewSamples,
     TrailgradeError,
-    WrongChannelSet,
 )
 from .framing import CHUNK_BYTES, Reader, naming
 
@@ -58,8 +56,6 @@ class RawSensorLog:
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1, 3)
         if self.timestamps.size == 0:
             raise EmptyLog("sensor log has no samples")
-        if self.timestamps.size != self.values.shape[0]:
-            raise ValueError("timestamps and values disagree in length")
         # compare neighbours, not np.diff: an int64 difference can wrap around
         if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
             raise NonMonotonicTimestamp("timestamps must be strictly increasing")
@@ -74,8 +70,6 @@ class SensorChannel:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1, 3)
-        if self.values.shape[0] == 0:
-            raise EmptyLog("channel has no values")
 
     @property
     def length(self) -> int:
@@ -280,8 +274,6 @@ def synchronize(logs):
     logs' values. A log with no samples kept raises EmptyAfterSync carrying
     its index in ``logs``.
     """
-    if not logs:
-        raise EmptyLog("nothing to synchronize")
     t0 = max(int(log.timestamps[0]) for log in logs)
     end = min(t0 + _INT64_MAX, _INT64_MAX)
     out = []
@@ -334,22 +326,16 @@ def resample_linear(log: RawSensorLog, end_ms: int) -> SensorChannel:
 def build_session(channels, name: str = "") -> SyncedSession:
     """Stack four channels, in CHANNEL_ROLES order, into a session: common start, common length.
 
-    After synchronization each unit's first lattice point lies within one
-    period of the common t0, so channel starts differ by whole periods: each
-    channel drops its points before the latest start, and all are cut to the
-    shortest end. A channel with no points left raises EmptyAfterSync
-    carrying its index in ``channels``.
+    Every channel starts on the lattice, as ``resample_linear`` and
+    ``experiments.generate_synthetic`` make them, so channel starts differ by
+    whole periods: each channel drops its points before the latest start,
+    and all are cut to the shortest end. A channel with no points left
+    raises EmptyAfterSync carrying its index in ``channels``.
     """
-    if len(channels) != len(CHANNEL_ROLES):
-        raise WrongChannelSet(f"need {len(CHANNEL_ROLES)} channels, one per role, got {len(channels)}")
     latest = max(ch.start_time_ms for ch in channels)
     shifts = []
     for index, ch in enumerate(channels):
-        shift, off_lattice = divmod(latest - ch.start_time_ms, PERIOD_MS)
-        if off_lattice:
-            raise MismatchedStart(
-                f"start {ch.start_time_ms} ms is not a whole number of periods before {latest} ms"
-            )
+        shift = (latest - ch.start_time_ms) // PERIOD_MS
         if shift >= ch.length:
             raise EmptyAfterSync(index, f"no samples at or after {latest} ms")
         shifts.append(shift)

@@ -118,10 +118,8 @@ def uniform_label(track: LabelTrack, start_ms: int, end_ms: int):
     """The single label covering every instant of [start_ms, end_ms), else None.
 
     Adjacent same-label segments count as continuous coverage; a gap or a label
-    change inside the span yields None.
+    change inside the span yields None. The span is not empty: start_ms < end_ms.
     """
-    if start_ms >= end_ms:
-        raise InvalidInterval(f"interval [{start_ms}, {end_ms}) is empty or reversed")
     segs = track.segments
     i = bisect_right(track._starts, start_ms) - 1
     if i < 0 or segs[i][1] <= start_ms:
@@ -141,12 +139,11 @@ def apply_overrides(track: LabelTrack, overrides) -> LabelTrack:
 
     Each override replaces whatever the track says inside its span, splitting
     base segments as needed; later overrides win over earlier ones. Overrides
-    may also label previously unlabeled time.
+    may also label previously unlabeled time. Each override is a checked
+    interval, as ``read_overrides_csv`` returns them.
     """
     segments = list(track.segments)
     for start, end, label in overrides:
-        start, end, label = int(start), int(end), int(label)
-        _check_segment(start, end, label)
         kept = []
         for a, b, l in segments:
             if b <= start or a >= end:

@@ -17,6 +17,7 @@ EPSILON = 1e-8
 class AdamState:
     m: dict
     v: dict
+    t: int = 0  # updates made, for the bias correction
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -32,13 +33,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
     """One update: m, v <- moving moments of g, g^2; step by
     LEARNING_RATE * m_hat / (sqrt(v_hat) + EPSILON).
 
-    Mutates params and state in place and returns None; params.step counts
+    Mutates params and state in place and returns None; state.t counts
     updates, for the bias correction. Each float64 gradient is used as
     scratch, so ``grads`` holds no gradient afterwards.
     """
-    t = params.step + 1
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
+    state.t += 1
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for key, g in grads.items():
         m, v = state.m[key], state.v[key]
         # every product and quotient below is the one the textbook formula
@@ -57,4 +58,3 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState):
         g *= LEARNING_RATE
         g /= scratch
         params.tensors[key] -= g
-    params.step += 1

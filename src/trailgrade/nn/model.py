@@ -89,14 +89,13 @@ def is_trainable(name: str) -> bool:
 
 @dataclass
 class ModelParams:
-    """All stored tensors plus the count of optimizer updates applied to them (Adam's step)."""
+    """The model's configuration and all its stored tensors."""
 
     config: ModelConfig
     tensors: dict
-    step: int = 0
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()}, self.step)
+        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
 def build_model(config: ModelConfig, rng) -> ModelParams:

@@ -210,6 +210,65 @@ class TestTrainAndEval:
         assert calls == []
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "samples, out_model, out_history, first, second",
+        [
+            pytest.param("s.tgds", "m.ckpt", "m.ckpt", "--out-model", "--out-history", id="model-history"),
+            pytest.param("s.tgds", "s.tgds", "h.csv", "--samples", "--out-model", id="samples-model"),
+            pytest.param("s.tgds", "m.ckpt", "s.tgds", "--samples", "--out-history", id="samples-history"),
+            pytest.param(
+                "s.tgds", "m.ckpt", "m.ckpt.txt", "--out-model's .txt sidecar", "--out-history", id="sidecar-history"
+            ),
+            pytest.param(
+                "m.ckpt.txt", "m.ckpt", "h.csv", "--samples", "--out-model's .txt sidecar", id="samples-sidecar"
+            ),
+            pytest.param("s.tgds", "m.ckpt", "d/../m.ckpt", "--out-model", "--out-history", id="spelled-apart"),
+        ],
+    )
+    def test_train_rejects_two_flags_that_name_one_file(
+        self, samples_path, tmp_path, capsys, monkeypatch, samples, out_model, out_history, first, second
+    ):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
+        (tmp_path / "d").mkdir()
+        shutil.copy(samples_path, tmp_path / samples)
+        code = run(
+            "train", "--samples", str(tmp_path / samples), "--kernel-len", "5", "--seed", "1",
+            "--out-model", str(tmp_path / out_model), "--out-history", str(tmp_path / out_history),
+        )
+        assert code == 1
+        assert calls == []
+        # the message shows the path as the second flag gives it
+        given = {"--out-model": out_model, "--out-model's .txt sidecar": out_model + ".txt", "--out-history": out_history}
+        assert capsys.readouterr() == ("", f"usage error: {first} and {second} name one file: {tmp_path / given[second]}\n")
+        assert (tmp_path / samples).read_bytes() == samples_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "model_file, samples, out_confusion, first, second",
+        [
+            pytest.param("m.ckpt", "s.tgds", "m.ckpt", "--model", "--out-confusion", id="model-confusion"),
+            pytest.param("m.ckpt", "s.tgds", "s.tgds", "--samples", "--out-confusion", id="samples-confusion"),
+            pytest.param("m.ckpt", "m.ckpt", "c.csv", "--model", "--samples", id="model-samples"),
+        ],
+    )
+    def test_eval_rejects_two_flags_that_name_one_file(
+        self, trained, samples_path, tmp_path, capsys, monkeypatch, model_file, samples, out_confusion, first, second
+    ):
+        calls = []
+        monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(args))
+        shutil.copy(trained[0], tmp_path / "m.ckpt")
+        shutil.copy(samples_path, tmp_path / "s.tgds")
+        code = run(
+            "eval", "--model", str(tmp_path / model_file), "--samples", str(tmp_path / samples),
+            "--out-confusion", str(tmp_path / out_confusion),
+        )
+        assert code == 1
+        assert calls == []
+        given = {"--samples": samples, "--out-confusion": out_confusion}
+        assert capsys.readouterr() == ("", f"usage error: {first} and {second} name one file: {tmp_path / given[second]}\n")
+        assert (tmp_path / "m.ckpt").read_bytes() == trained[0].read_bytes()
+        assert (tmp_path / "s.tgds").read_bytes() == samples_path.read_bytes()
+
     def test_train_numeric_failure_exits_3(self, samples_path, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "L2_COEFF", 1e308)
         code = run(

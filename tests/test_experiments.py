@@ -10,7 +10,7 @@ from conftest import run_fresh_python
 from oracles import history_from_csv, skipped_cells
 from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
-from trailgrade.errors import InvalidSpec, NoUsableSessions
+from trailgrade.errors import NoUsableSessions
 from trailgrade.experiments import (
     COMPLETED,
     KERNEL_LEN_GRID,
@@ -73,13 +73,13 @@ class TestSkipRule:
 
 class TestSyntheticSpec:
     def test_validation(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError):
             SyntheticSpec(0, 20, seed=1)
         # a session archive counts its points in four bytes: 2**32 - 1 points
         # are 171,798,691.8 s at 25 Hz; the spec is checked before anything
         # is generated
         SyntheticSpec(1, 171_798_691, 0)
-        with pytest.raises(InvalidSpec, match="171798692: a session archive holds at most 4294967295 points"):
+        with pytest.raises(ValueError, match="171798692: a session archive holds at most 4294967295 points"):
             SyntheticSpec(1, 171_798_692, 0)
 
 

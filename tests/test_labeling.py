@@ -167,11 +167,6 @@ class TestUniformLabel:
         track = LabelTrack(((0, 500, 1), (600, 1000, 1)))
         assert uniform_label(track, 100, 900) is None
 
-    def test_empty_interval_rejected(self):
-        track = LabelTrack(((0, 1000, 1),))
-        with pytest.raises(InvalidInterval):
-            uniform_label(track, 10, 10)
-
 
 class TestApplyOverrides:
     def test_full_replacement(self):

@@ -203,7 +203,7 @@ class TestAdam:
         state = init_adam(params)
         adam_step(params, {"w": np.zeros(1)}, state)
         assert params.tensors["w"].item() == 1.5
-        assert params.step == 1
+        assert state.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
         # bias correction makes the first update ~ lr * g / (|g| + eps)
@@ -233,7 +233,7 @@ class TestAdam:
         adam_step(params, {"w": np.array([g2])}, state)
         assert state.m["w"].item() == pytest.approx(0.9 * (0.1 * g1) + 0.1 * g2)
         assert state.v["w"].item() == pytest.approx(0.999 * (0.001 * g1 ** 2) + 0.001 * g2 ** 2)
-        assert params.step == 2
+        assert state.t == 2
 
 
 class TestCheckpoint:
