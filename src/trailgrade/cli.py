@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import dataset, experiments, ingest, labeling, training
-from .errors import MalformedLine, MalformedXml, NumericFailure, TrailgradeError
+from .errors import MalformedLine, MalformedXml, NumericFailure, TooFewSamples, TrailgradeError
 from .framing import naming
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.model import ModelConfig
@@ -110,7 +110,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_ingest(args):
-    session = ingest.load_session(args.session)
+    _distinct_files(("--session", args.session), ("--out", args.out))
+    name, csvs = ingest.read_manifest(args.session)
+    for role, csv in zip(ingest.CHANNEL_ROLES, csvs):
+        _distinct_files((f"--session's {role}", csv), ("--out", args.out))
+    session = ingest.load_csvs(args.session, name, csvs)
     ingest.write_session_archive(session, args.out)
     print(f"{session.name}: {session.length_points} points at {ingest.TARGET_RATE_HZ:g} Hz -> {args.out}")
     return 0
@@ -130,6 +134,8 @@ def _cmd_label(args):
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
+    if args.overrides:
+        _distinct_files(("--overrides", args.overrides), ("--out", args.out))
     merged = _read_track(args.track)
     if args.overrides:
         overrides = ingest.parse_file(args.overrides, labeling.read_overrides_csv, MalformedLine)
@@ -143,18 +149,22 @@ def _read_track(path):
     return ingest.parse_file(path, labeling.read_label_track_csv, MalformedLine)
 
 
-def _archives(directory: Path):
-    """(archive path, session, label track) for each session archive in ``directory``."""
-    archives = []
+def _archive_paths(directory: Path):
+    """(session archive, label track) path pairs of ``directory``, one per session archive in it."""
+    pairs = []
     for session_path in sorted(directory.glob("*.session")):
         track_path = session_path.with_suffix(".labels.csv")
         if not track_path.exists():
             raise TrailgradeError(f"no label track next to {session_path.name}")
-        session = ingest.read_session_archive(session_path)
-        archives.append((session_path, session, _read_track(track_path)))
-    if not archives:
+        pairs.append((session_path, track_path))
+    if not pairs:
         raise TrailgradeError(f"no *.session archives in {directory}")
-    return archives
+    return pairs
+
+
+def _read_archives(pairs):
+    """(archive path, session, label track) for each pair of ``_archive_paths``."""
+    return [(path, ingest.read_session_archive(path), _read_track(track)) for path, track in pairs]
 
 
 def _cmd_window(args):
@@ -163,13 +173,17 @@ def _cmd_window(args):
     if source.is_dir():
         if args.track is not None:
             raise _UsageError("--track is for a single archive; a directory's sessions have their own")
-        archives = _archives(source)
+        pairs = _archive_paths(source)
+        flags = ("an archive in --session", "a label track in --session")
     else:
         if args.track is None:
             raise _UsageError("--track is required when --session is a single archive")
-        archives = [(source, ingest.read_session_archive(source), _read_track(args.track))]
+        pairs = [(source, args.track)]
+        flags = ("--session", "--track")
+    for flagged in (item for pair in pairs for item in zip(flags, pair)):
+        _distinct_files(flagged, ("--out", args.out))
     samples = []
-    for path, session, track in archives:
+    for path, session, track in _read_archives(pairs):
         with naming(path):
             samples.extend(dataset.slice_windows(session, track, config))
     dataset.write_sample_archive(samples, args.out)
@@ -181,14 +195,14 @@ def _cmd_window(args):
 def _read_samples(path):
     samples = dataset.read_sample_archive(path)
     if not samples:
-        raise TrailgradeError(f"{path} holds no samples")
+        raise TooFewSamples(f"{path} holds no samples")
     return samples
 
 
 def _cmd_train(args):
     _distinct_files(("--samples", args.samples), ("--out-model", args.out_model),
                     ("--out-model's .txt sidecar", args.out_model + ".txt"), ("--out-history", args.out_history))
-    for out in map(Path, (args.out_model, args.out_history)):
+    for out in map(Path, (args.out_model, args.out_model + ".txt", args.out_history)):
         if not out.parent.is_dir():  # found now, not after the last epoch
             raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
         if out.is_dir():
@@ -229,7 +243,7 @@ def _cmd_eval(args):
 def _cmd_grid(args):
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    pairs = [(session, track) for _, session, track in _archives(Path(args.data))]
+    pairs = [(session, track) for _, session, track in _read_archives(_archive_paths(Path(args.data)))]
     train_config = _from_flags(
         training.TrainConfig,
         seed=args.seed,

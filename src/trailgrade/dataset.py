@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptArchive, NumericFailure, SessionTooShort, TooFewSamples
+from .errors import CorruptArchive, NumericFailure, TooFewSamples
 from .framing import CHUNK_BYTES, Reader, naming
 from .ingest import PERIOD_MS, TARGET_RATE_HZ, SyncedSession
 from .labeling import LABELS, LabelTrack, uniform_label
@@ -65,7 +65,7 @@ def slice_windows(session: SyncedSession, track: LabelTrack, config: WindowConfi
     """
     w = config.window_points
     if session.length_points < w:
-        raise SessionTooShort(
+        raise TooFewSamples(
             f"session {session.name!r} has {session.length_points} points, window needs {w}"
         )
     out = []

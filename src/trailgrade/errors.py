@@ -19,10 +19,6 @@ class NonMonotonicTimestamp(TrailgradeError):
     """Timestamps must be strictly increasing."""
 
 
-class EmptyLog(TrailgradeError):
-    """A sensor log with no samples."""
-
-
 class EmptyAfterSync(TrailgradeError):
     """A log has no samples in the span kept from the common start time; carries its index in the list it came from."""
 
@@ -32,7 +28,7 @@ class EmptyAfterSync(TrailgradeError):
 
 
 class TooFewSamples(TrailgradeError):
-    """Not enough samples for the requested operation."""
+    """A step got fewer samples than it needs: an empty log or sample set, a short session, too few windows."""
 
 
 class SessionTooLong(TrailgradeError):
@@ -49,23 +45,19 @@ class MalformedXml(TrailgradeError):
     """Input is not a well-formed OSM export."""
 
 
-class DuplicateWayId(TrailgradeError):
-    """Two graded ways share an id."""
-
-
 class UnknownGrade(TrailgradeError):
     """A grade string outside the S0..S5 / mtb:scale vocabularies."""
 
 
 class InvalidInterval(TrailgradeError):
-    """An interval with start >= end, or a bad label."""
+    """An interval with start >= end, a bad label, or one that overlaps the one before; carries its index."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(reason)
+        self.index = index
 
 
 # dataset
-
-class SessionTooShort(TrailgradeError):
-    """Session has fewer points than one window."""
-
 
 class CorruptArchive(TrailgradeError):
     """A session or sample archive is truncated or not an archive at all."""
@@ -95,13 +87,5 @@ class VersionMismatch(TrailgradeError):
 
 # training / experiments
 
-class EmptyDataset(TrailgradeError):
-    """Training or evaluation needs at least one sample."""
-
-
 class NumericFailure(TrailgradeError):
     """Non-finite sample data, or a non-finite training loss."""
-
-
-class NoUsableSessions(TrailgradeError):
-    """No session is long enough for the requested windows."""

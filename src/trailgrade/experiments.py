@@ -18,7 +18,7 @@ from .dataset import (
     slice_windows,
     split_train_test,
 )
-from .errors import NoUsableSessions
+from .errors import TooFewSamples
 from .ingest import CHANNEL_ROLES, SESSION_POINTS_MAX, TARGET_RATE_HZ, SensorChannel, build_session
 from .labeling import LabelTrack
 from .nn.model import ModelConfig
@@ -215,7 +215,7 @@ def run_grid(data, spec: GridSpec, jobs: int = 1):
     windows = _windows(data, spec)
     for window_ms, samples in windows.items():
         if len(samples) < 2:
-            raise NoUsableSessions(
+            raise TooFewSamples(
                 f"{window_ms} ms windows: the sessions yield {len(samples)}, a train/test split needs at least 2"
             )
     cells = [

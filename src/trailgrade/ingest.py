@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     CorruptArchive,
     EmptyAfterSync,
-    EmptyLog,
     MalformedLine,
     MalformedManifest,
     NonMonotonicTimestamp,
@@ -55,7 +54,7 @@ class RawSensorLog:
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1, 3)
         if self.timestamps.size == 0:
-            raise EmptyLog("sensor log has no samples")
+            raise TooFewSamples("sensor log has no samples")
         # compare neighbours, not np.diff: an int64 difference can wrap around
         if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
             raise NonMonotonicTimestamp("timestamps must be strictly increasing")
@@ -67,9 +66,6 @@ class SensorChannel:
 
     start_time_ms: int
     values: np.ndarray  # (length, 3) float64
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1, 3)
 
     @property
     def length(self) -> int:
@@ -444,6 +440,15 @@ def parse_file(path, parse, malformed):
         return parse(read_utf8(path, malformed))
 
 
+def read_manifest(manifest_path):
+    """The session name, and its CSV paths in CHANNEL_ROLES order, of the manifest at ``manifest_path``."""
+    manifest_path = Path(manifest_path)
+    entries = parse_file(
+        manifest_path, parse_session_manifest, lambda n, why: MalformedManifest(f"line {n}: {why}")
+    )
+    return entries["name"], [manifest_path.parent / entries[role] for role in CHANNEL_ROLES]
+
+
 def load_session(manifest_path) -> SyncedSession:
     """Manifest -> four parsed CSVs -> synchronize -> resample -> session.
 
@@ -451,11 +456,11 @@ def load_session(manifest_path) -> SyncedSession:
     its channel into the session, names the CSV at the front. A CSV that
     cannot be opened names the manifest and the CSV's role.
     """
-    manifest_path = Path(manifest_path)
-    entries = parse_file(
-        manifest_path, parse_session_manifest, lambda n, why: MalformedManifest(f"line {n}: {why}")
-    )
-    paths = [manifest_path.parent / entries[role] for role in CHANNEL_ROLES]
+    return load_csvs(manifest_path, *read_manifest(manifest_path))
+
+
+def load_csvs(manifest_path, name: str, paths) -> SyncedSession:
+    """``load_session`` once its manifest is read: ``name`` and ``paths`` are ``read_manifest(manifest_path)``."""
     logs = []
     for role, path in zip(CHANNEL_ROLES, paths):
         try:
@@ -470,7 +475,7 @@ def load_session(manifest_path) -> SyncedSession:
         for path, log in zip(paths, synced):
             with naming(path):
                 channels.append(resample_linear(log, end_ms))
-        return build_session(channels, name=entries["name"])
+        return build_session(channels, name=name)
     except EmptyAfterSync as exc:
         with naming(paths[exc.index]):
             raise

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateWayId,
-    InvalidInterval,
-    MalformedLine,
-    MalformedXml,
-    UnknownGrade,
-)
+from .errors import InvalidInterval, MalformedLine, MalformedXml, UnknownGrade
 from .ingest import line_of_row, read_numeric_csv
 
 EASY, MEDIUM, HARD = 0, 1, 2
@@ -83,33 +77,37 @@ def parse_osm_difficulties(xml_text) -> dict:
         for tag in way.findall("tag"):
             if tag.get("k") == OSM_GRADE_KEY:
                 if way_id in entries:
-                    raise DuplicateWayId(f"way {way_id} graded twice")
+                    raise MalformedXml(f"way {way_id} graded twice")
                 entries[way_id] = tag.get("v", "")
                 break
     return entries
 
 
-def _check_segment(start_ms, end_ms, label):
+def _check_segment(index, start_ms, end_ms, label):
+    """The segment at ``index`` as a tuple, once its span is non-empty and its label known."""
     if start_ms >= end_ms:
-        raise InvalidInterval(f"interval [{start_ms}, {end_ms}) is empty or reversed")
+        raise InvalidInterval(index, f"interval [{start_ms}, {end_ms}) is empty or reversed")
     if label not in LABELS:
-        raise InvalidInterval(f"label {label!r} not in {LABELS}")
+        raise InvalidInterval(index, f"label {label!r} not in {LABELS}")
+    return start_ms, end_ms, label
 
 
 @dataclass
 class LabelTrack:
-    """Sorted, non-overlapping labeled half-open intervals [start_ms, end_ms)."""
+    """Sorted, non-overlapping labeled half-open intervals [start_ms, end_ms).
+
+    This is the one check of a track's intervals: the first bad segment
+    raises InvalidInterval carrying its index in ``segments``.
+    """
 
     segments: tuple
 
     def __post_init__(self):
         segs = tuple((int(s), int(e), int(l)) for s, e, l in self.segments)
-        prev_end = None
-        for start, end, label in segs:
-            _check_segment(start, end, label)
-            if prev_end is not None and start < prev_end:
-                raise InvalidInterval("segments overlap or are unsorted")
-            prev_end = end
+        for index, (start, end, label) in enumerate(segs):
+            _check_segment(index, start, end, label)
+            if index and start < segs[index - 1][1]:
+                raise InvalidInterval(index, "segments overlap or are unsorted")
         self.segments = segs
         self._starts = [s for s, _, _ in segs]
 
@@ -160,31 +158,26 @@ def apply_overrides(track: LabelTrack, overrides) -> LabelTrack:
 
 
 def read_label_track_csv(text) -> LabelTrack:
-    """Parse `start_ms,end_ms,label` CSV into a LabelTrack."""
-    return LabelTrack(tuple(_read_rows(text, disjoint=True)))
+    """Parse `start_ms,end_ms,label` CSV into a LabelTrack, which checks its intervals."""
+    return _read_rows(text, lambda rows: LabelTrack(tuple(rows)))
 
 
 def read_overrides_csv(text):
-    """Parse `start_ms,end_ms,label` CSV into a list of interval tuples."""
-    return _read_rows(text, disjoint=False)
+    """Parse `start_ms,end_ms,label` CSV into a list of checked interval tuples, which may overlap."""
+    return _read_rows(text, lambda rows: [_check_segment(index, *row) for index, row in enumerate(rows)])
 
 
-def _read_rows(text, disjoint):
-    """(start_ms, end_ms, label) per data row, read by ``read_numeric_csv``.
+def _read_rows(text, build):
+    """``build`` of the (start_ms, end_ms, label) data rows, read by ``read_numeric_csv``.
 
-    Each interval is checked and, with ``disjoint``, must not start before
-    the one above it ends; a row that fails names its line.
+    An InvalidInterval from ``build`` names the line of the row it carries.
     """
     data = text.encode()
     rows = read_numeric_csv(data, _TRACK_ROW, TRACK_CSV_HEADER).tolist()
-    for i, (start, end, label) in enumerate(rows):
-        try:
-            _check_segment(start, end, label)
-            if disjoint and i and start < rows[i - 1][1]:
-                raise InvalidInterval("segments overlap or are unsorted")
-        except InvalidInterval as exc:
-            raise InvalidInterval(f"line {line_of_row(data, i)}: {exc}") from None
-    return rows
+    try:
+        return build(rows)
+    except InvalidInterval as exc:
+        raise InvalidInterval(exc.index, f"line {line_of_row(data, exc.index)}: {exc}") from None
 
 
 def write_label_track_csv(track: LabelTrack) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, LabelOutOfRange, NumericFailure, ShapeMismatch
+from .errors import LabelOutOfRange, NumericFailure, ShapeMismatch, TooFewSamples
 from .nn.adam import adam_step, init_adam
 from .nn.model import CLASSES, ModelConfig, ModelParams, backward, build_model, forward, l2_penalty
 from .nn.ops import sparse_categorical_crossentropy
@@ -105,7 +105,7 @@ def evaluate(params: ModelParams, samples):
     reproduces its recorded accuracy bit for bit.
     """
     if not samples:
-        raise EmptyDataset("nothing to evaluate")
+        raise TooFewSamples("nothing to evaluate")
     labels = _checked_labels(samples, params.config)
     counts = confusion_matrix(_predict(params, samples), labels)
     return int(np.trace(counts)) / len(samples), counts
@@ -134,7 +134,7 @@ def _keep_freed_heap():
 def train(train_samples, test_samples, model_config: ModelConfig, train_config: TrainConfig) -> TrainResult:
     """Run the full training loop; deterministic given data and seed."""
     if not train_samples or not test_samples:
-        raise EmptyDataset("train and test sets must be non-empty")
+        raise TooFewSamples("train and test sets must be non-empty")
     _keep_freed_heap()
     train_labels = _checked_labels(train_samples, model_config)
     test_labels = _checked_labels(test_samples, model_config)

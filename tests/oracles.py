@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from trailgrade.errors import EmptyLog, MalformedLine, ShapeMismatch
+from trailgrade.errors import MalformedLine, ShapeMismatch, TooFewSamples
 from trailgrade.nn import model, ops
 from trailgrade.nn.model import DROPOUT_RATE
 from trailgrade.training import HISTORY_CSV_HEADER, EpochRecord
@@ -297,7 +297,7 @@ def parse_sensor_csv_lines(text):
         ts.append(t)
         vals.append(xyz)
     if not ts:
-        raise EmptyLog("no data rows")
+        raise TooFewSamples("no data rows")
     timestamps = np.array(ts, dtype=np.int64)
     rate = float("nan")
     if timestamps.size >= 2:

@@ -187,6 +187,7 @@ class TestTrainAndEval:
             pytest.param("--out-history", "missing-parent", id="--out-history"),
             pytest.param("--out-model", "existing-directory", id="--out-model-is-a-directory"),
             pytest.param("--out-history", "existing-directory", id="--out-history-is-a-directory"),
+            pytest.param("--out-model's .txt sidecar", "existing-directory", id="sidecar-is-a-directory"),
         ],
     )
     def test_train_checks_its_output_directories_before_training(
@@ -198,10 +199,13 @@ class TestTrainAndEval:
         if fault == "missing-parent":
             outputs[flag] = str(tmp_path / "nodir" / "out")
             message = f"{tmp_path / 'nodir' / 'out'}: directory {tmp_path / 'nodir'} does not exist"
-        else:
+        elif flag in outputs:
             (tmp_path / "d").mkdir()
             outputs[flag] = str(tmp_path / "d")
             message = f"{tmp_path / 'd'}: is a directory"
+        else:  # the sidecar of --out-model m.ckpt
+            (tmp_path / "m.ckpt.txt").mkdir()
+            message = f"{tmp_path / 'm.ckpt.txt'}: is a directory"
         code = run(
             "train", "--samples", str(samples_path), "--kernel-len", "5", "--seed", "1",
             *(item for pair in outputs.items() for item in pair),
@@ -303,6 +307,55 @@ class TestIngest:
         assert code == 2
 
 
+class TestOutputNamesAnInput:
+    """``--out`` naming one of the subcommand's inputs is a usage error, and the input is left as it was."""
+
+    @staticmethod
+    def assert_rejected(capsys, code, first, named, before):
+        assert code == 1
+        assert capsys.readouterr() == ("", f"usage error: {first} and --out name one file: {named}\n")
+        assert named.read_bytes() == before
+
+    @pytest.mark.parametrize("which", ["--session", "--track"])
+    def test_window_single_archive(self, synth_dir, tmp_path, capsys, which):
+        source = sorted(synth_dir.glob("*.session"))[0]
+        session, track = tmp_path / source.name, tmp_path / source.with_suffix(".labels.csv").name
+        shutil.copy(source, session)
+        shutil.copy(source.with_suffix(".labels.csv"), track)
+        named = {"--session": session, "--track": track}[which]
+        before = named.read_bytes()
+        code = run("window", "--session", str(session), "--track", str(track), "--window-ms", "2000", "--out", str(named))
+        self.assert_rejected(capsys, code, which, named, before)
+
+    @pytest.mark.parametrize("suffix, first", [(".session", "an archive in --session"), (".labels.csv", "a label track in --session")])
+    def test_window_directory(self, synth_dir, tmp_path, capsys, suffix, first):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        named = sorted(data.glob(f"*{suffix}"))[-1]
+        before = named.read_bytes()
+        code = run("window", "--session", str(data), "--window-ms", "2000", "--out", str(named))
+        self.assert_rejected(capsys, code, first, named, before)
+
+    @pytest.mark.parametrize("named, first", [("frame_accel.csv", "--session's frame_accel"), ("session.toml", "--session")])
+    def test_ingest(self, tmp_path, capsys, named, first):
+        manifest = write_ride(tmp_path)
+        before = (tmp_path / named).read_bytes()
+        code = run("ingest", "--session", str(manifest), "--out", str(tmp_path / named))
+        self.assert_rejected(capsys, code, first, tmp_path / named, before)
+        # the ride still ingests
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 0
+
+    def test_label_overrides(self, tmp_path, capsys):
+        (tmp_path / "base.csv").write_text("start_ms,end_ms,label\n0,1000,1\n")
+        overrides = tmp_path / "ovr.csv"
+        overrides.write_text("start_ms,end_ms,label\n400,600,0\n")
+        before = overrides.read_bytes()
+        code = run(
+            "label", "--track", str(tmp_path / "base.csv"), "--overrides", str(overrides), "--out", str(overrides)
+        )
+        self.assert_rejected(capsys, code, "--overrides", overrides, before)
+
+
 class TestDataErrorsNameTheFile:
     """A data error from a text file reads ``error: <path>: line N: reason``."""
 
@@ -318,6 +371,15 @@ class TestDataErrorsNameTheFile:
         path.write_bytes(path.read_bytes().replace(b"\n40,", b"\n4\x800,", 1))
         assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
         assert self.error_line(capsys) == f"error: {path}: line 3: byte 0x80 is not ASCII\n"
+
+    def test_session_too_long(self, tmp_path, capsys):
+        manifest = write_ride(tmp_path)
+        for role in CHANNEL_ROLES:
+            (tmp_path / f"{role}.csv").write_text("timestamp_ms,x,y,z\n0,0,0,0\n200000000000,0,0,0\n")
+        assert run("ingest", "--session", str(manifest), "--out", str(tmp_path / "r.session")) == 2
+        want = "5000000001 lattice points up to 200000000000 ms, a session archive holds at most 4294967295"
+        assert self.error_line(capsys) == f"error: {tmp_path / 'frame_accel.csv'}: {want}\n"
+        assert not (tmp_path / "r.session").exists()
 
     def test_manifest(self, tmp_path, capsys):
         manifest = write_ride(tmp_path)

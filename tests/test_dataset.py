@@ -24,7 +24,6 @@ from trailgrade.dataset import (
 from trailgrade.errors import (
     CorruptArchive,
     NumericFailure,
-    SessionTooShort,
     TooFewSamples,
 )
 from trailgrade.ingest import PERIOD_MS
@@ -69,7 +68,7 @@ class TestSliceWindows:
 
     def test_too_short(self):
         session = make_session(24, name="ride-7")
-        with pytest.raises(SessionTooShort, match="^session 'ride-7' has 24 points, window needs 25$"):
+        with pytest.raises(TooFewSamples, match="^session 'ride-7' has 24 points, window needs 25$"):
             slice_windows(session, full_track(session), WindowConfig(1000))
 
     def test_uniform_track_keeps_all_candidates(self):

@@ -10,7 +10,7 @@ from conftest import run_fresh_python
 from oracles import history_from_csv, skipped_cells
 from trailgrade import experiments
 from trailgrade.dataset import WindowConfig, slice_windows
-from trailgrade.errors import NoUsableSessions
+from trailgrade.errors import TooFewSamples
 from trailgrade.experiments import (
     COMPLETED,
     KERNEL_LEN_GRID,
@@ -267,12 +267,12 @@ class TestRunGrid:
         assert cuts == once + once  # the parent's cut, then the one worker's
 
     def test_no_sessions(self):
-        with pytest.raises(NoUsableSessions):
+        with pytest.raises(TooFewSamples, match="^1000 ms windows: the sessions yield 0, "):
             run_grid([], tiny_grid_spec())
 
     def test_all_sessions_too_short(self):
         short = generate_synthetic(SyntheticSpec(1, 1, seed=1))  # 25-point sessions
-        with pytest.raises(NoUsableSessions):
+        with pytest.raises(TooFewSamples, match="^2000 ms windows: the sessions yield 0, "):
             run_grid(short, tiny_grid_spec())
 
     def test_too_few_windows_fail_before_any_cell_trains(self, monkeypatch):
@@ -290,7 +290,7 @@ class TestRunGrid:
             (SyncedSession(s.name, s.start_time_ms, s.data[:400]), track) for s, track in sessions[1:]
         ]
         spec = GridSpec(train_config=TrainConfig(seed=1, max_epochs=2, patience=2), seed=1)
-        with pytest.raises(NoUsableSessions, match="^20000 ms windows: the sessions yield 1, "):
+        with pytest.raises(TooFewSamples, match="^20000 ms windows: the sessions yield 1, "):
             run_grid(data, spec)
         assert len(calls) == 0
 

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from trailgrade.errors import (
     CorruptArchive,
     EmptyAfterSync,
-    EmptyLog,
     MalformedLine,
     MalformedManifest,
     NonMonotonicTimestamp,
+    SessionTooLong,
     TooFewSamples,
     TrailgradeError,
 )
@@ -130,7 +130,7 @@ class TestParseSensorCsv:
             parse_csv_text("timestamp_ms,x,y,z\n0,nan,2,3")
 
     def test_empty_log(self):
-        with pytest.raises(EmptyLog):
+        with pytest.raises(TooFewSamples, match=": sensor log has no samples$"):
             parse_csv_text("timestamp_ms,x,y,z\n")
 
     def test_roundtrip_exact(self):
@@ -604,6 +604,12 @@ class TestResampleLinear:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             resample_linear(log_from([0], [1.0]), 0)
+
+    def test_more_points_than_an_archive_holds(self):
+        # 0 and 2e11 ms span 5e9 + 1 lattice points: the 40 GB grid must never be allocated
+        want = "^5000000001 lattice points up to 200000000000 ms, a session archive holds at most 4294967295$"
+        with pytest.raises(SessionTooLong, match=want):
+            resample_linear(log_from([0, 200_000_000_000], [0.0, 1.0]), 200_000_000_000)
 
     def test_idempotent_on_grid(self):
         log = log_from(np.arange(50) * 40, np.sin(np.arange(50)))

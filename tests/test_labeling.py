@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from oracles import label_at_scan, overlay_label
 from trailgrade.errors import (
-    DuplicateWayId,
     InvalidInterval,
     MalformedLine,
     MalformedXml,
@@ -86,7 +85,7 @@ class TestParseOsm:
             '<way id="7"><tag k="mtb:scale" v="3"/></way>'
             "</osm>"
         )
-        with pytest.raises(DuplicateWayId):
+        with pytest.raises(MalformedXml, match="^way 7 graded twice$"):
             parse_osm_difficulties(xml)
 
     def test_non_integer_id(self):
@@ -113,6 +112,11 @@ class TestLabelTrack:
             LabelTrack(((0, 100, 1), (50, 200, 2)))
         with pytest.raises(InvalidInterval):
             LabelTrack(((100, 200, 1), (0, 50, 2)))
+
+    def test_error_carries_the_segment_index(self):
+        with pytest.raises(InvalidInterval, match="^segments overlap or are unsorted$") as err:
+            LabelTrack(((0, 100, 1), (100, 200, 2), (150, 300, 0)))
+        assert err.value.index == 2
 
     def test_gaps_allowed(self):
         track = LabelTrack(((0, 100, 1), (200, 300, 2)))
@@ -255,6 +259,19 @@ class TestTrackCsv:
     def test_roundtrip(self):
         track = LabelTrack(((0, 100, 1), (100, 250, 2), (400, 500, 0)))
         assert read_label_track_csv(write_label_track_csv(track)).segments == track.segments
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            pytest.param("5,20,1", "segments overlap or are unsorted", id="overlap"),
+            pytest.param("20,20,1", "interval [20, 20) is empty or reversed", id="empty"),
+            pytest.param("20,30,3", "label 3 not in (0, 1, 2)", id="label"),
+        ],
+    )
+    def test_invalid_interval_names_its_line(self, row, reason):
+        with pytest.raises(InvalidInterval, match=f"^{re.escape(f'line 5: {reason}')}$") as err:
+            read_label_track_csv(f"start_ms,end_ms,label\n0,10,1\n\n\r\n{row}\n40,50,1\n")
+        assert err.value.index == 1
 
     def test_header_required(self):
         with pytest.raises(MalformedLine):

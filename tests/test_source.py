@@ -1,11 +1,12 @@
-"""Source hygiene of the package, read with ``ast``: no unused import, no error type that nothing raises."""
+"""Source hygiene of the package, read with ``ast``: no unused import, no error type that nothing raises or tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trailgrade"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "trailgrade"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
@@ -60,3 +61,24 @@ def raised_names():
 def test_every_error_type_is_raised():
     raised = raised_names()
     assert [name for name in error_types() if name not in raised] == []
+
+
+def expected_names():
+    """Each name a ``pytest.raises`` under tests/ expects, alone or in a tuple."""
+    names = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if (
+                isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "raises"
+            ):
+                expected = node.args[0]
+                for exc in expected.elts if isinstance(expected, ast.Tuple) else [expected]:
+                    if isinstance(exc, (ast.Name, ast.Attribute)):
+                        names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def test_every_error_type_is_expected_by_a_test():
+    expected = expected_names()
+    assert [name for name in error_types() if name not in expected] == []

@@ -19,10 +19,10 @@ from trailgrade.dataset import (
     write_sample_archive,
 )
 from trailgrade.errors import (
-    EmptyDataset,
     LabelOutOfRange,
     NumericFailure,
     ShapeMismatch,
+    TooFewSamples,
 )
 from trailgrade.nn import model, ops
 from trailgrade.nn.adam import adam_step, init_adam
@@ -165,9 +165,9 @@ class TestTrainLoop:
 
     def test_empty_dataset(self, tiny):
         samples = separable_samples(2)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooFewSamples, match="^train and test sets must be non-empty$"):
             train([], samples, tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooFewSamples, match="^train and test sets must be non-empty$"):
             train(samples, [], tiny, TrainConfig(seed=0, max_epochs=1, patience=1))
 
     def test_shape_mismatch(self, tiny):
@@ -494,7 +494,7 @@ class TestEvaluate:
         assert accuracy in (0.0, 1.0)
 
     def test_empty(self, rng, tiny):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TooFewSamples, match="^nothing to evaluate$"):
             evaluate(build_model(tiny, rng), [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
