@@ -33,21 +33,30 @@ def _from_flags(config_type, *args, **kwargs):
         raise _UsageError(str(exc)) from None
 
 
-def _distinct_files(*flagged):
-    """Reject two (flag, path) pairs that name one file, compared resolved: a write would destroy the other."""
-    # realpath, not Path.resolve(): a symlink loop is left for open() to report as a data error
-    seen = {}
-    for flag, path in flagged:
+def _check_outputs(inputs, outputs):
+    """Check a writer's (flag, path) outputs before it does any work: an output that names any other
+    given path, compared resolved, is a usage error, as its write would destroy that file (inputs may
+    name one file); then an output whose directory is missing, or that is a directory, is a data error."""
+    # realpath, not Path.resolve(): open() reports a symlink loop as a data error; reversed: first flag wins
+    seen = {os.path.realpath(path): flag for flag, path in reversed(inputs)}
+    for flag, path in outputs:
         other = seen.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise _UsageError(f"{other} and {flag} name one file: {path}")
+    for out in (Path(path) for _, path in outputs):
+        if not out.parent.is_dir():
+            raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
+        if out.is_dir():
+            raise TrailgradeError(f"{out}: is a directory")
 
 
-def _seed(text):
-    """A --seed value: an integer, at least 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return int(text)
+def _at_least(least):
+    """An argparse type for an integer flag that no config checks: at least ``least``."""
+    def integer(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    return integer
 
 
 def _build_parser() -> _Parser:
@@ -77,7 +86,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="split, balance, shuffle and train on a sample archive")
     p.add_argument("--samples", required=True)
     p.add_argument("--kernel-len", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
     p.add_argument("--out-model", required=True)
@@ -92,8 +101,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="run the window-size x kernel-size grid")
     p.add_argument("--data", required=True, help="directory of *.session + *.labels.csv pairs")
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), required=True)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-epochs", type=int, default=training.TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=training.TrainConfig.patience)
@@ -103,17 +112,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sessions-per-class", type=int, required=True)
     p.add_argument("--seconds", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.set_defaults(func=_cmd_synth)
 
     return parser
 
 
 def _cmd_ingest(args):
-    _distinct_files(("--session", args.session), ("--out", args.out))
     name, csvs = ingest.read_manifest(args.session)
-    for role, csv in zip(ingest.CHANNEL_ROLES, csvs):
-        _distinct_files((f"--session's {role}", csv), ("--out", args.out))
+    roles = [f"--session's {role}" for role in ingest.CHANNEL_ROLES]
+    _check_outputs([("--session", args.session), *zip(roles, csvs)], [("--out", args.out)])
     session = ingest.load_csvs(args.session, name, csvs)
     ingest.write_session_archive(session, args.out)
     print(f"{session.name}: {session.length_points} points at {ingest.TARGET_RATE_HZ:g} Hz -> {args.out}")
@@ -134,8 +142,7 @@ def _cmd_label(args):
         return 0
     if args.track is None or args.out is None:
         raise _UsageError("either --osm/--way or --track/--out must be given")
-    if args.overrides:
-        _distinct_files(("--overrides", args.overrides), ("--out", args.out))
+    _check_outputs([("--overrides", args.overrides)] if args.overrides else [], [("--out", args.out)])
     merged = _read_track(args.track)
     if args.overrides:
         overrides = ingest.parse_file(args.overrides, labeling.read_overrides_csv, MalformedLine)
@@ -180,8 +187,7 @@ def _cmd_window(args):
             raise _UsageError("--track is required when --session is a single archive")
         pairs = [(source, args.track)]
         flags = ("--session", "--track")
-    for flagged in (item for pair in pairs for item in zip(flags, pair)):
-        _distinct_files(flagged, ("--out", args.out))
+    _check_outputs([item for pair in pairs for item in zip(flags, pair)], [("--out", args.out)])
     samples = []
     for path, session, track in _read_archives(pairs):
         with naming(path):
@@ -200,13 +206,8 @@ def _read_samples(path):
 
 
 def _cmd_train(args):
-    _distinct_files(("--samples", args.samples), ("--out-model", args.out_model),
-                    ("--out-model's .txt sidecar", args.out_model + ".txt"), ("--out-history", args.out_history))
-    for out in map(Path, (args.out_model, args.out_model + ".txt", args.out_history)):
-        if not out.parent.is_dir():  # found now, not after the last epoch
-            raise TrailgradeError(f"{out}: directory {out.parent} does not exist")
-        if out.is_dir():
-            raise TrailgradeError(f"{out}: is a directory")
+    _check_outputs([("--samples", args.samples)], [("--out-model", args.out_model),
+                   ("--out-model's .txt sidecar", args.out_model + ".txt"), ("--out-history", args.out_history)])
     samples = _read_samples(args.samples)
     train_set, test_set = experiments.prepare_splits(samples, args.seed)
     with naming(args.samples):
@@ -230,7 +231,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    _distinct_files(("--model", args.model), ("--samples", args.samples), ("--out-confusion", args.out_confusion))
+    _check_outputs([("--model", args.model), ("--samples", args.samples)], [("--out-confusion", args.out_confusion)])
     params, _ = load_checkpoint(args.model)
     samples = _read_samples(args.samples)
     with naming(args.samples):
@@ -241,8 +242,6 @@ def _cmd_eval(args):
 
 
 def _cmd_grid(args):
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     pairs = [(session, track) for _, session, track in _read_archives(_archive_paths(Path(args.data)))]
     train_config = _from_flags(
         training.TrainConfig,
@@ -253,6 +252,7 @@ def _cmd_grid(args):
     spec = experiments.GridSpec(train_config=train_config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _check_outputs([], [("--out's grid.txt", out / "grid.txt"), ("--out's grid.csv", out / "grid.csv")])
     results = experiments.run_grid(pairs, spec, jobs=args.jobs)
     table = experiments.report_table(results)
     (out / "grid.txt").write_text(table)

@@ -1,12 +1,16 @@
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_session, write_ride
 from oracles import history_from_csv
-from trailgrade import experiments, training
+from trailgrade import dataset, experiments, ingest, labeling, training
 from trailgrade.cli import main
 from trailgrade.dataset import WindowSample, read_sample_archive, write_sample_archive
 from trailgrade.ingest import CHANNEL_ROLES, read_session_archive, write_session_archive
@@ -181,38 +185,75 @@ class TestTrainAndEval:
         assert capsys.readouterr() == ("", f"error: {archive}: kernel length 40 exceeds the 25-point window\n")
 
     @pytest.mark.parametrize(
-        "flag, fault",
+        "command, flag, fault",
         [
-            pytest.param("--out-model", "missing-parent", id="--out-model"),
-            pytest.param("--out-history", "missing-parent", id="--out-history"),
-            pytest.param("--out-model", "existing-directory", id="--out-model-is-a-directory"),
-            pytest.param("--out-history", "existing-directory", id="--out-history-is-a-directory"),
-            pytest.param("--out-model's .txt sidecar", "existing-directory", id="sidecar-is-a-directory"),
+            pytest.param("train", "--out-model", "missing-parent", id="--out-model"),
+            pytest.param("train", "--out-history", "missing-parent", id="--out-history"),
+            pytest.param("train", "--out-model", "existing-directory", id="--out-model-is-a-directory"),
+            pytest.param("train", "--out-history", "existing-directory", id="--out-history-is-a-directory"),
+            # a directory at this output, which no flag gives on its own
+            pytest.param("train", "m.ckpt.txt", "existing-directory", id="sidecar-is-a-directory"),
+            pytest.param("ingest", "--out", "missing-parent", id="ingest-out"),
+            pytest.param("ingest", "--out", "existing-directory", id="ingest-out-is-a-directory"),
+            pytest.param("label", "--out", "missing-parent", id="label-out"),
+            pytest.param("label", "--out", "existing-directory", id="label-out-is-a-directory"),
+            pytest.param("window", "--out", "missing-parent", id="window-out"),
+            pytest.param("window", "--out", "existing-directory", id="window-out-is-a-directory"),
+            pytest.param("eval", "--out-confusion", "missing-parent", id="eval-out-confusion"),
+            pytest.param("eval", "--out-confusion", "existing-directory", id="eval-out-confusion-is-a-directory"),
+            # grid makes its --out directory, so only a directory at one of its files can fail
+            pytest.param("grid", "g/grid.txt", "existing-directory", id="grid-txt-is-a-directory"),
+            pytest.param("grid", "g/grid.csv", "existing-directory", id="grid-csv-is-a-directory"),
         ],
     )
     def test_train_checks_its_output_directories_before_training(
-        self, samples_path, tmp_path, capsys, monkeypatch, flag, fault
+        self, synth_dir, samples_path, trained, tmp_path, capsys, monkeypatch, command, flag, fault
     ):
+        """Each writer exits 2 before its work when an output's directory is missing or a directory is in its place."""
+        manifest = write_ride(tmp_path)
+        (tmp_path / "base.csv").write_text("start_ms,end_ms,label\n0,1000,1\n")
+        (tmp_path / "ovr.csv").write_text("start_ms,end_ms,label\n400,600,0\n")
+        inputs, outputs, work = {
+            "ingest": (["--session", str(manifest)], {"--out": "r.session"}, (ingest, "load_csvs")),
+            "label": (
+                ["--track", str(tmp_path / "base.csv"), "--overrides", str(tmp_path / "ovr.csv")],
+                {"--out": "t.csv"},
+                (labeling, "apply_overrides"),
+            ),
+            "window": (
+                ["--session", str(synth_dir), "--window-ms", "2000"], {"--out": "w.tgds"}, (dataset, "slice_windows")
+            ),
+            "train": (
+                ["--samples", str(samples_path), "--kernel-len", "5", "--seed", "1"],
+                {"--out-model": "m.ckpt", "--out-history": "h.csv"},
+                (training, "train"),
+            ),
+            "eval": (
+                ["--model", str(trained[0]), "--samples", str(samples_path)],
+                {"--out-confusion": "c.csv"},
+                (training, "evaluate"),
+            ),
+            "grid": (
+                ["--data", str(synth_dir), "--seed", "1", "--max-epochs", "1"], {"--out": "g"}, (experiments, "run_grid")
+            ),
+        }[command]
         calls = []
-        monkeypatch.setattr(training, "train", lambda *args: calls.append(args))
-        outputs = {"--out-model": str(tmp_path / "m.ckpt"), "--out-history": str(tmp_path / "h.csv")}
+        monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args))
         if fault == "missing-parent":
-            outputs[flag] = str(tmp_path / "nodir" / "out")
+            outputs[flag] = "nodir/out"
             message = f"{tmp_path / 'nodir' / 'out'}: directory {tmp_path / 'nodir'} does not exist"
-        elif flag in outputs:
-            (tmp_path / "d").mkdir()
-            outputs[flag] = str(tmp_path / "d")
-            message = f"{tmp_path / 'd'}: is a directory"
-        else:  # the sidecar of --out-model m.ckpt
-            (tmp_path / "m.ckpt.txt").mkdir()
-            message = f"{tmp_path / 'm.ckpt.txt'}: is a directory"
-        code = run(
-            "train", "--samples", str(samples_path), "--kernel-len", "5", "--seed", "1",
-            *(item for pair in outputs.items() for item in pair),
-        )
+        else:
+            directory = flag
+            if flag in outputs:
+                outputs[flag] = directory = "d"
+            (tmp_path / directory).mkdir(parents=True)
+            message = f"{tmp_path / directory}: is a directory"
+        before = sorted(tmp_path.rglob("*"))
+        code = run(command, *inputs, *(item for f, name in outputs.items() for item in (f, str(tmp_path / name))))
         assert code == 2
         assert calls == []
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "samples, out_model, out_history, first, second",
@@ -248,28 +289,33 @@ class TestTrainAndEval:
         assert (tmp_path / samples).read_bytes() == samples_path.read_bytes()
 
     @pytest.mark.parametrize(
-        "model_file, samples, out_confusion, first, second",
+        "model_file, samples, out_confusion, code, message",
         [
-            pytest.param("m.ckpt", "s.tgds", "m.ckpt", "--model", "--out-confusion", id="model-confusion"),
-            pytest.param("m.ckpt", "s.tgds", "s.tgds", "--samples", "--out-confusion", id="samples-confusion"),
-            pytest.param("m.ckpt", "m.ckpt", "c.csv", "--model", "--samples", id="model-samples"),
+            pytest.param(
+                "m.ckpt", "s.tgds", "m.ckpt", 1, "usage error: --model and --out-confusion name one file: {tmp}/m.ckpt",
+                id="model-confusion",
+            ),
+            pytest.param(
+                "m.ckpt", "s.tgds", "s.tgds", 1, "usage error: --samples and --out-confusion name one file: {tmp}/s.tgds",
+                id="samples-confusion",
+            ),
+            # two inputs may name one file: nothing is written, so the reader reports what it finds there
+            pytest.param("m.ckpt", "m.ckpt", "c.csv", 2, "error: {tmp}/m.ckpt: not a sample archive", id="model-samples"),
         ],
     )
     def test_eval_rejects_two_flags_that_name_one_file(
-        self, trained, samples_path, tmp_path, capsys, monkeypatch, model_file, samples, out_confusion, first, second
+        self, trained, samples_path, tmp_path, capsys, monkeypatch, model_file, samples, out_confusion, code, message
     ):
         calls = []
         monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(args))
         shutil.copy(trained[0], tmp_path / "m.ckpt")
         shutil.copy(samples_path, tmp_path / "s.tgds")
-        code = run(
+        assert run(
             "eval", "--model", str(tmp_path / model_file), "--samples", str(tmp_path / samples),
             "--out-confusion", str(tmp_path / out_confusion),
-        )
-        assert code == 1
+        ) == code
         assert calls == []
-        given = {"--samples": samples, "--out-confusion": out_confusion}
-        assert capsys.readouterr() == ("", f"usage error: {first} and {second} name one file: {tmp_path / given[second]}\n")
+        assert capsys.readouterr() == ("", message.format(tmp=tmp_path) + "\n")
         assert (tmp_path / "m.ckpt").read_bytes() == trained[0].read_bytes()
         assert (tmp_path / "s.tgds").read_bytes() == samples_path.read_bytes()
 
@@ -1021,3 +1067,19 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    def test_python_dash_m_runs_main_entry(self):
+        """``python -m trailgrade.cli`` exits through the ``__main__`` guard and ``main_entry``."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "trailgrade.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+
+        shown = module("--help")
+        assert shown.returncode == 0 and shown.stdout.startswith("usage: trailgrade")
+        rejected = module("grid")
+        assert rejected.returncode == 1 and rejected.stdout == ""
+        assert len(rejected.stderr.splitlines()) == 1 and rejected.stderr.startswith("usage error: ")
